@@ -5,7 +5,8 @@ current instance).  The **oblivious chase** fires every trigger exactly
 once; the **restricted chase** fires a trigger only when its head is
 not already satisfied by an extension of the trigger homomorphism.
 Both invent a fresh labeled null per existential head variable per
-firing.
+firing.  Both, like the Skolem chase, are one per-trigger step over
+the shared semi-naive loop :func:`repro.data.saturate.saturate`.
 
 Neither chase terminates on arbitrary TGDs, so both engines take a
 step budget and report whether they reached a fixpoint.  With
@@ -16,15 +17,16 @@ returning a truncated instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro import obs
 from repro.chase.nulls import NullFactory
 from repro.data.database import Database
-from repro.data.evaluation import all_homomorphisms, find_homomorphism
+from repro.data.evaluation import find_homomorphism
+from repro.data.saturate import Active, Binding, Fire, add_head, saturate
 from repro.lang.atoms import Atom
 from repro.lang.errors import ChaseBudgetExceeded
-from repro.lang.terms import Term, Variable
+from repro.lang.terms import Variable
 from repro.lang.tgd import TGD
 
 DEFAULT_MAX_STEPS = 100_000
@@ -60,7 +62,16 @@ def restricted_chase(
     result is generally much smaller than the oblivious chase and
     terminates in strictly more cases.
     """
-    return _chase(rules, database, max_steps, strict, restricted=True)
+    instance = database.copy()
+    nulls = NullFactory()
+
+    def active(_: int, rule: TGD, hom: Binding) -> bool:
+        return not _head_satisfied(rule, hom, instance)
+
+    return _chase(
+        "restricted", rules, instance, _null_firing(instance, nulls),
+        active, lambda: nulls.created, max_steps, strict,
+    )
 
 
 def oblivious_chase(
@@ -70,113 +81,74 @@ def oblivious_chase(
     strict: bool = False,
 ) -> ChaseResult:
     """Run the oblivious chase: every trigger fires exactly once."""
-    return _chase(rules, database, max_steps, strict, restricted=False)
+    instance = database.copy()
+    nulls = NullFactory()
+    return _chase(
+        "oblivious", rules, instance, _null_firing(instance, nulls),
+        None, lambda: nulls.created, max_steps, strict,
+    )
 
 
 def _chase(
+    mode: str,
     rules: Sequence[TGD],
-    database: Database,
+    instance: Database,
+    fire: Fire,
+    active: Active | None,
+    nulls_created: Callable[[], int],
     max_steps: int,
     strict: bool,
-    restricted: bool,
 ) -> ChaseResult:
-    instance = database.copy()
-    nulls = NullFactory()
-    steps = 0
-    rounds = 0
-    triggers_checked = 0
-    suppressed = 0
-    fired: set[tuple[int, tuple[Term, ...]]] = set()
+    """Saturate *instance* in place and report the run as a chase.
+
+    Shared by the three chase variants, which differ only in their
+    per-trigger *fire* and *active* steps; emits the ``chase`` span
+    and the ``chase.*`` counters.
+    """
     with obs.span(
-        "chase",
-        mode="restricted" if restricted else "oblivious",
-        rules=len(rules),
-        facts=len(instance),
+        "chase", mode=mode, rules=len(rules), facts=len(instance)
     ) as span:
-
-        def finish(fixpoint: bool) -> ChaseResult:
-            span.set(
-                fixpoint=fixpoint, steps=steps, rounds=rounds,
-                size=len(instance), nulls=nulls.created,
+        run = saturate(
+            rules, instance, fire, active=active, max_steps=max_steps
+        )
+        nulls = nulls_created()
+        span.set(
+            fixpoint=run.fixpoint, steps=run.steps, rounds=run.rounds,
+            size=len(instance), nulls=nulls,
+        )
+        obs.count("chase.rounds", run.rounds)
+        obs.count("chase.firings", run.steps)
+        obs.count("chase.nulls_created", nulls)
+        obs.count("chase.triggers_checked", run.triggers)
+        obs.count("chase.triggers_suppressed", run.suppressed)
+        if strict and not run.fixpoint:
+            raise ChaseBudgetExceeded(
+                f"{mode} chase exceeded {max_steps} steps"
             )
-            obs.count("chase.rounds", rounds)
-            obs.count("chase.firings", steps)
-            obs.count("chase.nulls_created", nulls.created)
-            obs.count("chase.triggers_checked", triggers_checked)
-            obs.count("chase.triggers_suppressed", suppressed)
-            return ChaseResult(instance, steps, fixpoint, nulls.created)
-
-        # Round-based saturation: recompute triggers until a full round adds
-        # nothing.  Rules iterate in input order, homomorphisms in the
-        # evaluator's deterministic order, so runs are reproducible.
-        changed = True
-        while changed:
-            changed = False
-            rounds += 1
-            with obs.span("chase.round", round=rounds) as round_span:
-                fired_before = steps
-                for rule_index, rule in enumerate(rules):
-                    body_vars = rule.body_variables()
-                    for hom in list(all_homomorphisms(rule.body, instance)):
-                        triggers_checked += 1
-                        trigger_key = (
-                            rule_index,
-                            tuple(hom[v] for v in body_vars),
-                        )
-                        if trigger_key in fired:
-                            continue
-                        if restricted and _head_satisfied(rule, hom, instance):
-                            suppressed += 1
-                            fired.add(trigger_key)
-                            continue
-                        if steps >= max_steps:
-                            if strict:
-                                raise ChaseBudgetExceeded(
-                                    f"chase exceeded {max_steps} steps"
-                                )
-                            round_span.set(fired=steps - fired_before)
-                            return finish(False)
-                        _fire(rule, hom, instance, nulls)
-                        fired.add(trigger_key)
-                        steps += 1
-                        changed = True
-                round_span.set(fired=steps - fired_before)
-        return finish(True)
+    return ChaseResult(instance, run.steps, run.fixpoint, nulls)
 
 
-def _head_satisfied(
-    rule: TGD, hom: dict[Variable, Term], instance: Database
-) -> bool:
+def _head_satisfied(rule: TGD, hom: Binding, instance: Database) -> bool:
     """True iff the instantiated head maps into *instance* (frontier fixed)."""
-    frontier = set(rule.distinguished_variables())
-    pattern: list[Atom] = []
-    for atom in rule.head:
-        terms: list[Term] = []
-        for term in atom.terms:
-            if isinstance(term, Variable) and term in frontier:
-                terms.append(hom[term])
-            else:
-                terms.append(term)
-        pattern.append(Atom(atom.relation, terms))
+    pattern = [
+        Atom(atom.relation, [
+            hom.get(t, t) if isinstance(t, Variable) else t for t in atom.terms
+        ])
+        for atom in rule.head
+    ]
     return find_homomorphism(pattern, instance) is not None
 
 
-def _fire(
-    rule: TGD,
-    hom: dict[Variable, Term],
-    instance: Database,
-    nulls: NullFactory,
-) -> None:
-    """Add the instantiated head, inventing nulls for ∃-head variables."""
-    assignment: dict[Variable, Term] = dict(hom)
-    for var in rule.existential_head_variables():
-        assignment[var] = nulls.fresh()
-    for atom in rule.head:
-        terms = [
-            assignment[t] if isinstance(t, Variable) else t
-            for t in atom.terms
-        ]
-        instance.add(Atom(atom.relation, terms))
+def _null_firing(instance: Database, nulls: NullFactory) -> Fire:
+    """The chase step: add the head, inventing a null per ∃-variable."""
+
+    def fire(_: int, rule: TGD, hom: Binding) -> list[Atom]:
+        assignment = dict(hom)
+        for var in rule.existential_head_variables():
+            assignment[var] = nulls.fresh()
+        return add_head(instance, rule, assignment)
+
+    return fire
 
 
 def chase_closure(

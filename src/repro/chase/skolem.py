@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.chase.chase import DEFAULT_MAX_STEPS, ChaseResult
+from repro.chase.chase import DEFAULT_MAX_STEPS, ChaseResult, _chase
 from repro.data.database import Database
-from repro.data.evaluation import all_homomorphisms
+from repro.data.saturate import Binding, add_head
 from repro.lang.atoms import Atom
-from repro.lang.errors import ChaseBudgetExceeded
-from repro.lang.terms import Null, Term, Variable
+from repro.lang.terms import Null, Term
 from repro.lang.tgd import TGD
 
 
@@ -37,56 +36,25 @@ def skolem_chase(
     strict: bool = False,
 ) -> ChaseResult:
     """Run the Skolem chase up to *max_steps* trigger firings."""
-    rules = list(rules)
     instance = database.copy()
     skolem_table: dict[tuple[int, str, tuple[Term, ...]], Null] = {}
-    steps = 0
-    fired: set[tuple[int, tuple[Term, ...]]] = set()
 
-    changed = True
-    while changed:
-        changed = False
-        for rule_index, rule in enumerate(rules):
-            frontier = rule.distinguished_variables()
-            body_vars = rule.body_variables()
-            existential = rule.existential_head_variables()
-            for hom in list(all_homomorphisms(rule.body, instance)):
-                trigger_key = (rule_index, tuple(hom[v] for v in body_vars))
-                if trigger_key in fired:
-                    continue
-                if steps >= max_steps:
-                    if strict:
-                        raise ChaseBudgetExceeded(
-                            f"skolem chase exceeded {max_steps} steps"
-                        )
-                    return ChaseResult(
-                        instance, steps, False, len(skolem_table)
-                    )
-                frontier_values = tuple(hom[v] for v in frontier)
-                assignment: dict[Variable, Term] = dict(hom)
-                for var in existential:
-                    key = (rule_index, var.name, frontier_values)
-                    null = skolem_table.get(key)
-                    if null is None:
-                        null = Null(
-                            f"f{rule_index}_{var.name}"
-                            + "".join(f"_{t}" for t in frontier_values)
-                        )
-                        skolem_table[key] = null
-                    assignment[var] = null
-                added = False
-                for atom in rule.head:
-                    fact = Atom(
-                        atom.relation,
-                        [
-                            assignment[t] if isinstance(t, Variable) else t
-                            for t in atom.terms
-                        ],
-                    )
-                    if instance.add(fact):
-                        added = True
-                fired.add(trigger_key)
-                steps += 1
-                if added:
-                    changed = True
-    return ChaseResult(instance, steps, True, len(skolem_table))
+    def fire(rule_index: int, rule: TGD, hom: Binding) -> list[Atom]:
+        frontier_values = tuple(hom[v] for v in rule.distinguished_variables())
+        assignment = dict(hom)
+        for var in rule.existential_head_variables():
+            key = (rule_index, var.name, frontier_values)
+            null = skolem_table.get(key)
+            if null is None:
+                null = Null(
+                    f"f{rule_index}_{var.name}"
+                    + "".join(f"_{t}" for t in frontier_values)
+                )
+                skolem_table[key] = null
+            assignment[var] = null
+        return add_head(instance, rule, assignment)
+
+    return _chase(
+        "skolem", rules, instance, fire, None, lambda: len(skolem_table),
+        max_steps, strict,
+    )

@@ -7,23 +7,24 @@ This module provides that substrate: a semi-naive fixpoint engine for
 materialisation-vs-rewriting comparison benches and available as a
 standalone component.
 
-Semi-naive evaluation avoids rederiving known facts: at each round,
-every rule is evaluated once per body atom with that atom restricted
-to the *delta* (facts new in the previous round) and the remaining
-atoms over the full instance.
+Evaluation runs on the shared semi-naive loop of
+:mod:`repro.data.saturate`: after a naive first pass, every rule is
+evaluated once per body atom with that atom restricted to the *delta*
+(facts new since the rule's previous pass) and the remaining atoms
+over the full instance.  A Datalog firing just adds the instantiated
+head.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.data.database import Database
-from repro.data.evaluation import _match_atom, _match_body  # noqa: SLF001
-from repro.lang.atoms import Atom
+from repro.data.saturate import add_head, saturate
 from repro.lang.errors import SafetyError
 from repro.lang.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
-from repro.lang.terms import Term, Variable
+from repro.lang.terms import Term
 from repro.lang.tgd import TGD
 
 
@@ -63,29 +64,13 @@ class DatalogProgram:
     def materialize(self, database: Database) -> MaterializationResult:
         """Compute the least fixpoint of the program over *database*."""
         instance = database.copy()
-        delta = list(database.facts())
-        rounds = 0
-        derived = 0
-        while delta:
-            rounds += 1
-            delta_db = Database(delta)
-            next_delta: list[Atom] = []
-            for rule in self._rules:
-                for binding in _semi_naive_matches(rule, instance, delta_db):
-                    for head in rule.head:
-                        fact = Atom(
-                            head.relation,
-                            [
-                                binding[t] if isinstance(t, Variable) else t
-                                for t in head.terms
-                            ],
-                        )
-                        if instance.add(fact):
-                            next_delta.append(fact)
-                            derived += 1
-            delta = next_delta
+        run = saturate(
+            self._rules,
+            instance,
+            lambda _, rule, hom: add_head(instance, rule, hom),
+        )
         return MaterializationResult(
-            instance=instance, rounds=rounds, derived=derived
+            instance=instance, rounds=run.rounds, derived=len(run.added)
         )
 
     def answer(
@@ -100,32 +85,6 @@ class DatalogProgram:
         return evaluate_ucq(
             UnionOfConjunctiveQueries.of(query), result.instance
         )
-
-
-def _semi_naive_matches(
-    rule: TGD, instance: Database, delta: Database
-) -> Iterator[dict[Variable, Term]]:
-    """Bindings of the rule body using >= 1 delta fact.
-
-    One pass per body position: atom *i* ranges over the delta, atoms
-    before and after it over the full instance; duplicate bindings
-    across passes are filtered.
-    """
-    seen: set[tuple[Term, ...]] = set()
-    body_vars = rule.body_variables()
-    body = list(rule.body)
-    for pivot_index, pivot in enumerate(body):
-        rest = body[:pivot_index] + body[pivot_index + 1:]
-        for row in delta.rows(pivot.relation):
-            base = _match_atom(pivot, row, {})
-            if base is None:
-                continue
-            for binding in _match_body(rest, instance, base):
-                key = tuple(binding[v] for v in body_vars)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield binding
 
 
 def datalog_fragment(rules: Sequence[TGD]) -> tuple[TGD, ...]:

@@ -14,6 +14,11 @@ and deletes without re-chasing from scratch:
 * each fact keeps the firings *using* it in a body, so deletions can
   invalidate downstream derivations.
 
+The build, insert propagation and DRed re-derivation all run on the
+shared semi-naive loop :func:`repro.data.saturate.saturate`, with
+:meth:`MaterializedCore._record_firing` as the per-trigger step and the
+restricted head-satisfaction check deciding which triggers fire.
+
 **Inserts** propagate semi-naively: only triggers whose body touches a
 delta fact are enumerated, and the restricted head-satisfaction check
 suppresses everything already entailed.  **Deletes** follow the DRed
@@ -33,13 +38,13 @@ starting over.  Counters: ``hybrid.delta_applied`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro import obs
 from repro.chase.chase import DEFAULT_MAX_STEPS, _head_satisfied
 from repro.chase.nulls import NullFactory
 from repro.data.database import Database
-from repro.data.evaluation import _match_body, all_homomorphisms
+from repro.data.saturate import Fire, Saturation, instantiate, saturate
 from repro.lang.atoms import Atom
 from repro.lang.errors import ChaseBudgetExceeded
 from repro.lang.terms import Term, Variable
@@ -144,32 +149,33 @@ class MaterializedCore:
         with obs.span(
             "hybrid.rebuild", rules=len(self.rules), facts=len(self.base)
         ):
-            rounds, firings = self._saturate()
-        obs.count("hybrid.rebuild_rounds", rounds)
-        obs.count("hybrid.rebuild_firings", firings)
+            run = self._chase(self.rules, self._record_firing)
+        obs.count("hybrid.rebuild_rounds", run.rounds)
+        obs.count("hybrid.rebuild_firings", run.steps)
 
-    def _saturate(self) -> tuple[int, int]:
-        """Round-based restricted chase with provenance, to fixpoint."""
-        rounds = 0
-        firings = 0
-        changed = True
-        while changed:
-            changed = False
-            rounds += 1
-            for rule_index, rule in enumerate(self.rules):
-                for hom in list(
-                    all_homomorphisms(rule.body, self.instance)
-                ):
-                    if _head_satisfied(rule, hom, self.instance):
-                        continue
-                    self._record_firing(rule_index, rule, hom)
-                    firings += 1
-                    changed = True
-                    if firings > self.max_steps:
-                        raise ChaseBudgetExceeded(
-                            f"materialized core exceeded {self.max_steps} steps"
-                        )
-        return rounds, firings
+    def _chase(
+        self,
+        rules: Sequence[TGD],
+        fire: Fire,
+        delta: Sequence[Atom] | None = None,
+        max_steps: int | None = None,
+    ) -> Saturation:
+        """Restricted chase of *rules* over the instance, with provenance."""
+        run = saturate(
+            rules,
+            self.instance,
+            fire,
+            active=lambda _, rule, hom: not _head_satisfied(
+                rule, hom, self.instance
+            ),
+            delta=delta,
+            max_steps=self.max_steps if max_steps is None else max_steps,
+        )
+        if not run.fixpoint:
+            raise ChaseBudgetExceeded(
+                f"materialized core exceeded {self.max_steps} steps"
+            )
+        return run
 
     # -- firing with provenance ----------------------------------------
 
@@ -185,10 +191,10 @@ class MaterializedCore:
         for var in rule.existential_head_variables():
             assignment[var] = self._nulls.fresh()
         body_facts = tuple(
-            _instantiate(atom, assignment) for atom in rule.body
+            instantiate(atom, assignment) for atom in rule.body
         )
         produced = tuple(
-            _instantiate(atom, assignment) for atom in rule.head
+            instantiate(atom, assignment) for atom in rule.head
         )
         firing_id = len(self._firings)
         self._firings.append(
@@ -223,80 +229,16 @@ class MaterializedCore:
             obs.count("hybrid.full_rechase")
             return MaintenanceResult((), (), full_rechase=True)
         with obs.span("hybrid.insert", delta=len(delta)):
-            added, rounds, firings = self._propagate(delta)
+            run = self._chase(self.rules, self._record_firing, delta=delta)
         obs.count("hybrid.delta_applied")
         obs.count("hybrid.delta_facts", len(delta))
         return MaintenanceResult(
-            added=tuple(delta) + tuple(added),
+            added=tuple(delta) + tuple(run.added),
             removed=(),
             full_rechase=False,
-            rounds=rounds,
-            firings=firings,
+            rounds=run.rounds,
+            firings=run.steps,
         )
-
-    def _propagate(
-        self, delta: Sequence[Atom]
-    ) -> tuple[list[Atom], int, int]:
-        """Semi-naive closure: only triggers touching a delta fact run."""
-        added_total: list[Atom] = []
-        rounds = 0
-        firings = 0
-        seen: set[tuple[int, tuple[Term, ...]]] = set()
-        frontier = list(delta)
-        while frontier:
-            rounds += 1
-            frontier_relations = {fact.relation for fact in frontier}
-            next_frontier: list[Atom] = []
-            for rule_index, rule in enumerate(self.rules):
-                body_vars = rule.body_variables()
-                for hom in self._delta_homomorphisms(
-                    rule, frontier, frontier_relations
-                ):
-                    key = (
-                        rule_index,
-                        tuple(hom[v] for v in body_vars),
-                    )
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if _head_satisfied(rule, hom, self.instance):
-                        continue
-                    produced = self._record_firing(rule_index, rule, hom)
-                    firings += 1
-                    if firings > self.max_steps:
-                        raise ChaseBudgetExceeded(
-                            f"delta chase exceeded {self.max_steps} steps"
-                        )
-                    next_frontier.extend(produced)
-            added_total.extend(next_frontier)
-            frontier = next_frontier
-        return added_total, rounds, firings
-
-    def _delta_homomorphisms(
-        self,
-        rule: TGD,
-        frontier: Sequence[Atom],
-        frontier_relations: set[str],
-    ) -> Iterator[dict[Variable, Term]]:
-        """Homomorphisms of the rule body anchored at a frontier fact.
-
-        Every trigger new since the previous fixpoint maps at least one
-        body atom to a frontier fact, so anchoring each body position
-        in turn covers all of them (duplicates are filtered by the
-        caller's trigger-key set).
-        """
-        body = list(rule.body)
-        for position, atom in enumerate(body):
-            if atom.relation not in frontier_relations:
-                continue
-            rest = body[:position] + body[position + 1:]
-            for fact in frontier:
-                if fact.relation != atom.relation:
-                    continue
-                binding = _bind_atom(atom, fact)
-                if binding is None:
-                    continue
-                yield from _match_body(rest, self.instance, binding)
 
     # -- deletes (DRed) ------------------------------------------------
 
@@ -372,34 +314,36 @@ class MaterializedCore:
     def _rederive(
         self, removed: Sequence[Atom]
     ) -> tuple[list[Atom], int, int]:
-        """Re-check rules whose heads touch a retracted relation.
+        """Re-chase from the rules whose heads touch a retracted relation.
 
         A trigger suppressed before the deletion can only have become
         live if its satisfying head image lost a fact — i.e. some head
         relation of its rule is among the removed relations.  Existing
         triggers over the shrunken instance are a subset of the old
-        ones, so no other rule needs re-enumeration.
+        ones, so only those rules are chased over the whole instance;
+        the consequences of what they add propagate through every rule.
         """
-        if not removed:
-            return [], 0, 0
         affected = {fact.relation for fact in removed}
-        added: list[Atom] = []
-        firings = 0
-        for rule_index, rule in enumerate(self.rules):
-            if not any(atom.relation in affected for atom in rule.head):
-                continue
-            for hom in list(all_homomorphisms(rule.body, self.instance)):
-                if _head_satisfied(rule, hom, self.instance):
-                    continue
-                added.extend(self._record_firing(rule_index, rule, hom))
-                firings += 1
-                if firings > self.max_steps:
-                    raise ChaseBudgetExceeded(
-                        f"re-derivation exceeded {self.max_steps} steps"
-                    )
-        extra, rounds, more = self._propagate(added)
-        added.extend(extra)
-        return added, rounds + 1, firings + more
+        indices = [
+            index
+            for index, rule in enumerate(self.rules)
+            if any(atom.relation in affected for atom in rule.head)
+        ]
+        first = self._chase(
+            [self.rules[index] for index in indices],
+            lambda i, rule, hom: self._record_firing(indices[i], rule, hom),
+        )
+        rest = self._chase(
+            self.rules,
+            self._record_firing,
+            delta=first.added,
+            max_steps=self.max_steps - first.steps,
+        )
+        return (
+            first.added + rest.added,
+            first.rounds + rest.rounds,
+            first.steps + rest.steps,
+        )
 
     # -- shared --------------------------------------------------------
 
@@ -434,30 +378,6 @@ class MaterializedCore:
         return restricted_chase(
             self.rules, self.base, max_steps=self.max_steps, strict=True
         ).instance
-
-
-def _instantiate(atom: Atom, assignment: dict[Variable, Term]) -> Atom:
-    terms = [
-        assignment[t] if isinstance(t, Variable) else t for t in atom.terms
-    ]
-    return Atom(atom.relation, terms)
-
-
-def _bind_atom(atom: Atom, fact: Atom) -> dict[Variable, Term] | None:
-    """Match one body atom against one ground fact, or None."""
-    if atom.relation != fact.relation or len(atom.terms) != len(fact.terms):
-        return None
-    binding: dict[Variable, Term] = {}
-    for pattern, value in zip(atom.terms, fact.terms):
-        if isinstance(pattern, Variable):
-            bound = binding.get(pattern)
-            if bound is None:
-                binding[pattern] = value
-            elif bound != value:
-                return None
-        elif pattern != value:
-            return None
-    return binding
 
 
 def _certain_shape(database: Database) -> set[Atom]:

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 from repro.data.database import Database
 from repro.data.evaluation import all_homomorphisms
+from repro.data.saturate import instantiate
 from repro.lang.atoms import Atom
 from repro.lang.errors import SafetyError
 from repro.lang.terms import Variable
@@ -58,11 +59,7 @@ def apply_mappings(
     abox = Database()
     for mapping in mappings:
         for hom in all_homomorphisms(list(mapping.source_body), source):
-            terms = [
-                hom[t] if isinstance(t, Variable) else t
-                for t in mapping.target.terms
-            ]
-            abox.add(Atom(mapping.target.relation, terms))
+            abox.add(instantiate(mapping.target, hom))
     return abox
 
 
