@@ -19,7 +19,7 @@ from pathlib import Path
 from _harness import write_artifact
 
 from repro import obs
-from repro.api import Session
+from repro.api import EngineOptions, Session
 from repro.checkers import CheckConfig, check_project, load_project
 from repro.checkers.estimator import estimate_disjunct_bound
 from repro.core.classify import classify
@@ -114,7 +114,10 @@ def test_pruning_counter_gated(benchmark):
     with Session(
         PRUNE_ONTOLOGY, PRUNE_DATA, mappings=PRUNE_MAPPINGS
     ) as plain, Session(
-        PRUNE_ONTOLOGY, PRUNE_DATA, mappings=PRUNE_MAPPINGS, prune_empty=True
+        PRUNE_ONTOLOGY,
+        PRUNE_DATA,
+        mappings=PRUNE_MAPPINGS,
+        options=EngineOptions(prune_empty=True),
     ) as pruning:
         expected = plain.prepare(PRUNE_QUERY).answer()
         assert expected  # non-vacuous

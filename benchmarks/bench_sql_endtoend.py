@@ -11,8 +11,8 @@ length (the 'cost' of reasoning pushed into the query).
 
 from _harness import write_artifact
 
+from repro.api import Session
 from repro.lang.printer import format_table
-from repro.obda.system import OBDASystem
 from repro.workloads.ontologies import (
     university_data,
     university_ontology,
@@ -27,31 +27,32 @@ def test_sql_end_to_end(benchmark):
     database = university_data(DB_SIZE, seed=9)
     queries = university_queries()
 
-    with OBDASystem(ontology, database) as system:
+    with Session(ontology, database) as session:
         # Warm the rewriting cache and SQLite schema outside the timer:
         # OBDA amortizes rewriting across many executions.
         for _, query in queries:
-            system.certain_answers_sql(query)
+            session.answer(query, backend="sql")
 
         def run_sql_workload():
             return [
-                len(system.certain_answers_sql(query)) for _, query in queries
+                len(session.answer(query, backend="sql"))
+                for _, query in queries
             ]
 
         counts = benchmark(run_sql_workload)
 
         rows = []
         for (name, query), count in zip(queries, counts):
-            rewriting = system.engine.rewrite(query)
-            memory = system.certain_answers(query)
-            chase = system.certain_answers_chase(query)
-            sql = system.certain_answers_sql(query)
+            rewriting = session.prepare(query).result
+            memory = session.answer(query)
+            chase = session.answer_chase(query)
+            sql = session.answer(query, backend="sql")
             assert memory == chase == sql, name
             rows.append(
                 (
                     name,
                     rewriting.size,
-                    len(system.sql_for(query)),
+                    len(session.sql_for(query)),
                     count,
                 )
             )

@@ -19,8 +19,8 @@ Typical usage::
         prepared = s.prepare("q(X) :- teaches(X, C)")   # compiled once
         answers = prepared.answer()
 
-(:class:`OBDASystem` remains available as a deprecated shim over
-:class:`Session`; see ``docs/api.md`` for the migration guide.)
+:class:`Session` is the one answering surface; ``docs/api.md`` maps
+the entry points removed in favour of it onto their replacements.
 """
 
 from repro.api import BatchResult, PreparedQuery, RewritingCache, Session
@@ -43,7 +43,6 @@ from repro.lang import (
     parse_ucq,
 )
 from repro.lint import LintReport, lint_program, lint_source
-from repro.obda import OBDASystem
 from repro.rewriting import FORewritingEngine, RewritingBudget, rewrite
 
 __version__ = "1.0.0"
@@ -56,7 +55,6 @@ __all__ = [
     "Database",
     "FORewritingEngine",
     "LintReport",
-    "OBDASystem",
     "PreparedQuery",
     "RewritingBudget",
     "RewritingCache",

@@ -14,12 +14,11 @@ This package is the stable programmatic surface of the library:
 * :func:`answer_many` plumbing (:class:`BatchResult`) -- parallel batch
   answering that streams results as they complete.
 
-The legacy entry points (:class:`repro.obda.OBDASystem`, direct calls
-to :meth:`repro.rewriting.FORewritingEngine.rewrite` / ``answer``) are
-deprecated shims over this layer; ``docs/api.md`` has the migration
-guide.  ``repro.api.__all__`` is a snapshot-tested contract: names
-listed here do not change meaning or disappear without a major
-version bump.
+:class:`Session` is the library's one answering surface; the older
+facade, engine answering shims and per-keyword ``Session`` options are
+gone, and ``docs/api.md`` maps each onto its replacement.
+``repro.api.__all__`` is a snapshot-tested contract: names listed here
+do not change meaning or disappear without a major version bump.
 """
 
 from __future__ import annotations

@@ -13,15 +13,13 @@ every CLI subcommand, each spelling the defaults again.
 * a single :meth:`EngineOptions.from_args` adapter mapping the CLI's
   shared *engine options* argument group onto the dataclass.
 
-Passing the old keyword arguments to ``Session`` still works but emits
-a :class:`DeprecationWarning` (once per process); ``docs/api.md`` has
-the migration table.
+``Session(..., options=EngineOptions(...))`` is the only way to pass
+them; ``docs/api.md`` maps the removed per-keyword spelling onto it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -32,22 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _MINIMIZE_MODES = ("thread", "process")
 _HYBRID_MODES = ("off", "auto", "rewrite", "split", "materialize")
-
-#: The ``Session.__init__`` keywords superseded by :class:`EngineOptions`.
-LEGACY_OPTION_KEYS = (
-    "budget",
-    "filter_relevant",
-    "prune_empty",
-    "preflight_estimate",
-    "minimize_workers",
-    "minimize_mode",
-    "target",
-)
-
-# Deprecation is announced once per process, not once per Session: a
-# server opening hundreds of sessions through a legacy call site should
-# log one actionable warning, not a flood.
-_legacy_warned = False
 
 
 @dataclass(frozen=True)
@@ -169,45 +151,3 @@ class EngineOptions:
             hybrid=getattr(args, "hybrid", "off"),
             hybrid_threshold=getattr(args, "hybrid_threshold", 0.5),
         )
-
-
-def merge_legacy_options(
-    options: EngineOptions | None, legacy: dict[str, Any]
-) -> EngineOptions:
-    """Resolve the deprecated ``Session`` keyword sprawl into options.
-
-    *legacy* holds whatever engine keywords a caller still passes
-    directly (``budget=``, ``target=``, ...).  Unknown keys raise
-    ``TypeError`` exactly like a wrong keyword argument would; mixing
-    the old keywords with an explicit *options* value raises
-    ``ValueError`` (there would be no well-defined precedence).  The
-    first legacy use in a process emits one :class:`DeprecationWarning`.
-    """
-    unknown = set(legacy) - set(LEGACY_OPTION_KEYS)
-    if unknown:
-        raise TypeError(
-            "Session() got unexpected keyword argument(s): "
-            + ", ".join(sorted(unknown))
-        )
-    if not legacy:
-        return options if options is not None else EngineOptions()
-    if options is not None:
-        raise ValueError(
-            "pass engine options either as Session(options=EngineOptions(...)) "
-            "or as the deprecated keywords, not both"
-        )
-    global _legacy_warned
-    if not _legacy_warned:
-        _legacy_warned = True
-        warnings.warn(
-            "passing engine options as individual Session keywords "
-            f"({', '.join(sorted(legacy))}) is deprecated; use "
-            "Session(..., options=EngineOptions(...)) instead "
-            "(see docs/api.md for the migration table)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    # None always meant "use the default" for these keywords; dropping
-    # them lets the dataclass defaults apply.
-    cleaned = {key: value for key, value in legacy.items() if value is not None}
-    return EngineOptions(**cleaned)

@@ -166,12 +166,12 @@ class PreparedQuery:
     def pruned(self) -> "PruneResult | None":
         """The rewriting after the session's static pruning (cached).
 
-        None when the session was opened without ``prune_empty=True``
-        (or has neither mappings nor data to prune against), and always
-        None for the Datalog target -- its intermediate predicates are
-        populated by the program itself, so per-disjunct static pruning
-        does not apply; the unpruned artifact is then what every
-        backend evaluates.
+        None when the session's options leave ``prune_empty`` off (or
+        the session has neither mappings nor data to prune against),
+        and always None for the Datalog target -- its intermediate
+        predicates are populated by the program itself, so per-disjunct
+        static pruning does not apply; the unpruned artifact is then
+        what every backend evaluates.
         """
         if self.target_selected == "datalog":
             return None

@@ -20,8 +20,9 @@ architecture maps onto::
     for item in session.answer_many(queries, max_workers=4):
         print(item.index, len(item.answers))
 
-The legacy :class:`repro.obda.OBDASystem` facade is now a deprecated
-shim over this class.
+It is the library's one answering surface: the rewriting engine only
+compiles, and every evaluation -- in memory, on SQL, over a hybrid
+materialized core -- runs through a session.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from repro import obs
 from repro.api.cache import CacheStats, EngineTier, RewritingCache
-from repro.api.options import EngineOptions, merge_legacy_options
+from repro.api.options import EngineOptions
 from repro.api.prepared import PreparedQuery
 from repro.chase.certain import certain_answers_via_chase
 from repro.core.classify import ClassificationReport, classify
@@ -112,10 +113,6 @@ class Session:
             (default ``"sqlite"``) or a factory callable
             ``Signature -> Backend``.  The session programs only
             against the :class:`~repro.data.backend.Backend` protocol.
-        **legacy: the pre-``EngineOptions`` keywords (``budget=``,
-            ``target=``, ``prune_empty=``, ...) still work but emit a
-            :class:`DeprecationWarning` once per process; see
-            ``docs/api.md`` for the migration table.
     """
 
     def __init__(
@@ -127,12 +124,11 @@ class Session:
         cache_dir: str | Path | None = None,
         options: EngineOptions | None = None,
         backend_factory: "str | BackendFactory" = "sqlite",
-        **legacy: Any,
     ) -> None:
         self._ontology = tuple(ontology)
         self._source = data
         self._mappings = tuple(mappings) if mappings is not None else None
-        self._options = merge_legacy_options(options, legacy)
+        self._options = options if options is not None else EngineOptions()
         self._backend_factory = backend_factory
         self._cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._cache = (
@@ -604,11 +600,13 @@ class Session:
         assert core is not None
         if state.decision.choice is HybridChoice.MATERIALIZE:
             ucq = prepared.query
+            complete = True
         else:
             assert state.residual_engine is not None
             result = state.residual_engine._rewrite(prepared.query)
             FORewritingEngine._check_complete(result, require_complete)
             ucq = result.ucq
+            complete = result.complete
         regime = state.decision.choice.value
         if backend == "sql":
             from repro.lang.terms import Null
@@ -616,7 +614,10 @@ class Session:
             hybrid_backend = self._hybrid_backend(state)
             hybrid_backend.ensure_ucq(ucq)
             with obs.span(
-                "obda.answer", backend="sqlite", hybrid=regime
+                "obda.answer",
+                backend="sqlite",
+                hybrid=regime,
+                complete=complete,
             ) as span:
                 rows = hybrid_backend.execute_ucq(ucq)
                 answers = frozenset(
@@ -628,7 +629,9 @@ class Session:
             return answers
         from repro.data.evaluation import evaluate_ucq
 
-        with obs.span("obda.answer", backend="memory", hybrid=regime) as span:
+        with obs.span(
+            "obda.answer", backend="memory", hybrid=regime, complete=complete
+        ) as span:
             answers = evaluate_ucq(ucq, core.instance, certain=True)
             span.set(answers=len(answers))
         return answers
@@ -818,7 +821,7 @@ class Session:
             sql_backend = self.sql_backend()
             sql_backend.ensure_ucq(ucq)
             with obs.span(
-                "obda.answer", backend="sqlite"
+                "obda.answer", backend="sqlite", complete=result.complete
             ) as span:
                 answers = sql_backend.execute_ucq(ucq)
                 span.set(answers=len(answers))
@@ -850,7 +853,9 @@ class Session:
                 if pruned.ucq is None:
                     return frozenset()
                 ucq = pruned.ucq
-        with obs.span("obda.answer", backend="memory") as span:
+        with obs.span(
+            "obda.answer", backend="memory", complete=result.complete
+        ) as span:
             from repro.data.evaluation import evaluate_ucq
 
             answers = evaluate_ucq(ucq, target)
@@ -885,14 +890,20 @@ class Session:
             # only through the rule bodies; make sure each has a table.
             sql_backend.ensure_atoms(rewriting.base_atoms())
             with obs.span(
-                "obda.answer", backend="sqlite", target="datalog"
+                "obda.answer",
+                backend="sqlite",
+                target="datalog",
+                complete=rewriting.complete,
             ) as span:
                 answers = sql_backend.execute_sql(prepared.sql)
                 span.set(answers=len(answers))
             return answers
         data = database if database is not None else self.abox()
         with obs.span(
-            "obda.answer", backend="memory", target="datalog"
+            "obda.answer",
+            backend="memory",
+            target="datalog",
+            complete=rewriting.complete,
         ) as span:
             answers = rewriting.answer(data)
             span.set(answers=len(answers))

@@ -12,8 +12,8 @@ codes match ``repro lint`` exactly.
 Entry points: :func:`load_project` + :func:`check_project` (the CLI's
 ``repro check``), :meth:`repro.api.Session.check` (the API surface),
 :func:`estimate_disjunct_bound` (the engine pre-flight) and
-:func:`prune_statically_empty` (the ``Session(prune_empty=True)``
-optimisation).
+:func:`prune_statically_empty` (the
+``Session(..., options=EngineOptions(prune_empty=True))`` optimisation).
 """
 
 from repro.checkers.estimator import (

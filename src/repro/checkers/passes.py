@@ -355,7 +355,7 @@ def pass_statically_empty(ctx: CheckContext) -> Iterator[Diagnostic]:
     Unlike RL102 these relations *are* rewritten away by rules, so the
     query still has answers -- but every rewritten disjunct that keeps
     an atom over them evaluates to nothing.  They are exactly what
-    ``Session(prune_empty=True)`` prunes.
+    ``Session(..., options=EngineOptions(prune_empty=True))`` prunes.
     """
     supported = ctx.supported()
     if supported is None:
@@ -380,7 +380,10 @@ def pass_statically_empty(ctx: CheckContext) -> Iterator[Diagnostic]:
                 "are statically empty (prunable)"
             ),
             notes=(f"derived by: {rules}",),
-            hint="Session(prune_empty=True) drops such disjuncts",
+            hint=(
+                "Session(..., options=EngineOptions(prune_empty=True)) "
+                "drops such disjuncts"
+            ),
         )
 
 

@@ -9,8 +9,8 @@ mappings can satisfy it -- so dropping it cannot change the certain
 answers.  That is the soundness argument; the differential harness
 (in-memory == SQL == chase, pruned vs unpruned) enforces it end to end.
 
-Used by ``Session(prune_empty=True)`` and reported (as ``RL106``) by
-``repro check``.
+Used by ``Session(..., options=EngineOptions(prune_empty=True))`` and
+reported (as ``RL106``) by ``repro check``.
 """
 
 from __future__ import annotations

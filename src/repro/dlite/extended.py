@@ -173,13 +173,15 @@ def is_satisfiable(
     a :class:`~repro.data.database.Database` over the DL vocabulary;
     *rules* may be passed to reuse an existing translation.
     """
-    from repro.rewriting.engine import FORewritingEngine
+    from repro.api.session import Session
 
     if rules is None:
         rules = extended_tbox_to_tgds(tbox)
-    engine = FORewritingEngine(rules)
     violated: list[str] = []
-    for axiom, query in zip(tbox.negative_axioms(), violation_queries(tbox)):
-        if engine._answer(query, abox):
-            violated.append(str(axiom))
+    with Session(rules) as session:
+        for axiom, query in zip(
+            tbox.negative_axioms(), violation_queries(tbox)
+        ):
+            if session.answer(query, abox):
+                violated.append(str(axiom))
     return (not violated, tuple(violated))

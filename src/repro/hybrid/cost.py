@@ -15,12 +15,11 @@ work:
 
 Feasibility comes first — MATERIALIZE requires a terminating full
 certificate, SPLIT a proper separable partition — and the surviving
-candidates are ranked by an explainable unit-cost estimate.  Observed
-timings (``engine.*`` / ``serve.*`` counters captured by the caller)
-can calibrate the per-disjunct and per-firing unit costs; absent
-observations, documented defaults apply.  The decision is exposed via
-:class:`HybridDecision` on :class:`repro.obda.strategy.StrategyReport`
-and ``repro classify --explain``.
+candidates are ranked by an explainable estimate over the documented
+unit costs of :data:`DEFAULT_UNIT_COSTS`.  Two callers use the
+:class:`HybridDecision`: :class:`repro.api.Session` acts on it (it
+builds the materialized core SPLIT or MATERIALIZE asks for), and
+``repro classify --explain`` displays it.
 """
 
 from __future__ import annotations
@@ -37,15 +36,13 @@ from repro.analysis.termination import TerminationCertificate
 #: estimator reports no bound at all.
 UNBOUNDED = 10**18
 
-#: Default unit costs, in arbitrary comparable units.  ``observed``
-#: timings override them; the ratios are what matters.
+#: Unit costs, in arbitrary comparable units; the ratios are what
+#: matters.
 DEFAULT_UNIT_COSTS: Mapping[str, float] = {
     # Evaluating one rewriting disjunct against one unit of data.
     "disjunct_eval": 1.0,
     # One chase trigger check / firing over one unit of data.
     "chase_fact": 4.0,
-    # Maintaining one delta fact incrementally.
-    "delta_fact": 6.0,
 }
 
 
@@ -104,7 +101,6 @@ def decide(
     certificate: TerminationCertificate | None = None,
     data_size: int = 0,
     relation_sizes: Mapping[str, int] | None = None,
-    observed: Mapping[str, float] | None = None,
     workload_weight: int = 1,
     mode: str = "auto",
 ) -> HybridDecision:
@@ -113,9 +109,8 @@ def decide(
     *partition* is the separability report (its ``full_certificate``
     doubles as the termination certificate unless one is passed
     explicitly); *data_size* and *relation_sizes* come from the live
-    backend; *observed* maps unit-cost names to calibrated values;
-    *workload_weight* is the number of queries expected between data
-    changes (amortizes materialization).
+    backend; *workload_weight* is the number of queries expected
+    between data changes (amortizes materialization).
     """
     certificate = certificate or partition.full_certificate
     workload_weight = max(1, workload_weight)
@@ -127,12 +122,7 @@ def decide(
         _count(decision)
         return decision
 
-    units = dict(DEFAULT_UNIT_COSTS)
-    if observed:
-        units.update(
-            (key, value) for key, value in observed.items()
-            if key in DEFAULT_UNIT_COSTS and value > 0
-        )
+    units = DEFAULT_UNIT_COSTS
     size = max(1, data_size)
     full_bound = _bound(partition.full_bound)
     residual_bound = _bound(partition.residual_bound)

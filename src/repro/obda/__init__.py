@@ -1,11 +1,13 @@
-"""OBDA system facade: ontology + mappings + data source.
+"""The OBDA layers around the ontology: mappings and strategy.
 
 The paper's architecture (Section 1): an ontology holds the
 intensional knowledge, a DBMS manages the extensional data, and an
 optional mapping layer relates the two "through mapping assertions
-[14]".  :class:`~repro.obda.system.OBDASystem` wires together the
-library's pieces into that three-layer architecture, answering UCQs by
-FO-rewriting (with a chase-based oracle available for validation).
+[14]".  This package holds that GAV mapping layer
+(:mod:`repro.obda.mappings`) and the Section-7 decision procedure
+(:mod:`repro.obda.strategy`).  :class:`repro.api.Session` assembles
+the three layers and answers UCQs by FO rewriting (with a chase-based
+oracle available for validation).
 """
 
 from repro.obda.mappings import (
@@ -15,11 +17,9 @@ from repro.obda.mappings import (
     parse_mappings,
 )
 from repro.obda.strategy import Strategy, StrategyReport, answer_with_best_strategy
-from repro.obda.system import OBDASystem
 
 __all__ = [
     "MappingAssertion",
-    "OBDASystem",
     "Strategy",
     "StrategyReport",
     "answer_with_best_strategy",

@@ -21,7 +21,9 @@ a *per-query* basis, exploiting every tool in the library:
    core ``S`` and a residual ``R`` whose rewriting of the query
    terminates: by stratification ``cert(q, S ∪ R, D) =
    cert(q, R, chase_S(D))``, so the core is chased once and only the
-   residual is compiled into the query.
+   residual is compiled into the query.  The tree takes SPLIT whenever
+   it is feasible; the hybrid cost model (:mod:`repro.hybrid.cost`)
+   prices it only where a :class:`repro.api.Session` acts on it.
 5. **APPROXIMATION** -- everything else: depth-bounded rewriting gives
    a sound under-approximation (:mod:`repro.rewriting.approx`).
 """
@@ -40,7 +42,6 @@ from repro.analysis.termination import (
 from repro.chase.certain import certain_answers_via_chase
 from repro.chase.chase import restricted_chase
 from repro.core.per_query import classify_for_query
-from repro.hybrid.cost import HybridChoice, HybridDecision, decide
 from repro.data.database import Database
 from repro.data.evaluation import evaluate_ucq
 from repro.lang.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
@@ -75,11 +76,6 @@ class StrategyReport:
             when the procedure got far enough to compute it.
         partition: the separability partition, when SPLIT was
             considered (CHASE and earlier branches never need one).
-        decision: the hybrid cost model's view of the same fragment
-            (:mod:`repro.hybrid.cost`) -- for the SPLIT and
-            APPROXIMATION branches a full cost comparison over the
-            live data, for earlier branches a record of the regime the
-            decision tree already committed to.
     """
 
     answers: frozenset[tuple[Term, ...]]
@@ -88,7 +84,6 @@ class StrategyReport:
     reason: str
     certificate: TerminationCertificate | None = None
     partition: SeparabilityReport | None = None
-    decision: HybridDecision | None = None
 
 
 def answer_with_best_strategy(
@@ -113,12 +108,6 @@ def answer_with_best_strategy(
             exact=True,
             reason=f"query-relevant fragment is {which}: "
             "FO rewriting terminates and is exact",
-            decision=HybridDecision(
-                choice=HybridChoice.REWRITE,
-                reason=f"fragment is {which}; rewriting is exact and "
-                "needs no materialization",
-                feasible=("rewrite",),
-            ),
         )
 
     probe = probe_query_rewritability(query, fragment, max_depth=probe_depth)
@@ -129,11 +118,6 @@ def answer_with_best_strategy(
             exact=True,
             reason="class membership unknown, but the staged rewriting "
             "completed: exact per-query rewriting",
-            decision=HybridDecision(
-                choice=HybridChoice.REWRITE,
-                reason="staged probe observed the rewriting complete",
-                feasible=("rewrite",),
-            ),
         )
 
     certificate = termination_certificate(fragment)
@@ -150,23 +134,9 @@ def answer_with_best_strategy(
             reason=f"not (provably) FO-rewritable, but {level.value}: "
             "the chase terminates, certain answers are exact",
             certificate=certificate,
-            decision=HybridDecision(
-                choice=HybridChoice.MATERIALIZE,
-                reason=f"chase certified terminating ({level.value}) "
-                "and no exact rewriting is available",
-                feasible=("materialize",),
-            ),
         )
 
     partition = separate(fragment, certificate=certificate)
-    decision = decide(
-        partition=partition,
-        certificate=certificate,
-        data_size=len(database),
-        relation_sizes={
-            name: database.count(name) for name in database.relations()
-        },
-    )
     if partition.proper:
         split = _answer_by_split(
             query, partition, database, probe_depth, chase_max_steps
@@ -184,7 +154,6 @@ def answer_with_best_strategy(
                 f"{len(partition.residual)}-rule residual ({how})",
                 certificate=certificate,
                 partition=partition,
-                decision=decision,
             )
 
     approx = approximate_answers(
@@ -198,7 +167,6 @@ def answer_with_best_strategy(
         "rewriting returns a sound under-approximation",
         certificate=certificate,
         partition=partition,
-        decision=decision,
     )
 
 

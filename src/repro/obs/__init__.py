@@ -1,7 +1,7 @@
 """Zero-dependency observability for the rewriting/chase pipeline.
 
 The library's hot paths (:mod:`repro.rewriting`, :mod:`repro.chase`,
-:mod:`repro.data.sql`, :mod:`repro.obda`) are instrumented against the
+:mod:`repro.data.sql`, :mod:`repro.api`) are instrumented against the
 module-level functions here -- :func:`span`, :func:`count`,
 :func:`observe`, :func:`event`.  By default these route to a *disabled*
 tracer and cost almost nothing (one attribute check); callers opt in by
@@ -11,13 +11,13 @@ installing sinks::
     from repro.obs import InMemorySink
 
     with obs.use(InMemorySink()) as tracer:
-        engine.answer(query, database)
+        session.answer(query)
         print(tracer.counter("engine.cache_misses"))
 
 or, for tests, the one-liner::
 
     with obs.capture() as cap:
-        engine.answer(query, database)
+        session.answer(query)
     assert cap.counters()["rewrite.cqs_generated"] > 0
 
 The CLI exposes the same machinery as ``repro trace`` (span tree on

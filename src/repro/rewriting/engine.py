@@ -1,33 +1,27 @@
-"""End-to-end FO-rewriting query-answering engine.
+"""The compilation tier of FO-rewriting query answering.
 
-:class:`FORewritingEngine` packages the pipeline the paper advocates:
-given an ontology (a set of TGDs), answer a UCQ over a plain database
-by (1) computing the FO-rewriting of the query w.r.t. the TGDs and
-(2) evaluating the rewriting over the database alone -- either with the
-in-memory evaluator or compiled to SQL on a SQLite backend.  Data
-complexity is therefore that of evaluating a fixed FO query (AC0),
-which is the whole point of FO-rewritability (Definition 1).
-
-The engine is the compilation tier of the public session API
-(:mod:`repro.api`): :class:`~repro.api.Session` owns one engine per
-ontology and adds a persistent on-disk tier behind the engine's
-in-memory cache.  Calling the engine directly still works but is
-deprecated in favour of ``Session.prepare`` / ``PreparedQuery``.
+:class:`FORewritingEngine` holds step (1) of the pipeline the paper
+advocates: given an ontology (a set of TGDs), compute the FO-rewriting
+of a UCQ w.r.t. the TGDs, once per canonical query.  Step (2),
+evaluating the rewriting over the database alone -- in memory or
+compiled to SQL -- belongs to :class:`repro.api.Session`, which owns
+one engine per ontology and adds a persistent on-disk tier behind the
+engine's in-memory cache.  Data complexity is therefore that of
+evaluating a fixed FO query (AC0), which is the whole point of
+FO-rewritability (Definition 1).  Answer queries through
+``Session.answer`` / ``Session.prepare``.
 """
 
 from __future__ import annotations
 
 import threading
 import warnings
-from typing import NamedTuple, Protocol, Sequence
+from typing import Callable, NamedTuple, Protocol, Sequence, TypeVar
 
 from repro import obs
-from repro.data.database import Database
-from repro.data.evaluation import evaluate_ucq
-from repro.data.sql import SQLiteBackend, ucq_to_sql
+from repro.data.sql import ucq_to_sql
 from repro.lang.errors import RewritingBudgetExceeded
 from repro.lang.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
-from repro.lang.terms import Term
 from repro.lang.tgd import TGD
 from repro.rewriting.budget import RewritingBudget
 from repro.rewriting.datalog_target import DatalogRewriting, rewrite_datalog
@@ -61,6 +55,8 @@ AUTO_DATALOG_THRESHOLD = 512
 """Estimated UCQ disjunct count above which ``target="auto"`` switches
 to the nonrecursive-Datalog target."""
 
+_Compiled = TypeVar("_Compiled", RewritingResult, DatalogRewriting)
+
 
 class CacheInfo(NamedTuple):
     """Hit/miss statistics of the engine's in-memory rewriting cache.
@@ -79,7 +75,7 @@ class PersistentTier(Protocol):
     """Second-level rewriting cache the engine consults on memory miss.
 
     Implemented by :class:`repro.api.cache.EngineTier`; any object with
-    the same two methods works.  Both methods must be safe to call from
+    the same four methods works.  Every method must be safe to call from
     multiple threads and must *never raise* -- a broken persistent tier
     degrades to recomputation, it does not break answering.
     """
@@ -105,27 +101,19 @@ class PersistentTier(Protocol):
         ...
 
 
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead (see docs/api.md for "
-        "the migration guide)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 class FORewritingEngine:
-    """Answers UCQs over a TGD ontology by query rewriting.
+    """Compiles UCQs over a TGD ontology into their FO rewritings.
 
     Rewritings are cached per query (keyed by the UCQ's canonical
     form, so alpha-renamed or atom-reordered variants of a query share
     one entry), and answering the same query over many databases pays
     the rewriting cost once -- the usage pattern OBDA is designed
-    around.  An optional *persistent* second tier (attached by
-    :class:`repro.api.Session` when it has a cache directory) is
-    consulted on in-memory miss before any rewriting runs.  Cache
-    effectiveness is observable via :meth:`cache_info` and the
-    ``engine.cache_hits`` / ``engine.cache_misses`` /
+    around.  :class:`repro.api.Session` evaluates the rewritings; the
+    engine only compiles them.  An optional *persistent* second tier
+    (attached by :class:`repro.api.Session` when it has a cache
+    directory) is consulted on in-memory miss before any rewriting
+    runs.  Cache effectiveness is observable via :meth:`cache_info`
+    and the ``engine.cache_hits`` / ``engine.cache_misses`` /
     ``engine.disk_hits`` counters of :mod:`repro.obs`.
 
     The engine is thread-safe: concurrent lookups of the same query
@@ -281,40 +269,74 @@ class FORewritingEngine:
         """The (cached) rewriting of *query* w.r.t. the engine's rules.
 
         Lookup order: in-memory cache, persistent tier (if attached),
-        fresh rewriting run.  Internal entry point -- the public
-        :meth:`rewrite` delegates here after its deprecation notice,
-        and :class:`repro.api.PreparedQuery` calls it directly.
+        fresh rewriting run.  :class:`repro.api.PreparedQuery` calls
+        this directly.
         """
-        ucq = UnionOfConjunctiveQueries.of(query)
+        return self._single_flight(
+            UnionOfConjunctiveQueries.of(query),
+            self._cache,
+            self._inflight,
+            self._compile,
+        )
+
+    def _rewrite_datalog(
+        self, query: ConjunctiveQuery | UnionOfConjunctiveQueries
+    ) -> DatalogRewriting:
+        """The (cached) Datalog-target rewriting of *query*.
+
+        Same tiered lookup and single-flighting as :meth:`_rewrite`,
+        over a separate cache (the two targets' artifacts never mix).
+        """
+        return self._single_flight(
+            UnionOfConjunctiveQueries.of(query),
+            self._datalog_cache,
+            self._datalog_inflight,
+            self._compile_datalog,
+        )
+
+    def _single_flight(
+        self,
+        ucq: UnionOfConjunctiveQueries,
+        cache: dict[UnionOfConjunctiveQueries, _Compiled],
+        inflight: dict[UnionOfConjunctiveQueries, threading.Event],
+        compile_fn: Callable[[UnionOfConjunctiveQueries], _Compiled],
+    ) -> _Compiled:
+        """*cache*'s entry for *ucq*, compiled by one thread at most.
+
+        The first thread to miss registers an event in *inflight*,
+        counts the miss and runs *compile_fn*; concurrent lookups of
+        the same query wait for that event and retry (counted as hits:
+        they did no work).  The waiters are also woken when
+        *compile_fn* raises; their retry then finds no entry and one of
+        them compiles, so a failure never strands them.
+        """
         while True:
             with self._lock:
-                result = self._cache.get(ucq)
+                result = cache.get(ucq)
                 if result is not None:
                     self._hits += 1
                     obs.count("engine.cache_hits")
                     return result
-                waiter = self._inflight.get(ucq)
+                waiter = inflight.get(ucq)
                 if waiter is None:
-                    self._inflight[ucq] = threading.Event()
+                    inflight[ucq] = threading.Event()
+                    self._misses += 1
                     break
-            # Another thread is compiling this query; wait for its
-            # entry and retry the lookup (counted as a hit: no work).
             waiter.wait()
-        result = None
+        obs.count("engine.cache_misses")
         try:
-            result = self._compile(ucq)
-        finally:
+            compiled = compile_fn(ucq)
+        except BaseException:
             with self._lock:
-                if result is not None:
-                    self._cache[ucq] = result
-                self._inflight.pop(ucq).set()
-        return result
+                inflight.pop(ucq).set()
+            raise
+        with self._lock:
+            cache[ucq] = compiled
+            inflight.pop(ucq).set()
+        return compiled
 
     def _compile(self, ucq: UnionOfConjunctiveQueries) -> RewritingResult:
         """Persistent-tier lookup, falling back to a rewriting run."""
-        with self._lock:
-            self._misses += 1
-        obs.count("engine.cache_misses")
         if self._persistent is not None:
             stored = self._persistent.get(ucq)
             if stored is not None:
@@ -342,52 +364,12 @@ class FORewritingEngine:
             self._persistent.put(ucq, result)
         return result
 
-    def _rewrite_datalog(
-        self, query: ConjunctiveQuery | UnionOfConjunctiveQueries
-    ) -> DatalogRewriting:
-        """The (cached) Datalog-target rewriting of *query*.
-
-        Same tiered lookup and single-flighting as :meth:`_rewrite`,
-        over a separate cache (the two targets' artifacts never mix).
-        """
-        ucq = UnionOfConjunctiveQueries.of(query)
-        while True:
-            with self._lock:
-                result = self._datalog_cache.get(ucq)
-                if result is not None:
-                    self._hits += 1
-                    obs.count("engine.cache_hits")
-                    return result
-                waiter = self._datalog_inflight.get(ucq)
-                if waiter is None:
-                    self._datalog_inflight[ucq] = threading.Event()
-                    break
-            waiter.wait()
-        result = None
-        try:
-            result = self._compile_datalog(ucq)
-        finally:
-            with self._lock:
-                if result is not None:
-                    self._datalog_cache[ucq] = result
-                self._datalog_inflight.pop(ucq).set()
-        return result
-
     def _compile_datalog(
         self, ucq: UnionOfConjunctiveQueries
     ) -> DatalogRewriting:
-        """Persistent-tier lookup, falling back to a Datalog rewriting.
-
-        The persistent tier's ``get_datalog``/``put_datalog`` methods
-        are looked up dynamically so pre-existing tier implementations
-        (the protocol grew) keep working, merely without persistence.
-        """
-        with self._lock:
-            self._misses += 1
-        obs.count("engine.cache_misses")
-        getter = getattr(self._persistent, "get_datalog", None)
-        if getter is not None:
-            stored = getter(ucq)
+        """Persistent-tier lookup, falling back to a Datalog rewriting."""
+        if self._persistent is not None:
+            stored = self._persistent.get_datalog(ucq)
             if stored is not None:
                 obs.count("engine.disk_hits")
                 return stored
@@ -407,9 +389,8 @@ class FORewritingEngine:
                 minimize_mode=self._minimize_mode,
             )
             span.set(complete=result.complete, size=result.size)
-        putter = getattr(self._persistent, "put_datalog", None)
-        if putter is not None:
-            putter(ucq, result)
+        if self._persistent is not None:
+            self._persistent.put_datalog(ucq, result)
         return result
 
     def _preflight(
@@ -446,38 +427,6 @@ class FORewritingEngine:
                 stacklevel=2,
             )
 
-    def _answer(
-        self,
-        query: ConjunctiveQuery | UnionOfConjunctiveQueries,
-        database: Database,
-        require_complete: bool = True,
-    ) -> frozenset[tuple[Term, ...]]:
-        """Certain answers of *query* over (rules, database)."""
-        result = self._rewrite(query)
-        self._check_complete(result, require_complete)
-        with obs.span(
-            "engine.answer", backend="memory", complete=result.complete
-        ) as span:
-            answers = evaluate_ucq(result.ucq, database)
-            span.set(answers=len(answers))
-        return answers
-
-    def _answer_sql(
-        self,
-        query: ConjunctiveQuery | UnionOfConjunctiveQueries,
-        backend: SQLiteBackend,
-        require_complete: bool = True,
-    ) -> frozenset[tuple[Term, ...]]:
-        """Like :meth:`_answer` but evaluated as SQL on a SQLite backend."""
-        result = self._rewrite(query)
-        self._check_complete(result, require_complete)
-        with obs.span(
-            "engine.answer", backend="sqlite", complete=result.complete
-        ) as span:
-            answers = backend.execute_ucq(result.ucq)
-            span.set(answers=len(answers))
-        return answers
-
     @staticmethod
     def _check_complete(
         result: RewritingResult | DatalogRewriting, require_complete: bool
@@ -489,44 +438,6 @@ class FORewritingEngine:
                 partial_cqs=result.generated,
                 depth_reached=result.depth_reached,
             )
-
-    # ----------------------------------------------------------------- #
-    # Deprecated direct entry points                                      #
-    # ----------------------------------------------------------------- #
-
-    def rewrite(
-        self, query: ConjunctiveQuery | UnionOfConjunctiveQueries
-    ) -> RewritingResult:
-        """Deprecated: use ``Session.prepare(query).result`` instead."""
-        _deprecated("FORewritingEngine.rewrite", "repro.api.Session.prepare")
-        return self._rewrite(query)
-
-    def answer(
-        self,
-        query: ConjunctiveQuery | UnionOfConjunctiveQueries,
-        database: Database,
-        require_complete: bool = True,
-    ) -> frozenset[tuple[Term, ...]]:
-        """Deprecated: use ``Session.answer`` / ``PreparedQuery.answer``.
-
-        With ``require_complete=True`` (default) an incomplete rewriting
-        (budget exhausted) raises; with False the sound partial answer
-        set is returned.
-        """
-        _deprecated("FORewritingEngine.answer", "repro.api.Session.answer")
-        return self._answer(query, database, require_complete)
-
-    def answer_sql(
-        self,
-        query: ConjunctiveQuery | UnionOfConjunctiveQueries,
-        backend: SQLiteBackend,
-        require_complete: bool = True,
-    ) -> frozenset[tuple[Term, ...]]:
-        """Deprecated: use ``Session.answer(query, backend="sql")``."""
-        _deprecated(
-            "FORewritingEngine.answer_sql", 'repro.api.Session.answer(backend="sql")'
-        )
-        return self._answer_sql(query, backend, require_complete)
 
     def sql_for(
         self, query: ConjunctiveQuery | UnionOfConjunctiveQueries

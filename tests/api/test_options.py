@@ -1,4 +1,4 @@
-"""EngineOptions: validation, CLI adapter, deprecation-exactly-once."""
+"""EngineOptions: validation, CLI adapter, the one keyword path."""
 
 import argparse
 import pickle
@@ -6,7 +6,6 @@ import warnings
 
 import pytest
 
-import repro.api.options as options_module
 from repro.api import EngineOptions, Session
 from repro.lang.parser import parse_program
 from repro.rewriting.budget import RewritingBudget
@@ -17,22 +16,6 @@ PROGRAM = "R1: professor(X) -> teaches(X, Y)."
 @pytest.fixture
 def rules():
     return parse_program(PROGRAM)
-
-
-@pytest.fixture
-def reset_legacy_warning():
-    """Each test sees a fresh once-per-process deprecation latch."""
-    previous = options_module._legacy_warned
-    options_module._legacy_warned = False
-    yield
-    options_module._legacy_warned = previous
-
-
-def _deprecations(action):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        action()
-    return [w for w in caught if issubclass(w.category, DeprecationWarning)]
 
 
 class TestValidation:
@@ -118,45 +101,11 @@ class TestFromArgs:
 
 
 class TestLegacyKeywords:
-    def test_legacy_keyword_still_works(self, rules, reset_legacy_warning):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with Session(rules, target="datalog") as session:
-                assert session.options.target == "datalog"
-
-    def test_legacy_warns_exactly_once_per_process(
-        self, rules, reset_legacy_warning
-    ):
-        def open_twice():
-            Session(rules, target="datalog").close()
-            Session(rules, prune_empty=True).close()
-
-        caught = _deprecations(open_twice)
-        assert len(caught) == 1
-        message = str(caught[0].message)
-        assert "options=EngineOptions" in message
-        assert "docs/api.md" in message
-
     def test_options_path_never_warns(self, rules):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             Session(rules, options=EngineOptions(target="datalog")).close()
 
-    def test_mixing_options_and_legacy_rejected(
-        self, rules, reset_legacy_warning
-    ):
-        with pytest.raises(ValueError, match="not both"):
-            Session(rules, options=EngineOptions(), target="datalog")
-
     def test_unknown_keyword_is_a_type_error(self, rules):
         with pytest.raises(TypeError, match="unexpected keyword"):
             Session(rules, tarrget="datalog")
-
-    def test_none_legacy_values_mean_default(
-        self, rules, reset_legacy_warning
-    ):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with Session(rules, budget=None, minimize_workers=2) as session:
-                assert session.options.budget == RewritingBudget.default()
-                assert session.options.minimize_workers == 2

@@ -2,8 +2,8 @@
 
 ``repro.api.__all__`` is a compatibility contract: additions are fine
 (update the snapshot deliberately), removals and renames are breaking
-changes this test makes loud.  The legacy entry points must keep
-working but must say they are legacy.
+changes this test makes loud.  The removed legacy entry points must
+stay removed: :class:`repro.Session` is the one answering surface.
 """
 
 import warnings
@@ -12,8 +12,9 @@ import pytest
 
 import repro
 import repro.api
+import repro.obda
 from repro.data.database import Database
-from repro.lang.parser import parse_database, parse_program, parse_query
+from repro.lang.parser import parse_database, parse_program
 
 PROGRAM = "R1: professor(X) -> teaches(X, Y)."
 DATA = "professor(ada)."
@@ -47,43 +48,16 @@ def test_top_level_reexports():
 
 
 class TestDeprecatedShims:
-    def test_obdasystem_warns_and_still_answers(self):
+    def test_removed_entry_points_stay_removed(self):
+        assert not hasattr(repro, "OBDASystem")
+        assert "OBDASystem" not in repro.__all__
+        assert not hasattr(repro.obda, "OBDASystem")
+        assert "OBDASystem" not in repro.obda.__all__
+        for name in ("rewrite", "answer", "answer_sql"):
+            assert not hasattr(repro.FORewritingEngine, name), name
         rules = parse_program(PROGRAM)
-        data = Database(parse_database(DATA))
-        with pytest.warns(DeprecationWarning, match="Session"):
-            system = repro.OBDASystem(rules, data)
-        with system:
-            answers = system.certain_answers(
-                parse_query("q(X) :- teaches(X, Y)")
-            )
-        assert answers
-
-    def test_obdasystem_matches_session(self):
-        rules = parse_program(PROGRAM)
-        data = Database(parse_database(DATA))
-        query = parse_query("q(X) :- teaches(X, Y)")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with repro.OBDASystem(rules, data) as system:
-                legacy = system.certain_answers(query)
-        with repro.Session(rules, data) as session:
-            modern = session.answer(query)
-        assert legacy == modern
-
-    def test_engine_rewrite_warns(self):
-        engine = repro.FORewritingEngine(parse_program(PROGRAM))
-        with pytest.warns(DeprecationWarning, match="Session.prepare"):
-            result = engine.rewrite(parse_query("q(X) :- teaches(X, Y)"))
-        assert result.complete
-
-    def test_engine_answer_warns(self):
-        engine = repro.FORewritingEngine(parse_program(PROGRAM))
-        data = Database(parse_database(DATA))
-        with pytest.warns(DeprecationWarning):
-            answers = engine.answer(
-                parse_query("q(X) :- teaches(X, Y)"), data
-            )
-        assert answers
+        with pytest.raises(TypeError):
+            repro.Session(rules, target="datalog")
 
     def test_session_itself_never_warns(self):
         rules = parse_program(PROGRAM)
@@ -93,68 +67,3 @@ class TestDeprecatedShims:
             with repro.Session(rules, data) as session:
                 session.answer("q(X) :- teaches(X, Y)")
                 session.sql_for("q(X) :- teaches(X, Y)")
-
-
-class TestDeprecationExactlyOnce:
-    """Each deprecated call emits exactly one DeprecationWarning.
-
-    Doubled (or swallowed) warnings mean a shim calls another shim, or
-    a wrong ``stacklevel`` re-attributes the warning; both regress the
-    migration experience, so the count is pinned.
-    """
-
-    @staticmethod
-    def _deprecations(action):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            action()
-        return [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def _backend(self):
-        from repro.data.sql import SQLiteBackend
-        from repro.lang.signature import Signature
-
-        data = Database(parse_database(DATA))
-        signature = Signature(dict(data.signature))
-        for rule in parse_program(PROGRAM):
-            signature.observe_tgd(rule)
-        backend = SQLiteBackend(signature)
-        backend.load(data.facts())
-        return backend
-
-    def test_obdasystem_constructor_warns_once(self):
-        rules = parse_program(PROGRAM)
-        data = Database(parse_database(DATA))
-        caught = self._deprecations(lambda: repro.OBDASystem(rules, data))
-        assert len(caught) == 1
-
-    def test_engine_rewrite_warns_once(self):
-        engine = repro.FORewritingEngine(parse_program(PROGRAM))
-        query = parse_query("q(X) :- teaches(X, Y)")
-        caught = self._deprecations(lambda: engine.rewrite(query))
-        assert len(caught) == 1
-
-    def test_engine_answer_warns_once(self):
-        engine = repro.FORewritingEngine(parse_program(PROGRAM))
-        data = Database(parse_database(DATA))
-        query = parse_query("q(X) :- teaches(X, Y)")
-        caught = self._deprecations(lambda: engine.answer(query, data))
-        assert len(caught) == 1
-
-    def test_engine_answer_sql_warns_once(self):
-        engine = repro.FORewritingEngine(parse_program(PROGRAM))
-        query = parse_query("q(X) :- teaches(X, Y)")
-        with self._backend() as backend:
-            caught = self._deprecations(
-                lambda: engine.answer_sql(query, backend)
-            )
-        assert len(caught) == 1
-
-    def test_warnings_name_the_replacement(self):
-        engine = repro.FORewritingEngine(parse_program(PROGRAM))
-        query = parse_query("q(X) :- teaches(X, Y)")
-        (warning,) = self._deprecations(lambda: engine.rewrite(query))
-        assert "Session.prepare" in str(warning.message)
-        assert "docs/api.md" in str(warning.message)

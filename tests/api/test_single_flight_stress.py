@@ -11,12 +11,15 @@ the counter arithmetic exactly.
 """
 
 import threading
+import time
 
 import pytest
 
 from repro import obs
 from repro.api import EngineOptions, Session
+from repro.lang.errors import RewritingBudgetExceeded
 from repro.lang.parser import parse_program, parse_ucq
+from repro.rewriting.budget import RewritingBudget
 
 PROGRAM = (
     "R1: professor(X) -> teaches(X, Y). "
@@ -85,6 +88,44 @@ class TestEngineSingleFlight:
         # other lookup across both targets a hit.
         assert trace.counter("engine.cache_misses") == 2
         assert trace.counter("engine.cache_hits") == 2 * THREADS - 2
+
+    @pytest.mark.parametrize("target", ["ucq", "datalog"])
+    def test_failed_compilation_never_strands_waiters(self, rules, target):
+        # A strict budget makes every compilation raise.  The failure
+        # wakes the waiters; each then finds no entry, compiles itself
+        # and raises too, so every thread misses once and none hangs.
+        strict = EngineOptions(
+            budget=RewritingBudget(max_cqs=1, strict=True)
+        )
+        ucq = parse_ucq(QUERY)
+        barrier = threading.Barrier(THREADS)
+        raised = []
+        with Session(rules, options=strict) as session:
+            engine = session.engine
+            lookup = (
+                engine._rewrite_datalog
+                if target == "datalog"
+                else engine._rewrite
+            )
+
+            def runner():
+                barrier.wait()
+                with pytest.raises(RewritingBudgetExceeded):
+                    lookup(ucq)
+                raised.append(True)
+
+            pool = [
+                threading.Thread(target=runner, daemon=True)
+                for _ in range(THREADS)
+            ]
+            for t in pool:
+                t.start()
+            deadline = time.monotonic() + 60
+            for t in pool:
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert not any(t.is_alive() for t in pool)
+            assert len(raised) == THREADS
+            assert engine.cache_info() == (0, THREADS, 0)
 
 
 class TestPreparedHandleSingleFlight:

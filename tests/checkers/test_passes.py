@@ -185,6 +185,11 @@ class TestCoveragePasses:
         assert all(
             d.severity is Severity.INFO for d in findings(report, "RL106")
         )
+        # The hint names the spelling Session accepts.
+        assert all(
+            "options=EngineOptions(prune_empty=True)" in d.hint
+            for d in findings(report, "RL106")
+        )
 
 
 class TestEstimatePass:

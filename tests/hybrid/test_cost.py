@@ -134,23 +134,6 @@ def test_pinned_split_falls_back_on_improper_partitions():
     assert decision.choice is HybridChoice.REWRITE
 
 
-def test_observed_unit_costs_recalibrate():
-    partition = separate(HIERARCHY, [HIERARCHY_QUERY])
-    base = decide(partition=partition, data_size=100, workload_weight=50)
-    recalibrated = decide(
-        partition=partition,
-        data_size=100,
-        workload_weight=50,
-        observed={"chase_fact": 400.0, "ignored_unit": 1.0, "delta_fact": -1},
-    )
-    assert (
-        recalibrated.estimates["materialize"]
-        > base.estimates["materialize"]
-    )
-    # Unknown and non-positive observations are ignored.
-    assert recalibrated.estimates["rewrite"] == base.estimates["rewrite"]
-
-
 def test_unknown_mode_raises():
     partition = separate(HIERARCHY)
     with pytest.raises(ValueError):

@@ -1,11 +1,11 @@
-"""Tests for repro.obda.system (the OBDA facade)."""
+"""The OBDA pipeline (ontology + mappings + source) through Session."""
 
+from repro.api import Session
 from repro.data.database import Database
 from repro.data.csvio import facts_from_rows
-from repro.lang.parser import parse_atom, parse_database, parse_query
+from repro.lang.parser import parse_atom, parse_program, parse_query
 from repro.lang.terms import Constant
 from repro.obda.mappings import MappingAssertion
-from repro.obda.system import OBDASystem
 from repro.workloads.ontologies import university_data, university_ontology
 
 
@@ -13,8 +13,8 @@ class TestDirectMode:
     """Source stated directly in the ontology vocabulary."""
 
     def test_rewriting_answers(self, hierarchy_rules, small_database):
-        with OBDASystem(hierarchy_rules, small_database) as system:
-            answers = system.certain_answers(parse_query("q(X) :- c(X)"))
+        with Session(hierarchy_rules, small_database) as session:
+            answers = session.answer(parse_query("q(X) :- c(X)"))
             assert answers == {
                 (Constant("one"),),
                 (Constant("two"),),
@@ -22,26 +22,26 @@ class TestDirectMode:
             }
 
     def test_three_answering_paths_agree(self, hierarchy_rules, small_database):
-        with OBDASystem(hierarchy_rules, small_database) as system:
+        with Session(hierarchy_rules, small_database) as session:
             query = parse_query("q(X) :- d(X)")
-            memory = system.certain_answers(query)
-            chase = system.certain_answers_chase(query)
-            sql = system.certain_answers_sql(query)
+            memory = session.answer(query)
+            chase = session.answer_chase(query)
+            sql = session.answer(query, backend="sql")
             assert memory == chase == sql
 
     def test_abox_is_source_without_mappings(
         self, hierarchy_rules, small_database
     ):
-        system = OBDASystem(hierarchy_rules, small_database)
-        assert system.abox() is small_database
+        session = Session(hierarchy_rules, small_database)
+        assert session.abox() is small_database
 
     def test_classification_cached(self, hierarchy_rules):
-        system = OBDASystem(hierarchy_rules, Database())
-        assert system.classification() is system.classification()
+        session = Session(hierarchy_rules, Database())
+        assert session.classification() is session.classification()
 
     def test_sql_for_returns_text(self, hierarchy_rules):
-        system = OBDASystem(hierarchy_rules, Database())
-        assert "SELECT" in system.sql_for(parse_query("q(X) :- d(X)"))
+        session = Session(hierarchy_rules, Database())
+        assert "SELECT" in session.sql_for(parse_query("q(X) :- d(X)"))
 
 
 class TestMappedMode:
@@ -52,15 +52,10 @@ class TestMappedMode:
                 (parse_atom("t_emp(P, D)"),), parse_atom("person(P)")
             ),
         )
-        rules = parse_database  # placeholder to appease linters
-        from repro.lang.parser import parse_program
-
         ontology = parse_program("person(X) -> mortal(X).")
-        with OBDASystem(ontology, source, mappings=mappings) as system:
-            assert len(system.abox()) == 1
-            answers = system.certain_answers(
-                parse_query("q(X) :- mortal(X)")
-            )
+        with Session(ontology, source, mappings=mappings) as session:
+            assert len(session.abox()) == 1
+            answers = session.answer(parse_query("q(X) :- mortal(X)"))
             assert answers == {(Constant("ada"),)}
 
 
@@ -70,8 +65,8 @@ class TestUniversityEndToEnd:
 
         ontology = university_ontology()
         database = university_data(12, seed=5)
-        with OBDASystem(ontology, database) as system:
+        with Session(ontology, database) as session:
             for name, query in university_queries():
-                rewriting = system.certain_answers(query)
-                chase = system.certain_answers_chase(query)
+                rewriting = session.answer(query)
+                chase = session.answer_chase(query)
                 assert rewriting == chase, name

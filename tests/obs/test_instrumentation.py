@@ -10,13 +10,10 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
+from repro.api import Session
 from repro.chase import oblivious_chase, restricted_chase, skolem_chase
 from repro.data.database import Database
-from repro.data.sql import SQLiteBackend
 from repro.lang.parser import parse_database, parse_program, parse_query
-from repro.lang.signature import Signature
-from repro.obda.system import OBDASystem
-from repro.rewriting.engine import FORewritingEngine
 from repro.rewriting.store import RewritingStore, precompile_workload
 
 RULES = parse_program(
@@ -34,7 +31,7 @@ DATABASE = Database(
 def test_rewriting_counters():
     query = parse_query("q(X) :- org(X)")
     with obs.capture() as cap:
-        FORewritingEngine(RULES).rewrite(query)
+        Session(RULES).prepare(query).result  # noqa: B018 - compiles
     counters = cap.counters()
     assert counters["rewrite.cqs_generated"] >= 1
     assert counters["rewrite.cqs_explored"] >= 1
@@ -72,13 +69,9 @@ def test_chase_counters_match_result(mode):
 
 def test_sql_counters(tmp_path):
     query = parse_query("q(X) :- person(X)")
-    signature = Signature(dict(DATABASE.signature))
-    for rule in RULES:
-        signature.observe_tgd(rule)
     with obs.capture() as cap:
-        with SQLiteBackend(signature) as backend:
-            backend.load(DATABASE.facts())
-            FORewritingEngine(RULES).answer_sql(query, backend)
+        with Session(RULES, DATABASE) as session:
+            session.answer(query, backend="sql")
     counters = cap.counters()
     assert counters["sql.rows_loaded"] == len(DATABASE)
     assert counters["sql.statements"] >= 1
@@ -105,10 +98,10 @@ def test_store_hit_and_miss_counters(tmp_path):
 
 def test_obda_spans_cover_both_backends():
     query = parse_query("q(X) :- person(X)")
-    with obs.capture() as cap, OBDASystem(RULES, DATABASE) as system:
-        memory = system.certain_answers(query)
-        sql = system.certain_answers_sql(query)
-        chase = system.certain_answers_chase(query)
+    with obs.capture() as cap, Session(RULES, DATABASE) as session:
+        memory = session.answer(query)
+        sql = session.answer(query, backend="sql")
+        chase = session.answer_chase(query)
     assert memory == sql == chase
     backends = {
         span["attrs"]["backend"] for span in cap.spans("obda.answer")
@@ -125,8 +118,8 @@ def test_obda_spans_cover_both_backends():
 def test_disabled_instrumentation_leaves_results_unchanged():
     """With the default null tracer the pipeline behaves identically."""
     query = parse_query("q(X) :- org(X)")
-    baseline = FORewritingEngine(RULES).answer(query, DATABASE)
+    baseline = Session(RULES).answer(query, DATABASE)
     with obs.capture() as cap:
-        traced = FORewritingEngine(RULES).answer(query, DATABASE)
+        traced = Session(RULES).answer(query, DATABASE)
     assert traced == baseline
     assert cap.spans("rewrite")

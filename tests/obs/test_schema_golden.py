@@ -15,11 +15,11 @@ import io
 import json
 
 from repro import obs
+from repro.api import Session
 from repro.lang.parser import parse_database, parse_program, parse_query
 from repro.data.database import Database
 from repro.obs import JSONLSink
 from repro.obs.tracer import SCHEMA_VERSION
-from repro.rewriting.engine import FORewritingEngine
 
 # The golden schema: record type -> {field: allowed value types}.
 # ``parent`` is the only nullable field (None on root spans).
@@ -68,7 +68,7 @@ def _emit_all_record_types() -> list[dict]:
     database = Database(parse_database("a(one). b(two)."))
     query = parse_query("q(X) :- c(X)")
     with obs.use(JSONLSink(buffer)):
-        FORewritingEngine(rules).answer(query, database)
+        Session(rules).answer(query, database)
         obs.event("golden.event", detail="x")
         obs.observe("golden.histogram", 1.5)
         obs.observe("golden.histogram", 2.5)

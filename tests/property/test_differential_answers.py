@@ -3,9 +3,9 @@
 Three independently implemented answering paths must agree on every
 input where all of them are exact:
 
-* ``FORewritingEngine.answer``      -- FO rewriting + in-memory eval;
-* chase certain answers             -- restricted chase + filtered eval;
-* ``FORewritingEngine.answer_sql``  -- FO rewriting compiled to SQLite.
+* ``Session.answer``                  -- FO rewriting + in-memory eval;
+* chase certain answers               -- restricted chase + filtered eval;
+* ``Session.answer(backend="sql")``   -- FO rewriting compiled to SQLite.
 
 The generated programs are *stratified*: every rule's body relations
 strictly precede its head relation in a fixed relation order.  Such
@@ -24,6 +24,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.api import EngineOptions, Session
 from repro.chase.certain import certain_answers
 from repro.core.swr import is_swr
 from repro.data.database import Database
@@ -34,7 +35,6 @@ from repro.lang.signature import Signature
 from repro.lang.terms import Constant, Variable
 from repro.lang.tgd import TGD
 from repro.rewriting.budget import RewritingBudget
-from repro.rewriting.engine import FORewritingEngine
 
 # --------------------------------------------------------------------- #
 # Strategies                                                             #
@@ -150,10 +150,9 @@ def test_rewriting_chase_and_sql_agree(rules, database, query):
     """The three answering paths agree on stratified (SWR) inputs."""
     assert is_swr(rules).is_swr or not all(r.is_simple() for r in rules)
     oracle = certain_answers(query, rules, database, max_steps=20_000)
-    engine = FORewritingEngine(rules)
-    via_rewriting = engine.answer(query, database)
-    with sqlite_backend(rules, database, query) as backend:
-        via_sql = engine.answer_sql(query, backend)
+    with Session(rules, database) as session:
+        via_rewriting = session.answer(query)
+        via_sql = session.answer(query, backend="sql")
     assert via_rewriting == oracle
     assert via_sql == oracle
 
@@ -163,10 +162,9 @@ def test_rewriting_chase_and_sql_agree(rules, database, query):
 def test_ucq_differential(rules, database, ucq):
     """UCQ inputs: disjunct-level union answers match on every path."""
     oracle = certain_answers(ucq, rules, database, max_steps=20_000)
-    engine = FORewritingEngine(rules)
-    via_rewriting = engine.answer(ucq, database)
-    with sqlite_backend(rules, database, ucq) as backend:
-        via_sql = engine.answer_sql(ucq, backend)
+    with Session(rules, database) as session:
+        via_rewriting = session.answer(ucq)
+        via_sql = session.answer(ucq, backend="sql")
     assert via_rewriting == oracle
     assert via_sql == oracle
 
@@ -176,14 +174,14 @@ def test_ucq_differential(rules, database, ucq):
 def test_budgeted_rewriting_is_sound_subset(rules, database, query):
     """A budget-truncated rewriting only ever loses answers."""
     oracle = certain_answers(query, rules, database, max_steps=20_000)
-    tight = FORewritingEngine(
-        rules, budget=RewritingBudget(max_depth=1, max_cqs=100_000)
+    tight = EngineOptions(
+        budget=RewritingBudget(max_depth=1, max_cqs=100_000)
     )
-    partial = tight.answer(query, database, require_complete=False)
-    assert partial <= oracle
-    with sqlite_backend(rules, database, query) as backend:
-        partial_sql = tight.answer_sql(
-            query, backend, require_complete=False
+    with Session(rules, database, options=tight) as session:
+        partial = session.answer(query, require_complete=False)
+        assert partial <= oracle
+        partial_sql = session.answer(
+            query, backend="sql", require_complete=False
         )
     assert partial_sql <= oracle
     assert partial == partial_sql

@@ -7,7 +7,7 @@ answering path:
 
 * ``rewrite_datalog(...).answer``  -- Datalog program, in-memory eval;
 * SQL ``WITH``-CTE compilation     -- the same program on SQLite;
-* ``FORewritingEngine.answer``     -- exploded-UCQ target;
+* ``Session.answer``               -- exploded-UCQ target;
 * chase certain answers            -- the semantics oracle.
 
 The generated programs are stratified, hence SWR and weakly acyclic:
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 
+from repro.api import Session
 from repro.chase.certain import certain_answers
 from repro.data.sql import datalog_to_sql
 from repro.rewriting.budget import RewritingBudget
@@ -51,7 +52,7 @@ def test_datalog_target_agrees_with_all_paths(rules, database, query):
     oracle = certain_answers(query, rules, database, max_steps=20_000)
     via_memory = datalog.answer(database)
     via_sql = _sql_answers(datalog, rules, database, query)
-    via_ucq = FORewritingEngine(rules).answer(query, database)
+    via_ucq = Session(rules).answer(query, database)
     assert via_memory == oracle
     assert via_sql == oracle
     assert via_ucq == oracle
@@ -93,4 +94,4 @@ def test_auto_target_never_diverges(rules, database, query):
     oracle = certain_answers(query, rules, database, max_steps=20_000)
     if selected == "datalog":
         assert rewrite_datalog(query, rules).answer(database) == oracle
-    assert FORewritingEngine(rules).answer(query, database) == oracle
+    assert Session(rules).answer(query, database) == oracle

@@ -25,7 +25,6 @@ from repro.data.database import Database
 from repro.data.evaluation import evaluate_ucq
 from repro.hybrid import MaterializedCore
 from repro.lang.atoms import Atom
-from repro.rewriting.engine import FORewritingEngine
 from tests.property.test_differential_answers import (
     ARITY,
     CONSTANTS,
@@ -84,7 +83,7 @@ def test_maintained_core_tracks_rechase_and_rewriting(
     """After every mutation: core == full re-chase == pure rewriting."""
     core = MaterializedCore(rules, database)
     reference = database.copy()
-    engine = FORewritingEngine(rules)
+    session = Session(rules)
     for op, facts in tape:
         if op == "insert":
             core.apply_insert(facts)
@@ -94,7 +93,7 @@ def test_maintained_core_tracks_rechase_and_rewriting(
         assert core.check_consistency() == []
         via_core = evaluate_ucq(query, core.instance, certain=True)
         oracle = certain_answers(query, rules, reference, max_steps=20_000)
-        via_rewriting = engine.answer(query, reference)
+        via_rewriting = session.answer(query, reference)
         assert via_core == oracle, f"core diverged after {op}"
         assert via_rewriting == oracle
 

@@ -8,11 +8,11 @@ every generated instance.
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.api import Session
 from repro.data.csvio import facts_from_rows
 from repro.data.database import Database
 from repro.lang.parser import parse_atom, parse_program, parse_query
 from repro.obda.mappings import MappingAssertion
-from repro.obda.system import OBDASystem
 
 ONTOLOGY = parse_program(
     """
@@ -63,30 +63,28 @@ class TestOBDAPipelines:
     @given(sources())
     @settings(max_examples=40, deadline=None)
     def test_rewriting_equals_chase(self, source):
-        with OBDASystem(ONTOLOGY, source, mappings=MAPPINGS) as system:
+        with Session(ONTOLOGY, source, mappings=MAPPINGS) as session:
             for query in QUERIES:
-                assert system.certain_answers(
-                    query
-                ) == system.certain_answers_chase(query)
+                assert session.answer(query) == session.answer_chase(query)
 
     @given(sources())
     @settings(max_examples=25, deadline=None)
     def test_sql_equals_memory(self, source):
-        with OBDASystem(ONTOLOGY, source, mappings=MAPPINGS) as system:
+        with Session(ONTOLOGY, source, mappings=MAPPINGS) as session:
             for query in QUERIES:
-                assert system.certain_answers_sql(
-                    query
-                ) == system.certain_answers(query)
+                assert session.answer(
+                    query, backend="sql"
+                ) == session.answer(query)
 
     @given(sources(), sources())
     @settings(max_examples=25, deadline=None)
     def test_monotone_in_the_source(self, smaller, larger):
         combined = Database(list(smaller) + list(larger))
-        with OBDASystem(ONTOLOGY, smaller, mappings=MAPPINGS) as small_sys:
-            with OBDASystem(
+        with Session(ONTOLOGY, smaller, mappings=MAPPINGS) as small_session:
+            with Session(
                 ONTOLOGY, combined, mappings=MAPPINGS
-            ) as big_sys:
+            ) as big_session:
                 for query in QUERIES:
-                    assert small_sys.certain_answers(
+                    assert small_session.answer(
                         query
-                    ) <= big_sys.certain_answers(query)
+                    ) <= big_session.answer(query)

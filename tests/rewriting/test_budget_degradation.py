@@ -11,13 +11,11 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
+from repro.api import EngineOptions, Session
 from repro.data.database import Database
-from repro.data.sql import SQLiteBackend
 from repro.lang.errors import RewritingBudgetExceeded
 from repro.lang.parser import parse_database, parse_program, parse_query
-from repro.lang.signature import Signature
 from repro.rewriting.budget import RewritingBudget
-from repro.rewriting.engine import FORewritingEngine
 
 RULES = parse_program(
     """
@@ -33,17 +31,14 @@ DATABASE = Database(
 )
 
 
-def _backend() -> SQLiteBackend:
-    signature = Signature()
-    for rule in RULES:
-        signature.observe_tgd(rule)
-    backend = SQLiteBackend(signature)
-    backend.load(DATABASE.facts())
-    return backend
+def _session(budget: RewritingBudget | None = None) -> Session:
+    options = EngineOptions() if budget is None else EngineOptions(budget=budget)
+    return Session(RULES, DATABASE, options=options)
 
 
 def _full_answers():
-    return FORewritingEngine(RULES).answer(QUERY, DATABASE)
+    with _session() as session:
+        return session.answer(QUERY)
 
 
 @pytest.mark.parametrize(
@@ -58,16 +53,15 @@ def _full_answers():
 )
 def test_budget_trip_yields_sound_subset_on_both_paths(budget):
     full = _full_answers()
-    engine = FORewritingEngine(RULES, budget=budget)
-    result = engine.rewrite(QUERY)
-    assert not result.complete
+    with _session(budget) as session:
+        result = session.prepare(QUERY).result
+        assert not result.complete
 
-    partial = engine.answer(QUERY, DATABASE, require_complete=False)
-    assert partial < full  # strict: the truncation really lost answers
+        partial = session.answer(QUERY, require_complete=False)
+        assert partial < full  # strict: the truncation really lost answers
 
-    with _backend() as backend:
-        partial_sql = engine.answer_sql(
-            QUERY, backend, require_complete=False
+        partial_sql = session.answer(
+            QUERY, backend="sql", require_complete=False
         )
     assert partial_sql < full
     assert partial_sql == partial
@@ -79,34 +73,29 @@ def test_unbudgeted_run_is_complete_baseline():
 
 
 def test_require_complete_raises_on_partial_rewriting():
-    engine = FORewritingEngine(
-        RULES, budget=RewritingBudget(max_depth=1)
-    )
-    with pytest.raises(RewritingBudgetExceeded):
-        engine.answer(QUERY, DATABASE)
-    with _backend() as backend, pytest.raises(RewritingBudgetExceeded):
-        engine.answer_sql(QUERY, backend)
+    with _session(RewritingBudget(max_depth=1)) as session:
+        with pytest.raises(RewritingBudgetExceeded):
+            session.answer(QUERY)
+        with pytest.raises(RewritingBudgetExceeded):
+            session.answer(QUERY, backend="sql")
 
 
 def test_partial_status_is_visible_in_trace():
-    engine = FORewritingEngine(
-        RULES, budget=RewritingBudget(max_depth=1)
-    )
-    with obs.capture() as cap:
-        engine.answer(QUERY, DATABASE, require_complete=False)
+    with _session(RewritingBudget(max_depth=1)) as session:
+        with obs.capture() as cap:
+            session.answer(QUERY, require_complete=False)
     assert cap.span("rewrite")["attrs"]["complete"] is False
     assert cap.span("engine.rewrite")["attrs"]["complete"] is False
-    answer_span = cap.span("engine.answer")
+    answer_span = cap.span("obda.answer")
     assert answer_span["attrs"]["complete"] is False
     assert answer_span["attrs"]["backend"] == "memory"
 
 
 def test_complete_status_is_visible_in_trace():
-    engine = FORewritingEngine(RULES)
-    with obs.capture() as cap:
-        engine.answer(QUERY, DATABASE)
+    with _session() as session, obs.capture() as cap:
+        session.answer(QUERY)
     assert cap.span("rewrite")["attrs"]["complete"] is True
-    assert cap.span("engine.answer")["attrs"]["complete"] is True
+    assert cap.span("obda.answer")["attrs"]["complete"] is True
 
 
 def test_deeper_budgets_converge_monotonically():
@@ -114,10 +103,8 @@ def test_deeper_budgets_converge_monotonically():
     full = _full_answers()
     previous = frozenset()
     for depth in range(0, 6):
-        engine = FORewritingEngine(
-            RULES, budget=RewritingBudget(max_depth=depth)
-        )
-        answers = engine.answer(QUERY, DATABASE, require_complete=False)
+        with _session(RewritingBudget(max_depth=depth)) as session:
+            answers = session.answer(QUERY, require_complete=False)
         assert previous <= answers <= full
         previous = answers
     assert previous == full

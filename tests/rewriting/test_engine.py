@@ -1,22 +1,27 @@
-"""Tests for repro.rewriting.engine (FORewritingEngine)."""
+"""Tests for repro.rewriting.engine (FORewritingEngine).
+
+The engine compiles; answering goes through :class:`repro.api.Session`,
+which owns one engine per ontology.
+"""
 
 import pytest
 
+from repro.api import EngineOptions, Session
 from repro.data.database import Database
-from repro.data.sql import SQLiteBackend
 from repro.lang.errors import RewritingBudgetExceeded
 from repro.lang.parser import parse_database, parse_query
-from repro.lang.signature import Signature
 from repro.lang.terms import Constant
 from repro.rewriting.budget import RewritingBudget
 from repro.rewriting.engine import FORewritingEngine
 from repro.workloads.paper import EXAMPLE2_QUERY, example2
 
+SHALLOW = EngineOptions(budget=RewritingBudget(max_depth=3))
+
 
 class TestAnswering:
     def test_answers_through_hierarchy(self, hierarchy_rules, small_database):
-        engine = FORewritingEngine(hierarchy_rules)
-        answers = engine.answer(parse_query("q(X) :- d(X)"), small_database)
+        session = Session(hierarchy_rules)
+        answers = session.answer(parse_query("q(X) :- d(X)"), small_database)
         assert answers == {
             (Constant("one"),),
             (Constant("two"),),
@@ -25,41 +30,29 @@ class TestAnswering:
 
     def test_rewriting_cache_reused(self, hierarchy_rules):
         engine = FORewritingEngine(hierarchy_rules)
-        first = engine.rewrite(parse_query("q(X) :- d(X)"))
-        second = engine.rewrite(parse_query("q(Y) :- d(Y)"))
+        first = engine._rewrite(parse_query("q(X) :- d(X)"))
+        second = engine._rewrite(parse_query("q(Y) :- d(Y)"))
         assert first is second  # same canonical UCQ -> cached object
 
     def test_incomplete_rewriting_raises_by_default(self):
-        engine = FORewritingEngine(
-            example2(), budget=RewritingBudget(max_depth=3)
-        )
+        session = Session(example2(), options=SHALLOW)
         with pytest.raises(RewritingBudgetExceeded):
-            engine.answer(EXAMPLE2_QUERY, Database())
+            session.answer(EXAMPLE2_QUERY, Database())
 
     def test_incomplete_rewriting_allowed_when_requested(self):
-        engine = FORewritingEngine(
-            example2(), budget=RewritingBudget(max_depth=3)
-        )
+        session = Session(example2(), options=SHALLOW)
         database = Database(parse_database("r(a, b)."))
-        answers = engine.answer(
+        answers = session.answer(
             EXAMPLE2_QUERY, database, require_complete=False
         )
         assert answers == {()}
 
     def test_sql_answers_match_memory(self, hierarchy_rules, small_database):
-        engine = FORewritingEngine(hierarchy_rules)
         query = parse_query("q(X) :- d(X)")
-        signature = Signature(dict(small_database.signature))
-        for rule in hierarchy_rules:
-            signature.observe_tgd(rule)
-        backend = SQLiteBackend(signature)
-        backend.load(small_database.facts())
-        try:
-            assert engine.answer_sql(query, backend) == engine.answer(
-                query, small_database
+        with Session(hierarchy_rules, small_database) as session:
+            assert session.answer(query, backend="sql") == session.answer(
+                query
             )
-        finally:
-            backend.close()
 
     def test_sql_for_is_executable_text(self, hierarchy_rules):
         engine = FORewritingEngine(hierarchy_rules)

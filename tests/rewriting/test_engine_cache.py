@@ -10,6 +10,7 @@ share one entry.  Hits and misses are observable both through
 from __future__ import annotations
 
 from repro import obs
+from repro.api import Session
 from repro.lang.parser import parse_program, parse_query
 from repro.lang.queries import UnionOfConjunctiveQueries
 from repro.rewriting.engine import FORewritingEngine
@@ -27,8 +28,8 @@ def test_identical_query_hits_cache():
     engine = FORewritingEngine(RULES)
     query = parse_query("q(X) :- faculty(X)")
     with obs.capture() as cap:
-        engine.rewrite(query)
-        engine.rewrite(query)
+        engine._rewrite(query)
+        engine._rewrite(query)
     assert engine.cache_info().hits == 1
     assert engine.cache_info().misses == 1
     assert engine.cache_info().size == 1
@@ -39,8 +40,8 @@ def test_identical_query_hits_cache():
 def test_alpha_renamed_query_hits_same_entry():
     engine = FORewritingEngine(RULES)
     with obs.capture() as cap:
-        first = engine.rewrite(parse_query("q(X) :- teaches(X, Y)"))
-        second = engine.rewrite(parse_query("q(A) :- teaches(A, B)"))
+        first = engine._rewrite(parse_query("q(X) :- teaches(X, Y)"))
+        second = engine._rewrite(parse_query("q(A) :- teaches(A, B)"))
     assert engine.cache_info() == (1, 1, 1)
     assert cap.counter("engine.cache_hits") == 1
     assert first is second
@@ -49,10 +50,10 @@ def test_alpha_renamed_query_hits_same_entry():
 def test_atom_reordered_query_hits_same_entry():
     engine = FORewritingEngine(RULES)
     with obs.capture() as cap:
-        first = engine.rewrite(
+        first = engine._rewrite(
             parse_query("q(X) :- faculty(X), teaches(X, Y)")
         )
-        second = engine.rewrite(
+        second = engine._rewrite(
             parse_query("q(X) :- teaches(X, Y), faculty(X)")
         )
     assert engine.cache_info() == (1, 1, 1)
@@ -62,10 +63,10 @@ def test_atom_reordered_query_hits_same_entry():
 
 def test_renamed_and_reordered_query_hits_same_entry():
     engine = FORewritingEngine(RULES)
-    first = engine.rewrite(
+    first = engine._rewrite(
         parse_query("q(X) :- faculty(X), teaches(X, Y), professor(Z)")
     )
-    second = engine.rewrite(
+    second = engine._rewrite(
         parse_query("q(U) :- teaches(U, W), professor(V), faculty(U)")
     )
     assert engine.cache_info() == (1, 1, 1)
@@ -76,30 +77,35 @@ def test_ucq_disjunct_order_hits_same_entry():
     engine = FORewritingEngine(RULES)
     cq1 = parse_query("q(X) :- faculty(X)")
     cq2 = parse_query("q(X) :- dean(X)")
-    engine.rewrite(UnionOfConjunctiveQueries([cq1, cq2]))
-    engine.rewrite(UnionOfConjunctiveQueries([cq2, cq1]))
+    engine._rewrite(UnionOfConjunctiveQueries([cq1, cq2]))
+    engine._rewrite(UnionOfConjunctiveQueries([cq2, cq1]))
     assert engine.cache_info() == (1, 1, 1)
 
 
 def test_distinct_queries_miss():
     engine = FORewritingEngine(RULES)
     with obs.capture() as cap:
-        engine.rewrite(parse_query("q(X) :- faculty(X)"))
-        engine.rewrite(parse_query("q(X) :- professor(X)"))
+        engine._rewrite(parse_query("q(X) :- faculty(X)"))
+        engine._rewrite(parse_query("q(X) :- professor(X)"))
         # Different answer tuple => different query, must not collide.
-        engine.rewrite(parse_query("q(Y) :- teaches(X, Y)"))
-        engine.rewrite(parse_query("q(X) :- teaches(X, Y)"))
+        engine._rewrite(parse_query("q(Y) :- teaches(X, Y)"))
+        engine._rewrite(parse_query("q(X) :- teaches(X, Y)"))
     assert engine.cache_info() == (0, 4, 4)
     assert cap.counter("engine.cache_hits") == 0
     assert cap.counter("engine.cache_misses") == 4
 
 
 def test_answer_paths_share_the_cached_rewriting(small_database):
-    engine = FORewritingEngine(RULES)
+    session = Session(RULES)
+    engine = session.engine
     query = parse_query("q(X) :- faculty(X)")
     with obs.capture() as cap:
-        engine.answer(query, small_database)
-        engine.answer(parse_query("q(Z) :- faculty(Z)"), small_database)
+        session.answer(query, small_database)
+        # A second handle (the requested target differs, the resolved
+        # one does not) answers from the engine's cached entry.
+        session.answer(
+            parse_query("q(Z) :- faculty(Z)"), small_database, target="auto"
+        )
     assert engine.cache_info().misses == 1
     assert engine.cache_info().hits == 1
     assert cap.counter("engine.cache_misses") == 1

@@ -97,8 +97,8 @@ class TestRelevance:
         filtered_engine = FORewritingEngine(rules, filter_relevant=True)
         unfiltered_engine = FORewritingEngine(rules, filter_relevant=False)
         assert (
-            filtered_engine.rewrite(query).ucq
-            == unfiltered_engine.rewrite(query).ucq
+            filtered_engine._rewrite(query).ucq
+            == unfiltered_engine._rewrite(query).ucq
         )
 
     def test_all_relevant_when_everything_reachable(self, hierarchy_rules):

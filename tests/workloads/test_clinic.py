@@ -1,9 +1,9 @@
 """Tests for repro.workloads.clinic (the extended-DL workload)."""
 
+from repro.api import Session
 from repro.core.swr import is_swr
 from repro.core.wr import is_wr
 from repro.dlite.extended import is_satisfiable
-from repro.obda.system import OBDASystem
 from repro.workloads.clinic import (
     clinic_data,
     clinic_ontology,
@@ -37,20 +37,20 @@ class TestClinicQueries:
     def test_rewriting_equals_chase_on_all_queries(self):
         rules = clinic_ontology()
         abox = clinic_data(8, seed=2)
-        with OBDASystem(rules, abox) as system:
+        with Session(rules, abox) as session:
             for name, query in clinic_queries():
-                rewriting = system.certain_answers(query)
-                chase = system.certain_answers_chase(query)
+                rewriting = session.answer(query)
+                chase = session.answer_chase(query)
                 assert rewriting == chase, name
 
     def test_sql_path_agrees(self):
         rules = clinic_ontology()
         abox = clinic_data(6, seed=3)
-        with OBDASystem(rules, abox) as system:
+        with Session(rules, abox) as session:
             for name, query in clinic_queries():
-                assert system.certain_answers_sql(
-                    query
-                ) == system.certain_answers(query), name
+                assert session.answer(
+                    query, backend="sql"
+                ) == session.answer(query), name
 
     def test_boolean_ward_query_true_via_invention(self):
         # Even with no worksIn facts at all, every clinician works in
@@ -60,6 +60,6 @@ class TestClinicQueries:
 
         rules = clinic_ontology()
         abox = Database(facts_from_rows("Doctor", [("d1",)]))
-        with OBDASystem(rules, abox) as system:
+        with Session(rules, abox) as session:
             name, query = clinic_queries()[-1]
-            assert system.certain_answers(query) == {()}
+            assert session.answer(query) == {()}
