@@ -2,17 +2,18 @@
 """Precompiled OBDA deployment: rewrite once, answer forever.
 
 The OBDA cost model: rewriting is per-query, evaluation is
-per-database.  This example precompiles the university query workload
-into a rewriting store on disk (the "deployment artifact"), then
-answers the workload over several fresh databases *without the
-ontology in sight* -- only the stored UCQs and plain evaluation.
+per-database.  This example compiles the university query workload
+into the persistent rewriting cache (one SQLite file, the "deployment
+artifact"), then boots a session over each of several fresh databases
+with ``warm_up()``: every rewriting is loaded from the cache and the
+rewriter never runs.  The deployed session still loads the ontology,
+because the ontology's digest is part of every cache key.
 """
 
 import tempfile
-from pathlib import Path
 
-from repro.data import evaluate_ucq
-from repro.rewriting import RewritingStore, precompile_workload
+from repro import obs
+from repro.api import Session
 from repro.workloads.ontologies import (
     university_data,
     university_ontology,
@@ -24,38 +25,42 @@ def main() -> None:
     ontology = university_ontology()
     workload = university_queries()
 
-    # ---- build time: compile the workload once -------------------- #
-    store = precompile_workload(
-        [query for _, query in workload], ontology
-    )
-    artifact = Path(tempfile.mkdtemp()) / "university.rw"
-    store.save(artifact)
-    print(f"compiled {len(store)} rewritings -> {artifact}")
-    for name, query in workload:
-        entry = store.get(query)
-        print(f"  {name}: {len(entry.rewriting)} disjunct(s)")
+    with tempfile.TemporaryDirectory() as cache_dir:
+        # ---- build time: compile the workload once ---------------- #
+        with Session(ontology, cache_dir=cache_dir) as build:
+            for name, query in workload:
+                result = build.prepare(query).result
+                print(f"  {name}: {len(result.ucq)} disjunct(s)")
+            print(f"compiled {len(workload)} rewritings -> {build.cache.path}")
 
-    # ---- run time: no ontology, no rewriter -- just the store ----- #
-    deployed = RewritingStore.load(artifact)
-    print("\nanswering over fresh databases with the stored UCQs only:")
-    for size in (10, 25):
-        database = university_data(size, seed=size)
-        counts = []
-        for name, query in workload:
-            entry = deployed.get(query)
-            assert entry is not None and entry.complete
-            answers = evaluate_ucq(entry.rewriting, database)
-            counts.append(f"{name.split('-')[0]}={len(answers)}")
-        print(f"  |D|={len(database):>3}: {'  '.join(counts)}")
+        # ---- boot time: load every rewriting, never rewrite ------- #
+        print("\nanswering over fresh databases from the stored rewritings:")
+        with obs.capture() as trace:
+            for size in (10, 25):
+                database = university_data(size, seed=size)
+                with Session(ontology, database, cache_dir=cache_dir) as deployed:
+                    assert deployed.warm_up() == len(workload)
+                    counts = []
+                    for name, query in workload:
+                        prepared = deployed.prepare(query)
+                        assert prepared.result.complete
+                        answers = prepared.answer()
+                        counts.append(f"{name.split('-')[0]}={len(answers)}")
+                print(f"  |D|={len(database):>3}: {'  '.join(counts)}")
+        assert not trace.spans("engine.rewrite")
+        print(
+            f"  {trace.counter('engine.disk_hits')} rewritings loaded "
+            "from the cache, 0 rewritten"
+        )
 
-    # Sanity: the deployed path equals a live rewrite+evaluate.
-    from repro.rewriting import rewrite
-
-    database = university_data(12, seed=99)
-    for name, query in workload:
-        live = evaluate_ucq(rewrite(query, ontology).ucq, database)
-        stored = evaluate_ucq(deployed.get(query).rewriting, database)
-        assert live == stored, name
+        # Sanity: the deployed path equals a live rewrite+evaluate.
+        database = university_data(12, seed=99)
+        with Session(ontology, database) as live, Session(
+            ontology, database, cache_dir=cache_dir
+        ) as deployed:
+            deployed.warm_up()
+            for name, query in workload:
+                assert live.answer(query) == deployed.answer(query), name
     print("\ndeployed answers == live rewriting answers ✓")
 
 

@@ -51,7 +51,7 @@ import sqlite3
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from repro import obs
 from repro.lang.parser import parse_program, parse_ucq
@@ -81,6 +81,8 @@ together with the ontology's rewritings.
 """
 
 DEFAULT_CACHE_FILENAME = "rewritings.sqlite"
+
+_T = TypeVar("_T")
 
 
 def _engine_version() -> str:
@@ -321,37 +323,12 @@ class RewritingCache:
 
     def get(self, key: CacheKey) -> RewritingResult | None:
         """The stored rewriting under *key*, or None.  Never raises."""
-        with self._lock:
-            if self._connection is None:
-                self._misses += 1
-                obs.count("api.cache.misses")
-                return None
-            try:
-                row = self._connection.execute(
-                    "SELECT complete, depth_reached, generated, explored, "
-                    "per_depth, ucq FROM rewritings WHERE cache_key = ?",
-                    (key.combined,),
-                ).fetchone()
-            except sqlite3.DatabaseError:
-                self._quarantine()
-                row = None
-            if row is None:
-                self._misses += 1
-                obs.count("api.cache.misses")
-                return None
-            try:
-                result = _decode_result(row)
-            except Exception:
-                # Undecodable entry (torn write, hand-edited file):
-                # drop it and recompute.
-                self._record_error("decode")
-                self._delete(key)
-                self._misses += 1
-                obs.count("api.cache.misses")
-                return None
-            self._hits += 1
-            obs.count("api.cache.hits")
-            return result
+        return self._read(
+            "rewritings",
+            "complete, depth_reached, generated, explored, per_depth, ucq",
+            key.combined,
+            _decode_result,
+        )
 
     def put(
         self,
@@ -366,70 +343,33 @@ class RewritingCache:
         enumeration).  Empty is allowed -- the entry still serves
         lookups, it just cannot be re-prepared by digest alone.
         """
-        with self._lock:
-            if self._connection is None:
-                return
-            try:
-                self._connection.execute(
-                    "INSERT OR REPLACE INTO rewritings "
-                    "(cache_key, ontology_digest, query_digest, "
-                    " budget_digest, engine_version, complete, "
-                    " depth_reached, generated, explored, per_depth, ucq, "
-                    " query_text) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        key.combined,
-                        key.ontology_digest,
-                        key.query_digest,
-                        key.budget_digest,
-                        key.engine_version,
-                        int(result.complete),
-                        result.depth_reached,
-                        result.generated,
-                        result.explored,
-                        json.dumps(list(result.per_depth)),
-                        format_ucq(result.ucq),
-                        query_text,
-                    ),
-                )
-                self._connection.commit()
-                self._writes += 1
-                obs.count("api.cache.writes")
-            except sqlite3.DatabaseError:
-                self._quarantine()
+        self._write(
+            "rewritings",
+            {
+                "cache_key": key.combined,
+                "ontology_digest": key.ontology_digest,
+                "query_digest": key.query_digest,
+                "budget_digest": key.budget_digest,
+                "engine_version": key.engine_version,
+                "complete": int(result.complete),
+                "depth_reached": result.depth_reached,
+                "generated": result.generated,
+                "explored": result.explored,
+                "per_depth": json.dumps(list(result.per_depth)),
+                "ucq": format_ucq(result.ucq),
+                "query_text": query_text,
+            },
+        )
 
     def get_datalog(self, key: CacheKey) -> DatalogRewriting | None:
         """The stored Datalog-target rewriting under *key*, or None.
         Never raises."""
-        with self._lock:
-            if self._connection is None:
-                self._misses += 1
-                obs.count("api.cache.misses")
-                return None
-            try:
-                row = self._connection.execute(
-                    "SELECT payload FROM datalog_rewritings "
-                    "WHERE cache_key = ?",
-                    (key.combined,),
-                ).fetchone()
-            except sqlite3.DatabaseError:
-                self._quarantine()
-                row = None
-            if row is None:
-                self._misses += 1
-                obs.count("api.cache.misses")
-                return None
-            try:
-                result = _decode_datalog(row[0])
-            except Exception:
-                self._record_error("decode")
-                self._delete(key, table="datalog_rewritings")
-                self._misses += 1
-                obs.count("api.cache.misses")
-                return None
-            self._hits += 1
-            obs.count("api.cache.hits")
-            return result
+        return self._read(
+            "datalog_rewritings",
+            "payload",
+            key.combined,
+            lambda row: _decode_datalog(row[0]),
+        )
 
     def put_datalog(
         self,
@@ -439,54 +379,31 @@ class RewritingCache:
     ) -> None:
         """Persist the Datalog-target *result* under *key*.  Never
         raises."""
-        with self._lock:
-            if self._connection is None:
-                return
-            try:
-                self._connection.execute(
-                    "INSERT OR REPLACE INTO datalog_rewritings "
-                    "(cache_key, ontology_digest, payload, query_text) "
-                    "VALUES (?, ?, ?, ?)",
-                    (
-                        key.combined,
-                        key.ontology_digest,
-                        _encode_datalog(result),
-                        query_text,
-                    ),
-                )
-                self._connection.commit()
-                self._writes += 1
-                obs.count("api.cache.writes")
-            except sqlite3.DatabaseError:
-                self._quarantine()
+        self._write(
+            "datalog_rewritings",
+            {
+                "cache_key": key.combined,
+                "ontology_digest": key.ontology_digest,
+                "payload": _encode_datalog(result),
+                "query_text": query_text,
+            },
+        )
 
-    def get_core(self, cache_key: str) -> str | None:
-        """The stored materialized-core snapshot payload, or None.
+    def get_core(
+        self, cache_key: str, decode: Callable[[str], _T | None]
+    ) -> _T | None:
+        """The stored materialized-core snapshot, decoded, or None.
 
-        Keys come from :func:`repro.hybrid.store.core_key`; the payload
-        is the opaque JSON produced by ``encode_core``.  Never raises.
+        Keys come from :func:`repro.hybrid.store.core_key`; *decode*
+        turns the opaque JSON produced by ``encode_core`` back into a
+        core and returns None for a payload it rejects.  Never raises.
         """
-        with self._lock:
-            if self._connection is None:
-                self._misses += 1
-                obs.count("api.cache.misses")
-                return None
-            try:
-                row = self._connection.execute(
-                    "SELECT payload FROM materialized_cores "
-                    "WHERE cache_key = ?",
-                    (cache_key,),
-                ).fetchone()
-            except sqlite3.DatabaseError:
-                self._quarantine()
-                row = None
-            if row is None:
-                self._misses += 1
-                obs.count("api.cache.misses")
-                return None
-            self._hits += 1
-            obs.count("api.cache.hits")
-            return str(row[0])
+        return self._read(
+            "materialized_cores",
+            "payload",
+            cache_key,
+            lambda row: decode(str(row[0])),
+        )
 
     def put_core(
         self, cache_key: str, ontology_digest: str, payload: str
@@ -497,15 +414,63 @@ class RewritingCache:
         core subset's -- so :meth:`evict_ontologies` retires core
         snapshots together with the ontology's rewritings.
         """
+        self._write(
+            "materialized_cores",
+            {
+                "cache_key": cache_key,
+                "ontology_digest": ontology_digest,
+                "payload": payload,
+            },
+        )
+
+    def _read(
+        self,
+        table: str,
+        columns: str,
+        cache_key: str,
+        decode: Callable[[Any], _T | None],
+    ) -> _T | None:
+        """The one lookup path behind every artifact kind.
+
+        A row that fails to decode (torn write, hand-edited file, a
+        payload the decoder rejects) counts as an error and a miss and
+        is deleted, so the caller recomputes and stores it afresh.
+        """
+        with self._lock:
+            row = None
+            if self._connection is not None:
+                try:
+                    row = self._connection.execute(
+                        f"SELECT {columns} FROM {table} WHERE cache_key = ?",
+                        (cache_key,),
+                    ).fetchone()
+                except sqlite3.DatabaseError:
+                    self._quarantine()
+            if row is not None:
+                try:
+                    value = decode(row)
+                except Exception:
+                    value = None
+                if value is not None:
+                    self._hits += 1
+                    obs.count("api.cache.hits")
+                    return value
+                self._record_error("decode")
+                self._delete(table, cache_key)
+            self._misses += 1
+            obs.count("api.cache.misses")
+            return None
+
+    def _write(self, table: str, row: dict[str, Any]) -> None:
+        """The one store path: ``INSERT OR REPLACE`` *row* into *table*."""
         with self._lock:
             if self._connection is None:
                 return
             try:
                 self._connection.execute(
-                    "INSERT OR REPLACE INTO materialized_cores "
-                    "(cache_key, ontology_digest, payload) "
-                    "VALUES (?, ?, ?)",
-                    (cache_key, ontology_digest, payload),
+                    f"INSERT OR REPLACE INTO {table} ({', '.join(row)}) "
+                    f"VALUES ({', '.join('?' for _ in row)})",
+                    tuple(row.values()),
                 )
                 self._connection.commit()
                 self._writes += 1
@@ -513,12 +478,12 @@ class RewritingCache:
             except sqlite3.DatabaseError:
                 self._quarantine()
 
-    def _delete(self, key: CacheKey, table: str = "rewritings") -> None:
+    def _delete(self, table: str, cache_key: str) -> None:
         if self._connection is None:
             return
         try:
             self._connection.execute(
-                f"DELETE FROM {table} WHERE cache_key = ?", (key.combined,)
+                f"DELETE FROM {table} WHERE cache_key = ?", (cache_key,)
             )
             self._connection.commit()
         except sqlite3.DatabaseError:

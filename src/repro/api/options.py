@@ -1,8 +1,8 @@
 """One frozen bundle for every engine-tuning option of a session.
 
 Before this module the options steering a :class:`~repro.api.Session`'s
-rewriting engine -- budget, rewriting target, parallel-minimization
-knobs, pruning and pre-flight switches -- were threaded positionally
+rewriting engine -- budget, rewriting target, pruning and pre-flight
+switches, hybrid regime -- were threaded positionally
 through ``Session.__init__``, the batch pool's worker initializer and
 every CLI subcommand, each spelling the defaults again.
 :class:`EngineOptions` collects them in a single immutable value:
@@ -28,7 +28,6 @@ from repro.rewriting.budget import RewritingBudget
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import argparse
 
-_MINIMIZE_MODES = ("thread", "process")
 _HYBRID_MODES = ("off", "auto", "rewrite", "split", "materialize")
 
 
@@ -46,11 +45,6 @@ class EngineOptions:
             :mod:`repro.checkers.pruning`).
         preflight_estimate: run the static rewriting-size estimator
             before each cold compilation and warn on projected blowup.
-        minimize_workers: opt-in parallel UCQ minimization worker count
-            (None = sequential, 0 = one per CPU); never changes the
-            compiled rewriting, so it is outside all cache keys.
-        minimize_mode: ``"thread"`` or ``"process"`` pool for the
-            parallel minimization.
         target: rewriting target -- ``"ucq"``, ``"datalog"`` or
             ``"auto"`` (see :data:`repro.rewriting.engine.TARGETS`).
         hybrid: hybrid answering mode -- ``"off"`` (default; pure
@@ -67,8 +61,6 @@ class EngineOptions:
     filter_relevant: bool = True
     prune_empty: bool = False
     preflight_estimate: bool = False
-    minimize_workers: int | None = None
-    minimize_mode: str = "thread"
     target: str = "ucq"
     hybrid: str = "off"
     hybrid_threshold: float = 0.5
@@ -90,11 +82,6 @@ class EngineOptions:
             raise ValueError(
                 "hybrid_threshold must be in (0, 1], got "
                 f"{self.hybrid_threshold!r}"
-            )
-        if self.minimize_mode not in _MINIMIZE_MODES:
-            raise ValueError(
-                f"unknown minimize mode {self.minimize_mode!r}; "
-                f"expected one of {_MINIMIZE_MODES}"
             )
         if not isinstance(self.budget, RewritingBudget):
             raise TypeError(
@@ -129,10 +116,11 @@ class EngineOptions:
 
         The single adapter between ``argparse`` and the engine: every
         subcommand that accepts engine flags (answer, batch, trace,
-        rewrite, serve) resolves them here, so flag semantics cannot
-        drift between commands.  Absent attributes fall back to the
-        dataclass defaults, which lets callers reuse the adapter with
-        partial namespaces (e.g. ``lint``'s budget-only subset).
+        rewrite, serve, lint, check) resolves them here, so flag
+        semantics cannot drift between commands.  Absent attributes
+        fall back to the dataclass defaults, which lets callers reuse
+        the adapter with partial namespaces (``lint`` and ``check``
+        define no ``--target``).
         """
         budget = RewritingBudget(
             max_depth=getattr(args, "max_depth", None),
@@ -142,11 +130,6 @@ class EngineOptions:
         )
         return cls(
             budget=budget,
-            filter_relevant=getattr(args, "filter_relevant", True),
-            prune_empty=getattr(args, "prune_empty", False),
-            preflight_estimate=getattr(args, "preflight_estimate", False),
-            minimize_workers=getattr(args, "minimize_workers", None),
-            minimize_mode=getattr(args, "minimize_mode", "thread"),
             target=getattr(args, "target", "ucq"),
             hybrid=getattr(args, "hybrid", "off"),
             hybrid_threshold=getattr(args, "hybrid_threshold", 0.5),

@@ -105,7 +105,7 @@ class Session:
             processes) may share one directory -- see
             :mod:`repro.api.cache` for the invalidation rules.
         options: every engine-tuning knob -- budget, rewriting target,
-            pruning, pre-flight estimation, parallel minimization -- in
+            pruning, pre-flight estimation, hybrid regime -- in
             one frozen :class:`~repro.api.EngineOptions` value (default:
             ``EngineOptions()``).
         backend_factory: the evaluation backend provider -- a name
@@ -147,8 +147,6 @@ class Session:
             filter_relevant=self._options.filter_relevant,
             persistent=tier,
             preflight_estimate=self._options.preflight_estimate,
-            minimize_workers=self._options.minimize_workers,
-            minimize_mode=self._options.minimize_mode,
             target=self._options.target,
         )
         self._lock = threading.RLock()
@@ -566,8 +564,6 @@ class Session:
                         budget=self._options.budget,
                         filter_relevant=self._options.filter_relevant,
                         persistent=tier,
-                        minimize_workers=self._options.minimize_workers,
-                        minimize_mode=self._options.minimize_mode,
                         target="ucq",
                     )
                 state = _HybridState(

@@ -13,8 +13,9 @@ predictable from the rule graph.
 :func:`estimate_disjunct_bound` turns that into a concrete (crude but
 sound-as-an-upper-bound) disjunct-count estimate together with the
 *offending rule chain* -- the derivation path realising the depth --
-so a blowup warning can name the rules to restructure.  It backs the
-``RL105`` check pass and the optional engine pre-flight
+so a blowup warning can name the rules to restructure.  It is the one
+static blowup estimator: it backs the ``RL105`` check pass, lint's
+``RL021`` warning and the optional engine pre-flight
 (``FORewritingEngine(preflight_estimate=True)``).
 """
 

@@ -63,6 +63,7 @@ import sys
 from pathlib import Path
 
 from repro import obs
+from repro.api.options import EngineOptions
 from repro.chase.certain import certain_answers, certain_answers_via_chase
 from repro.core.classify import classify
 from repro.data.database import Database
@@ -76,7 +77,6 @@ from repro.lang.printer import format_answers, format_ucq
 from repro.lint.diagnostics import Diagnostic, LintReport
 from repro.lint.engine import LintConfig, lint_source, preflight
 from repro.lint.formats import render, render_text
-from repro.rewriting.budget import RewritingBudget
 from repro.rewriting.rewriter import rewrite
 
 
@@ -97,23 +97,6 @@ def _preflight(rules, query=None, path="<string>") -> tuple[Diagnostic, ...]:
         report = LintReport.of(findings, path=path)
         print(render_text(report), file=sys.stderr)
     return findings
-
-
-def _budget(args: argparse.Namespace) -> RewritingBudget:
-    return RewritingBudget(
-        max_depth=args.max_depth,
-        max_cqs=args.max_cqs,
-        max_seconds=getattr(args, "max_seconds", None),
-        strict=False,
-    )
-
-
-def _minimize_kwargs(args: argparse.Namespace) -> dict:
-    """Session kwargs for the opt-in parallel-minimization options."""
-    return {
-        "minimize_workers": getattr(args, "minimize_workers", None),
-        "minimize_mode": getattr(args, "minimize_mode", "thread"),
-    }
 
 
 def _add_engine_options(
@@ -149,20 +132,6 @@ def _add_engine_options(
         type=float,
         default=None,
         help="wall-clock ceiling per rewriting (default: unlimited)",
-    )
-    group.add_argument(
-        "--minimize-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="parallelize UCQ minimization over N workers (0 = one "
-        "per CPU; default: sequential; output is identical)",
-    )
-    group.add_argument(
-        "--minimize-mode",
-        choices=("thread", "process"),
-        default="thread",
-        help="worker pool for --minimize-workers (default: thread)",
     )
     group.add_argument(
         "--hybrid",
@@ -277,9 +246,9 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
     if args.explain or args.cache_dir is None:
         # --explain needs derivation lineage, which the persistent
         # cache does not store; compile directly.
-        result = rewrite(query, rules, _budget(args), **_minimize_kwargs(args))
+        result = rewrite(query, rules, EngineOptions.from_args(args).budget)
     else:
-        from repro.api import EngineOptions, Session
+        from repro.api import Session
 
         with Session(
             rules,
@@ -317,7 +286,7 @@ def _rewrite_with_target(args: argparse.Namespace, rules, query) -> int:
     """
     import json as _json
 
-    from repro.api import EngineOptions, Session
+    from repro.api import Session
 
     with Session(
         rules,
@@ -343,7 +312,7 @@ def _rewrite_with_target(args: argparse.Namespace, rules, query) -> int:
 
 
 def cmd_answer(args: argparse.Namespace) -> int:
-    from repro.api import EngineOptions, Session
+    from repro.api import Session
 
     rules = parse_program(_read(args.program))
     query = parse_query(args.query)
@@ -378,7 +347,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     import json as _json
     import time as _time
 
-    from repro.api import EngineOptions, Session, resolve_workers
+    from repro.api import Session, resolve_workers
 
     rules = parse_program(_read(args.program))
     if _preflight(rules, path=args.program):
@@ -507,7 +476,7 @@ def _default_query(rules):
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.api import EngineOptions, Session
+    from repro.api import Session
     from repro.obs import TreeSink
 
     tree = TreeSink()
@@ -607,7 +576,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.api import EngineOptions
     from repro.serve import ReproServer, ServeConfig, TenantRegistry
 
     rules = parse_program(_read(args.program))
@@ -665,7 +633,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_lint(args: argparse.Namespace) -> int:
     path = "<stdin>" if args.program == "-" else args.program
     config = LintConfig(
-        budget=_budget(args),
+        budget=EngineOptions.from_args(args).budget,
         branching_threshold=args.branching_threshold,
         disabled=frozenset(args.disable or ()),
         stages=(
@@ -707,7 +675,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     )
 
     config = CheckConfig(
-        budget=_budget(args),
+        budget=EngineOptions.from_args(args).budget,
         default_depth=args.assumed_depth,
         disabled=frozenset(args.disable or ()),
     )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro import obs
 from repro.data.database import Database
@@ -33,6 +33,9 @@ from repro.hybrid.maintain import Firing, MaterializedCore
 from repro.lang.atoms import Atom
 from repro.lang.tgd import TGD
 from repro.rewriting.store import ontology_digest
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.api.cache import RewritingCache
 
 #: Bump when the snapshot layout changes; stale payloads are ignored
 #: (the core is rebuilt and re-stored), never misread.
@@ -114,8 +117,9 @@ def decode_core(
 ) -> MaterializedCore | None:
     """Restore a core from :func:`encode_core` output.
 
-    Returns None on any malformed or version-mismatched payload — the
-    caller falls back to a fresh chase, exactly like a cache miss.
+    Returns None on any malformed or version-mismatched payload; the
+    cache's read then counts an error and a miss and deletes the row,
+    and the caller falls back to a fresh chase.
     """
     try:
         data = json.loads(payload)
@@ -160,7 +164,7 @@ def decode_core(
 
 
 def load_or_build(
-    cache: object,
+    cache: "RewritingCache | None",
     full_digest: str,
     rules: Sequence[TGD],
     base: Database,
@@ -170,27 +174,25 @@ def load_or_build(
 ) -> MaterializedCore:
     """Fetch a warm core from *cache* or chase and store a fresh one.
 
-    *cache* is a :class:`repro.api.cache.RewritingCache` (typed loosely
-    to keep this layer import-light); *full_digest* is the complete
-    ontology's digest used for eviction grouping.  Pass ``cache=None``
-    to always build.
+    *full_digest* is the complete ontology's digest used for eviction
+    grouping.  Pass ``cache=None`` to always build; the snapshot key
+    (which hashes every base fact) is then never computed.
     """
-    key = core_key(rules, abox_digest(base), max_steps)
     if cache is not None:
-        payload = cache.get_core(key)  # type: ignore[attr-defined]
-        if payload is not None:
-            core = decode_core(
+        key = core_key(rules, abox_digest(base), max_steps)
+        core = cache.get_core(
+            key,
+            lambda payload: decode_core(
                 payload, rules, max_steps=max_steps, threshold=threshold
-            )
-            if core is not None:
-                obs.count("hybrid.core_cache.hits")
-                return core
+            ),
+        )
+        if core is not None:
+            obs.count("hybrid.core_cache.hits")
+            return core
     obs.count("hybrid.core_cache.misses")
     core = MaterializedCore(
         rules, base, max_steps=max_steps, threshold=threshold
     )
     if cache is not None:
-        cache.put_core(  # type: ignore[attr-defined]
-            key, full_digest, encode_core(core)
-        )
+        cache.put_core(key, full_digest, encode_core(core))
     return core

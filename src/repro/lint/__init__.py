@@ -25,7 +25,7 @@ from repro.lint.engine import (
     preflight,
 )
 from repro.lint.formats import render, render_json, render_sarif, render_text
-from repro.lint.passes import LintContext, estimate_rewriting_growth, rule_subsumes
+from repro.lint.passes import LintContext, rule_subsumes
 
 __all__ = [
     "Diagnostic",
@@ -36,7 +36,6 @@ __all__ = [
     "Severity",
     "all_codes",
     "code_names",
-    "estimate_rewriting_growth",
     "lint_program",
     "lint_source",
     "preflight",

@@ -23,6 +23,7 @@ The full code catalogue with examples lives in ``docs/lint.md``.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -37,10 +38,6 @@ from repro.lang.terms import Term, Variable
 from repro.lang.tgd import TGD
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.rewriting.budget import RewritingBudget
-
-#: Cap on the blowup estimate so the arithmetic stays exact but bounded.
-_ESTIMATE_CAP = 10**18
-
 
 @dataclass
 class LintContext:
@@ -584,103 +581,35 @@ def pass_high_branching(ctx: LintContext) -> Iterator[Diagnostic]:
         )
 
 
-def _dependency_depth(ctx: LintContext, roots: set[str]) -> int | None:
-    """Longest derivation chain from *roots*, or None when cyclic.
-
-    Edges follow "is rewritten into": a relation depends on the body
-    relations of every rule deriving it.
-    """
-    derivers: dict[str, list[TGD]] = {}
-    for rule in ctx.rules:
-        for atom in rule.head:
-            derivers.setdefault(atom.relation, []).append(rule)
-
-    depth_of: dict[str, int | None] = {}
-    in_progress: set[str] = set()
-
-    def depth(relation: str) -> int | None:
-        if relation in in_progress:
-            return None  # cycle
-        if relation in depth_of:
-            return depth_of[relation]
-        in_progress.add(relation)
-        best = 0
-        for rule in derivers.get(relation, ()):
-            for atom in rule.body:
-                sub = depth(atom.relation)
-                if sub is None:
-                    in_progress.discard(relation)
-                    return None
-                best = max(best, 1 + sub)
-        in_progress.discard(relation)
-        depth_of[relation] = best
-        return best
-
-    total = 0
-    for root in sorted(roots):
-        d = depth(root)
-        if d is None:
-            return None
-        total = max(total, d)
-    return total
-
-
-def estimate_rewriting_growth(
-    ctx: LintContext, query: ConjunctiveQuery
-) -> tuple[int, int]:
-    """(estimated UCQ size, assumed depth) for rewriting *query*.
-
-    A deliberately crude upper-bound heuristic: each round can rewrite
-    each atom with any rule deriving its relation, so one round
-    multiplies the frontier by at most ``1 + Σ_α b(rel(α))``; the number
-    of effective rounds is the longest derivation chain (or the budget's
-    ``max_depth`` / the configured default when the chain is cyclic).
-    The estimate is capped at 10^18.
-    """
-    branching = ctx.branching()
-    per_round = 1 + sum(
-        len(branching.get(atom.relation, ())) for atom in query.body
-    )
-    chain = _dependency_depth(
-        ctx, {atom.relation for atom in query.body}
-    )
-    if chain is not None:
-        depth = chain
-    elif ctx.swr().is_swr or (ctx.wr() is not None and ctx.wr().is_wr):
-        # The derivation graph is cyclic but SWR/WR guarantees the
-        # rewriting terminates; assuming the budget's full max_depth
-        # would flag every FO-rewritable recursive set.
-        depth = ctx.default_depth
-    else:
-        depth = (
-            ctx.budget.max_depth
-            if ctx.budget.max_depth is not None
-            else ctx.default_depth
-        )
-    estimate = 1
-    for _ in range(depth):
-        estimate *= per_round
-        if estimate > _ESTIMATE_CAP:
-            estimate = _ESTIMATE_CAP
-            break
-    return estimate, depth
-
-
 def pass_rewriting_blowup(ctx: LintContext) -> Iterator[Diagnostic]:
-    """RL021: estimated UCQ growth exceeds the rewriting budget."""
+    """RL021: estimated UCQ growth exceeds the rewriting budget.
+
+    The estimate is :func:`repro.checkers.estimator.estimate_disjunct_bound`.
+    On a cyclic derivation chain it assumes the budget's ``max_depth``
+    rounds, unless SWR or WR guarantees the rewriting terminates:
+    assuming the full ``max_depth`` would flag every FO-rewritable
+    recursive set, so the configured default depth is assumed instead.
+    """
     if ctx.query is None:
         return
-    estimate, depth = estimate_rewriting_growth(ctx, ctx.query)
-    if estimate <= ctx.budget.max_cqs:
+    from repro.checkers.estimator import estimate_disjunct_bound
+
+    budget = ctx.budget
+    if ctx.swr().is_swr or (ctx.wr() is not None and ctx.wr().is_wr):
+        budget = dataclasses.replace(budget, max_depth=None)
+    estimate = estimate_disjunct_bound(
+        ctx.query, ctx.rules, budget=budget, default_depth=ctx.default_depth
+    )
+    if estimate.bound <= ctx.budget.max_cqs:
         return
-    rendered = ">=10^18" if estimate >= _ESTIMATE_CAP else f"~{estimate}"
     yield Diagnostic(
         code="RL021",
         severity=Severity.WARNING,
         message=(
-            f"estimated rewriting size {rendered} (branching over "
-            f"{depth} rounds) exceeds the budget's max_cqs="
-            f"{ctx.budget.max_cqs}; rewrite may exhaust its budget"
+            f"estimated rewriting size {estimate.render_bound()} "
+            f"(branching over {estimate.depth} rounds) exceeds the "
+            f"budget's max_cqs={ctx.budget.max_cqs}; rewrite may exhaust "
+            "its budget"
         ),
         span=ctx.query.span,
         rule=f"query {ctx.query.name}",

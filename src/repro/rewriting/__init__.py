@@ -28,11 +28,6 @@ from repro.rewriting.probe import (
 )
 from repro.rewriting.relevance import RelevanceReport, relevant_rules
 from repro.rewriting.rewriter import RewritingResult, rewrite
-from repro.rewriting.store import (
-    RewritingStore,
-    StoredRewriting,
-    precompile_workload,
-)
 
 __all__ = [
     "ApproximationReport",
@@ -45,8 +40,6 @@ __all__ = [
     "RelevanceReport",
     "RewritingBudget",
     "RewritingResult",
-    "RewritingStore",
-    "StoredRewriting",
     "approximate_answers",
     "is_subsumed",
     "minimize_cq",
@@ -55,7 +48,6 @@ __all__ = [
     "probe_query_rewritability",
     "relevant_rules",
     "remove_subsumed",
-    "precompile_workload",
     "rewrite",
     "rewrite_datalog",
 ]

@@ -275,9 +275,6 @@ def rewrite_datalog(
     query: ConjunctiveQuery | UnionOfConjunctiveQueries,
     rules: Sequence[TGD],
     budget: RewritingBudget | None = None,
-    *,
-    minimize_workers: int | None = None,
-    minimize_mode: str = "thread",
 ) -> DatalogRewriting:
     """Compute the nonrecursive-Datalog rewriting of *query*.
 
@@ -328,13 +325,7 @@ def rewrite_datalog(
         for pattern in ordered_patterns:
             name = aux_name[pattern]
             atomic = _pattern_query(pattern, name)
-            sub = rewrite(
-                atomic,
-                rules,
-                budget,
-                minimize_workers=minimize_workers,
-                minimize_mode=minimize_mode,
-            )
+            sub = rewrite(atomic, rules, budget)
             complete = complete and sub.complete
             depth_reached = max(depth_reached, sub.depth_reached)
             generated += sub.generated
@@ -357,13 +348,7 @@ def rewrite_datalog(
                 ConjunctiveQuery(cq.answer_terms, body, name=goal)
             )
         for cq in fallback:
-            sub = rewrite(
-                cq,
-                rules,
-                budget,
-                minimize_workers=minimize_workers,
-                minimize_mode=minimize_mode,
-            )
+            sub = rewrite(cq, rules, budget)
             complete = complete and sub.complete
             depth_reached = max(depth_reached, sub.depth_reached)
             generated += sub.generated

@@ -129,8 +129,6 @@ class FORewritingEngine:
         filter_relevant: bool = True,
         persistent: PersistentTier | None = None,
         preflight_estimate: bool = False,
-        minimize_workers: int | None = None,
-        minimize_mode: str = "thread",
         target: str = "ucq",
     ):
         if target not in TARGETS:
@@ -144,12 +142,6 @@ class FORewritingEngine:
         self._persistent = persistent
         self._preflight_estimate = preflight_estimate
         self._target = target
-        # Opt-in parallel final minimization; None keeps the
-        # sequential path.  The produced rewriting is identical either
-        # way (see repro.rewriting.subsume), so this deliberately does
-        # NOT participate in cache keys or ENGINE_VERSION.
-        self._minimize_workers = minimize_workers
-        self._minimize_mode = minimize_mode
         self._cache: dict[UnionOfConjunctiveQueries, RewritingResult] = {}
         self._datalog_cache: dict[UnionOfConjunctiveQueries, DatalogRewriting] = {}
         self._target_choice: dict[UnionOfConjunctiveQueries, str] = {}
@@ -352,13 +344,7 @@ class FORewritingEngine:
                 span.set(relevant_rules=len(rules))
             if self._preflight_estimate:
                 self._preflight(ucq, rules)
-            result = rewrite(
-                ucq,
-                rules,
-                self._budget,
-                minimize_workers=self._minimize_workers,
-                minimize_mode=self._minimize_mode,
-            )
+            result = rewrite(ucq, rules, self._budget)
             span.set(complete=result.complete, size=result.size)
         if self._persistent is not None:
             self._persistent.put(ucq, result)
@@ -381,13 +367,7 @@ class FORewritingEngine:
 
                 rules = relevant_rules(ucq, rules).relevant
                 span.set(relevant_rules=len(rules))
-            result = rewrite_datalog(
-                ucq,
-                rules,
-                self._budget,
-                minimize_workers=self._minimize_workers,
-                minimize_mode=self._minimize_mode,
-            )
+            result = rewrite_datalog(ucq, rules, self._budget)
             span.set(complete=result.complete, size=result.size)
         if self._persistent is not None:
             self._persistent.put_datalog(ucq, result)

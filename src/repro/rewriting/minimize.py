@@ -12,9 +12,8 @@ frozen body becomes a database, and the evaluator searches for a
 homomorphic match of ``q2``'s body.
 
 This module is the stable public API; the heavy lifting -- the
-necessary-condition filters, per-CQ profile/freeze cache, bucketed
-candidate index and the parallel all-pairs path -- lives in
-:mod:`repro.rewriting.subsume`.
+necessary-condition filters, per-CQ profile/freeze cache and bucketed
+candidate index -- lives in :mod:`repro.rewriting.subsume`.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.rewriting.subsume import (
     freeze_body,
     freeze_term,
     kernel_remove_subsumed,
-    parallel_remove_subsumed,
     shared_is_subsumed,
 )
 
@@ -68,8 +66,6 @@ def equivalent(first: ConjunctiveQuery, second: ConjunctiveQuery) -> bool:
 def remove_subsumed(
     queries: Sequence[ConjunctiveQuery],
     *,
-    max_workers: int | None = None,
-    mode: str = "thread",
     kernel: SubsumptionKernel | None = None,
 ) -> tuple[ConjunctiveQuery, ...]:
     """Keep only subsumption-maximal CQs (the minimal equivalent UCQ).
@@ -78,23 +74,14 @@ def remove_subsumed(
     among mutually equivalent queries the one with the smallest body
     (earliest on ties) survives, so output is deterministic.
 
-    ``max_workers`` opts in to parallel minimization for large UCQs
-    (``mode`` selects ``"thread"`` or ``"process"``; see
-    :func:`repro.rewriting.subsume.parallel_remove_subsumed`).  The
-    result is identical in every mode.  Callers that already hold a
-    :class:`SubsumptionKernel` (the rewriting loops) pass it via
-    *kernel* so the profile/freeze cache carries over; its tallies are
-    flushed here.
+    Callers that already hold a :class:`SubsumptionKernel` (the
+    rewriting loops) pass it via *kernel* so the profile/freeze cache
+    carries over; its tallies are flushed here.
     """
     queries = list(queries)
     with obs.span("minimize.remove_subsumed", disjuncts=len(queries)) as span:
         kernel = kernel or SubsumptionKernel()
-        if max_workers is not None and len(queries) > 1:
-            kept = parallel_remove_subsumed(
-                queries, max_workers=max_workers, mode=mode, kernel=kernel
-            )
-        else:
-            kept = kernel_remove_subsumed(queries, kernel)
+        kept = kernel_remove_subsumed(queries, kernel)
         span.set(kept=len(kept))
         kernel.flush_counters()
         obs.count("minimize.disjuncts_removed", len(queries) - len(kept))

@@ -128,17 +128,11 @@ def rewrite(
     prune_subsumed: bool = True,
     factorize: bool = True,
     minimize: bool = True,
-    minimize_workers: int | None = None,
-    minimize_mode: str = "thread",
 ) -> RewritingResult:
     """Compute the UCQ rewriting of *query* with respect to *rules*.
 
     Raises :class:`RewritingBudgetExceeded` only when ``budget.strict``;
     otherwise budget exhaustion is reported via ``complete=False``.
-
-    *minimize_workers* opts the final minimization pass into the
-    parallel path (*minimize_mode* picks ``"thread"`` or
-    ``"process"``); the result is identical either way.
 
     The ablation switches exist for the ablation benches and should
     stay at their defaults in normal use.  Redundancy elimination
@@ -228,12 +222,7 @@ def rewrite(
         with obs.span("rewrite.finalize", kept=len(kept)) as fin:
             final = [
                 _parser_safe_names(cq)
-                for cq in remove_subsumed(
-                    kept.queries(),
-                    max_workers=minimize_workers,
-                    mode=minimize_mode,
-                    kernel=kept.kernel,
-                )
+                for cq in remove_subsumed(kept.queries(), kernel=kept.kernel)
             ]
             fin.set(size=len(final))
         span.set(size=len(final))

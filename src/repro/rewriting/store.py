@@ -1,51 +1,27 @@
-"""Persistence of compiled rewritings.
+"""Canonical content digests of queries, ontologies and budgets.
 
-OBDA deployments answer a fixed query workload over ever-changing
-data; the expensive step (computing the rewriting) is per-query, not
-per-database.  :class:`RewritingStore` persists a workload's
-rewritings to a plain-text file so a deployment can precompile them
-once and load them at startup.
-
-File format (self-describing, diff-friendly)::
-
-    # repro rewriting store v1
-    ## query
-    q(X) :- faculty(X)
-    ## rewriting complete=True
-    q(X) :- faculty(X).
-    q(X) :- professor(X).
-    ...
-
-Queries and disjuncts use the library's standard concrete syntax, so
-stored files are also valid inputs for manual inspection or editing.
+The persistent compilation cache (:mod:`repro.api.cache`, behind
+``Session(cache_dir=...)``) and the materialized-core snapshots
+(:mod:`repro.hybrid.store`) address their entries by these digests.
+"Rewrite once, answer forever" runs through that cache: compile a
+workload with ``Session(rules, cache_dir=DIR).prepare(q)``, then boot a
+deployment with ``Session(rules, data, cache_dir=DIR).warm_up()``,
+which loads every stored rewriting without running the rewriter.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable
 
-from repro import obs
-from repro.lang.errors import ReproError
-from repro.lang.parser import parse_query, parse_ucq
-from repro.lang.printer import format_ucq
 from repro.lang.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 
-_HEADER = "# repro rewriting store v1"
-
-
-# --------------------------------------------------------------------- #
-# Canonical digests                                                      #
-# --------------------------------------------------------------------- #
-#
-# The persistent cache of :mod:`repro.api.cache` keys compiled
-# rewritings by *content*, not identity: a query digest that is stable
-# under variable renaming and body reordering (it hashes the canonical
-# form of each disjunct), and an ontology digest that is stable under
-# rule reordering.  Both are hex SHA-256 strings, safe to embed in file
-# names and SQLite keys and comparable across processes.
+# The cache keys compiled rewritings by *content*, not identity: a
+# query digest that is stable under variable renaming and body
+# reordering (it hashes the canonical form of each disjunct), and an
+# ontology digest that is stable under rule reordering.  Both are hex
+# SHA-256 strings, safe to embed in file names and SQLite keys and
+# comparable across processes.
 
 
 def _sha256(parts: Iterable[str]) -> str:
@@ -92,116 +68,3 @@ def budget_digest(budget) -> str:
             f"max_seconds={budget.max_seconds}",
         ]
     )
-
-
-@dataclass(frozen=True)
-class StoredRewriting:
-    """One persisted (query, rewriting) pair."""
-
-    query: ConjunctiveQuery
-    rewriting: UnionOfConjunctiveQueries
-    complete: bool
-
-
-class RewritingStore:
-    """An in-memory map of compiled rewritings with file persistence."""
-
-    def __init__(self):
-        self._entries: dict[tuple, StoredRewriting] = {}
-
-    def put(
-        self,
-        query: ConjunctiveQuery,
-        rewriting: UnionOfConjunctiveQueries,
-        complete: bool = True,
-    ) -> None:
-        """Insert or replace the rewriting stored for *query*."""
-        self._entries[query.canonical()] = StoredRewriting(
-            query=query, rewriting=rewriting, complete=complete
-        )
-
-    def get(self, query: ConjunctiveQuery) -> StoredRewriting | None:
-        """The stored rewriting for *query* (up to renaming), or None."""
-        entry = self._entries.get(query.canonical())
-        obs.count("store.hits" if entry is not None else "store.misses")
-        return entry
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[StoredRewriting]:
-        return iter(self._entries.values())
-
-    def as_mapping(self) -> Mapping[tuple, StoredRewriting]:
-        """Read-only view keyed by canonical query form."""
-        return dict(self._entries)
-
-    # ----------------------------------------------------------------- #
-    # Persistence                                                         #
-    # ----------------------------------------------------------------- #
-
-    def save(self, path: str | Path) -> Path:
-        """Write every entry to *path*; returns the path."""
-        path = Path(path)
-        obs.count("store.entries_saved", len(self._entries))
-        blocks = [_HEADER]
-        for entry in sorted(
-            self._entries.values(), key=lambda e: str(e.query)
-        ):
-            blocks.append("## query")
-            blocks.append(str(entry.query))
-            blocks.append(f"## rewriting complete={entry.complete}")
-            blocks.append(format_ucq(entry.rewriting))
-        path.write_text("\n".join(blocks) + "\n")
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RewritingStore":
-        """Read a store written by :meth:`save`."""
-        path = Path(path)
-        lines = path.read_text().splitlines()
-        if not lines or lines[0].strip() != _HEADER:
-            raise ReproError(f"{path} is not a repro rewriting store")
-        store = cls()
-        index = 1
-        while index < len(lines):
-            line = lines[index].strip()
-            if not line:
-                index += 1
-                continue
-            if line != "## query":
-                raise ReproError(
-                    f"{path}:{index + 1}: expected '## query', got {line!r}"
-                )
-            query = parse_query(lines[index + 1])
-            marker = lines[index + 2].strip()
-            if not marker.startswith("## rewriting complete="):
-                raise ReproError(
-                    f"{path}:{index + 3}: expected rewriting marker"
-                )
-            complete = marker.endswith("True")
-            index += 3
-            body: list[str] = []
-            while index < len(lines) and not lines[index].startswith("## "):
-                if lines[index].strip():
-                    body.append(lines[index])
-                index += 1
-            rewriting = parse_ucq("\n".join(body))
-            store.put(query, rewriting, complete=complete)
-        obs.count("store.entries_loaded", len(store))
-        return store
-
-
-def precompile_workload(
-    queries,
-    rules,
-    budget=None,
-) -> RewritingStore:
-    """Rewrite every query of a workload into a fresh store."""
-    from repro.rewriting.rewriter import rewrite
-
-    store = RewritingStore()
-    for query in queries:
-        result = rewrite(query, rules, budget)
-        store.put(query, result.ucq, complete=result.complete)
-    return store

@@ -23,6 +23,11 @@ so this module wraps it in three layers of avoidance:
   the all-pairs loop only visits buckets that can possibly contain a
   subsumer.
 
+Minimization is one sequential pass in the calling thread.  The
+all-pairs loop is pure Python, so a thread pool cannot overlap it, and
+a process pool must pickle the disjuncts and profile them again in
+every worker before it can start.
+
 The naive reference implementations (:func:`naive_is_subsumed`,
 :func:`naive_remove_subsumed`) are kept verbatim for differential
 testing and for the speedup benchmarks: the optimized paths must
@@ -374,26 +379,6 @@ class SubsumptionKernel:
         self.cache_hits = 0
         self.cache_misses = 0
 
-    def absorb(
-        self, tallies: tuple[int, int, int, int, int]
-    ) -> None:
-        """Fold a worker's tally tuple into this kernel's counters."""
-        pairs, skipped, homs, hits, misses = tallies
-        self.pairs += pairs
-        self.pairs_skipped += skipped
-        self.hom_checks += homs
-        self.cache_hits += hits
-        self.cache_misses += misses
-
-    def tallies(self) -> tuple[int, int, int, int, int]:
-        return (
-            self.pairs,
-            self.pairs_skipped,
-            self.hom_checks,
-            self.cache_hits,
-            self.cache_misses,
-        )
-
 
 # The shared kernel behind the public ``is_subsumed`` helper: external
 # callers that loop over a fixed subsumee (lint passes, the checkers
@@ -496,118 +481,6 @@ def kernel_remove_subsumed(
         query
         for i, query in enumerate(queries)
         if not _dominated(i, queries, profiles, rank, buckets, kernel)
-    )
-
-
-# --------------------------------------------------------------------- #
-# Parallel minimization                                                   #
-# --------------------------------------------------------------------- #
-#
-# Dominance of each disjunct is independent of every other dominance
-# decision, so the flag vector partitions freely.  Thread mode shares
-# one kernel (profiles are computed once, the lazy freeze is a benign
-# idempotent race); process mode mirrors repro.api.pool: spawn-based
-# workers rebuild the index from the pickled query list once in an
-# initializer, then score index chunks.
-
-_WORKER_STATE: tuple | None = None
-
-
-def _init_minimize_worker(queries: list[ConjunctiveQuery]) -> None:
-    global _WORKER_STATE
-    kernel = SubsumptionKernel()
-    profiles = [kernel.profile(query) for query in queries]
-    buckets, rank = _build_index(profiles)
-    _WORKER_STATE = (queries, profiles, rank, buckets, kernel)
-
-
-def _minimize_chunk(
-    indices: list[int],
-) -> tuple[list[tuple[int, bool]], tuple[int, int, int, int, int]]:
-    assert _WORKER_STATE is not None
-    queries, profiles, rank, buckets, kernel = _WORKER_STATE
-    flags = [
-        (i, _dominated(i, queries, profiles, rank, buckets, kernel))
-        for i in indices
-    ]
-    tallies = kernel.tallies()
-    kernel.pairs = kernel.pairs_skipped = kernel.hom_checks = 0
-    kernel.cache_hits = kernel.cache_misses = 0
-    return flags, tallies
-
-
-def parallel_remove_subsumed(
-    queries: Sequence[ConjunctiveQuery],
-    max_workers: int | None = None,
-    mode: str = "thread",
-    kernel: SubsumptionKernel | None = None,
-) -> tuple[ConjunctiveQuery, ...]:
-    """:func:`kernel_remove_subsumed` with the flag vector parallelised.
-
-    ``mode="thread"`` shares the calling kernel across a thread pool
-    (profiles and frozen databases are computed once and shared);
-    ``mode="process"`` fans out over spawn-based worker processes for
-    multi-core wins on very large UCQs.  Results are identical to the
-    sequential path in either mode.
-    """
-    from repro.lang.errors import ReproError
-
-    if mode not in ("thread", "process"):
-        raise ReproError(
-            f"unknown minimize mode {mode!r}; expected 'thread' or 'process'"
-        )
-    queries = list(queries)
-    kernel = kernel or SubsumptionKernel()
-    if len(queries) < 2:
-        return tuple(queries)
-
-    from repro.api.pool import resolve_workers  # lazy: avoids import cycle
-
-    # 0 means "auto": one worker per CPU (resolve_workers' None case).
-    workers = resolve_workers(
-        None if max_workers == 0 else max_workers, len(queries)
-    )
-    if workers <= 1:
-        return kernel_remove_subsumed(queries, kernel)
-    chunks = [list(range(i, len(queries), workers)) for i in range(workers)]
-    chunks = [chunk for chunk in chunks if chunk]
-
-    flags = [False] * len(queries)
-    if mode == "thread":
-        from concurrent.futures import ThreadPoolExecutor
-
-        profiles = [kernel.profile(query) for query in queries]
-        buckets, rank = _build_index(profiles)
-
-        def score(chunk: list[int]) -> list[tuple[int, bool]]:
-            return [
-                (i, _dominated(i, queries, profiles, rank, buckets, kernel))
-                for i in chunk
-            ]
-
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-minimize"
-        ) as executor:
-            for result in executor.map(score, chunks):
-                for i, dominated in result:
-                    flags[i] = dominated
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_init_minimize_worker,
-            initargs=(queries,),
-        ) as executor:
-            for result, tallies in executor.map(_minimize_chunk, chunks):
-                kernel.absorb(tallies)
-                for i, dominated in result:
-                    flags[i] = dominated
-    return tuple(
-        query for i, query in enumerate(queries) if not flags[i]
     )
 
 

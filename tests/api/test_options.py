@@ -22,16 +22,11 @@ class TestValidation:
     def test_defaults(self):
         options = EngineOptions()
         assert options.target == "ucq"
-        assert options.minimize_mode == "thread"
         assert options.budget == RewritingBudget.default()
 
     def test_unknown_target_rejected(self):
         with pytest.raises(ValueError, match="unknown rewriting target"):
             EngineOptions(target="prolog")
-
-    def test_unknown_minimize_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown minimize mode"):
-            EngineOptions(minimize_mode="fiber")
 
     def test_non_budget_rejected(self):
         with pytest.raises(TypeError, match="RewritingBudget"):
@@ -47,7 +42,7 @@ class TestValidation:
         assert EngineOptions().target == "ucq"
 
     def test_picklable_for_process_pools(self):
-        options = EngineOptions(target="auto", minimize_workers=2)
+        options = EngineOptions(target="auto", hybrid="auto")
         assert pickle.loads(pickle.dumps(options)) == options
 
 
@@ -73,23 +68,18 @@ class TestFromArgs:
             max_depth=7,
             max_cqs=500,
             max_seconds=1.5,
-            minimize_workers=2,
-            minimize_mode="process",
             target="datalog",
         )
         options = EngineOptions.from_args(args)
         assert options.budget == RewritingBudget(
             max_depth=7, max_cqs=500, max_seconds=1.5, strict=False
         )
-        assert options.minimize_workers == 2
-        assert options.minimize_mode == "process"
         assert options.target == "datalog"
 
     def test_partial_namespace_falls_back_to_defaults(self):
         options = EngineOptions.from_args(argparse.Namespace(max_depth=3))
         assert options.budget.max_depth == 3
         assert options.target == "ucq"
-        assert options.minimize_workers is None
 
     def test_matches_the_real_parser(self):
         from repro.cli import build_parser
@@ -98,6 +88,19 @@ class TestFromArgs:
             ["answer", "p.dlp", "q(X) :- r(X)", "d.dlp", "--target", "auto"]
         )
         assert EngineOptions.from_args(args).target == "auto"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["lint", "p.dlp"], ["check", "project.json"]],
+        ids=["lint", "check"],
+    )
+    def test_lint_and_check_budget(self, argv):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(argv)
+        assert EngineOptions.from_args(args).budget == RewritingBudget(
+            max_depth=50, max_cqs=100_000, max_seconds=None, strict=False
+        )
 
 
 class TestLegacyKeywords:

@@ -6,6 +6,7 @@ changes this test makes loud.  The removed legacy entry points must
 stay removed: :class:`repro.Session` is the one answering surface.
 """
 
+import dataclasses
 import warnings
 
 import pytest
@@ -13,6 +14,9 @@ import pytest
 import repro
 import repro.api
 import repro.obda
+import repro.rewriting
+from repro.api import EngineOptions
+from repro.cli import main
 from repro.data.database import Database
 from repro.lang.parser import parse_database, parse_program
 
@@ -48,7 +52,7 @@ def test_top_level_reexports():
 
 
 class TestDeprecatedShims:
-    def test_removed_entry_points_stay_removed(self):
+    def test_removed_entry_points_stay_removed(self, tmp_path, capsys):
         assert not hasattr(repro, "OBDASystem")
         assert "OBDASystem" not in repro.__all__
         assert not hasattr(repro.obda, "OBDASystem")
@@ -58,6 +62,22 @@ class TestDeprecatedShims:
         rules = parse_program(PROGRAM)
         with pytest.raises(TypeError):
             repro.Session(rules, target="datalog")
+        # The precompiled-workload store: the persistent cache behind
+        # Session(cache_dir=...) plus warm_up() does its job.
+        for name in ("RewritingStore", "StoredRewriting", "precompile_workload"):
+            assert not hasattr(repro.rewriting, name), name
+            assert name not in repro.rewriting.__all__
+        # The parallel minimizer and its knobs.
+        fields = {field.name for field in dataclasses.fields(EngineOptions)}
+        assert "minimize_workers" not in fields
+        assert "minimize_mode" not in fields
+        program = tmp_path / "p.dlp"
+        program.write_text(PROGRAM)
+        argv = ["rewrite", str(program), "q(X) :- teaches(X, Y)"]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--minimize-workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--minimize-workers" in capsys.readouterr().err
 
     def test_session_itself_never_warns(self):
         rules = parse_program(PROGRAM)

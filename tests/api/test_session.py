@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro import obs
-from repro.api import EngineOptions, Session
+from repro.api import Session
 from repro.data.database import Database
 from repro.lang.parser import parse_database, parse_program, parse_query
 from repro.rewriting.budget import RewritingBudget
@@ -212,32 +212,6 @@ class TestLifecycle:
             stats = session.cache_stats()
         assert stats["persistent"] is None
         assert stats["memory"]["misses"] == 1
-
-
-class TestParallelMinimization:
-    def test_minimize_workers_produces_identical_rewriting(self, rules):
-        query = "q(X) :- r(X, Y)"
-        with Session(rules) as sequential:
-            baseline = sequential.prepare(query).result
-        with Session(rules, options=EngineOptions(minimize_workers=2)) as threaded:
-            assert threaded.prepare(query).result.ucq == baseline.ucq
-        with Session(rules, options=EngineOptions(minimize_workers=0)) as auto:
-            assert auto.prepare(query).result.ucq == baseline.ucq
-
-    def test_minimize_workers_never_invalidates_cache(self, rules, tmp_path):
-        query = "q(X) :- r(X, Y)"
-        with Session(rules, cache_dir=tmp_path) as cold:
-            cold.prepare(query).result
-        # A differently-parallelised session hits the same disk entry:
-        # the option cannot change the output, so it is not in the key.
-        with obs.capture() as trace:
-            with Session(
-                rules,
-                cache_dir=tmp_path,
-                options=EngineOptions(minimize_workers=2),
-            ) as warm:
-                warm.prepare(query).result
-        assert trace.counters().get("engine.disk_hits", 0) == 1
 
 
 class TestAnalyze:

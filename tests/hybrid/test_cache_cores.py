@@ -16,8 +16,8 @@ def test_core_rows_survive_reopen(tmp_path):
     with RewritingCache(tmp_path) as cache:
         cache.put_core("k1", "ont-a", '{"payload": 1}')
     with RewritingCache(tmp_path) as cache:
-        assert cache.get_core("k1") == '{"payload": 1}'
-        assert cache.get_core("missing") is None
+        assert cache.get_core("k1", str) == '{"payload": 1}'
+        assert cache.get_core("missing", str) is None
 
 
 def test_counts_and_len_cover_cores(tmp_path):
@@ -37,8 +37,8 @@ def test_evicting_an_ontology_retires_its_cores(tmp_path):
         removed = cache.evict_ontologies({"ont-a"})
         assert removed == 1
         # The replaced ontology's snapshot is gone; the kept one stays.
-        assert cache.get_core("k2") is None
-        assert cache.get_core("k1") == "{}"
+        assert cache.get_core("k2", str) is None
+        assert cache.get_core("k1", str) == "{}"
         assert cache.counts()["cores"] == 1
 
 
@@ -46,7 +46,7 @@ def test_put_core_overwrites_in_place(tmp_path):
     with RewritingCache(tmp_path) as cache:
         cache.put_core("k1", "ont-a", "old")
         cache.put_core("k1", "ont-a", "new")
-        assert cache.get_core("k1") == "new"
+        assert cache.get_core("k1", str) == "new"
         assert cache.counts()["cores"] == 1
 
 
@@ -64,13 +64,13 @@ def test_schema_bump_drops_stale_core_tables(tmp_path):
     connection.commit()
     connection.close()
     with RewritingCache(tmp_path) as cache:
-        assert cache.get_core("k1") is None
+        assert cache.get_core("k1", str) is None
         assert cache.counts() == {"ucq": 0, "datalog": 0, "cores": 0}
 
 
 def test_core_api_never_raises_on_closed_cache(tmp_path):
     cache = RewritingCache(tmp_path)
     cache.close()
-    assert cache.get_core("k1") is None
+    assert cache.get_core("k1", str) is None
     cache.put_core("k1", "ont-a", "{}")  # silently dropped
     assert cache.counts() == {"ucq": 0, "datalog": 0, "cores": 0}

@@ -213,6 +213,43 @@ def test_core_snapshot_round_trips_through_the_persistent_cache(tmp_path):
     assert "hybrid.core_cache.misses" not in counters
 
 
+def test_corrupt_core_snapshot_is_an_error_and_a_miss(tmp_path):
+    import sqlite3
+
+    from repro.api.cache import DEFAULT_CACHE_FILENAME
+
+    options = EngineOptions(hybrid="materialize")
+    query = "q(X) :- teaches(X, Y)"
+    with Session(
+        TERMINATING,
+        database(TERMINATING_DATA),
+        cache_dir=tmp_path,
+        options=options,
+    ) as session:
+        session.hybrid_decision()
+    with sqlite3.connect(tmp_path / DEFAULT_CACHE_FILENAME) as connection:
+        connection.execute(
+            "UPDATE materialized_cores SET payload = ?",
+            ('{"version": 1, "facts": "garbage"}',),
+        )
+    with Session(
+        TERMINATING,
+        database(TERMINATING_DATA),
+        cache_dir=tmp_path,
+        options=options,
+    ) as session:
+        session.hybrid_decision()
+        stats = session.cache.stats()
+        answers = session.answer(query)
+    with Session(
+        TERMINATING, database(TERMINATING_DATA), options=options
+    ) as uncached:
+        expected = uncached.answer(query)
+    assert (stats.hits, stats.misses, stats.errors) == (0, 1, 1)
+    assert stats.writes == 1  # the rebuilt core replaced the bad row
+    assert answers == expected
+
+
 def test_invalid_hybrid_options_are_rejected():
     with pytest.raises(ValueError):
         EngineOptions(hybrid="sometimes")

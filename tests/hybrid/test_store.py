@@ -123,7 +123,13 @@ def test_load_or_build_round_trips_through_the_cache(tmp_path):
     assert second.check_consistency() == []
 
 
-def test_load_or_build_without_cache_always_builds():
+def test_load_or_build_without_cache_always_builds(monkeypatch):
+    import repro.hybrid.store as store
+
+    def no_digest(database):
+        raise AssertionError("snapshot key computed without a cache")
+
+    monkeypatch.setattr(store, "abox_digest", no_digest)
     sink = InMemorySink()
     with obs.use(sink, inherit=False):
         core = load_or_build(

@@ -3,11 +3,7 @@
 from repro.lang.parser import parse_program, parse_query
 from repro.lint.diagnostics import Severity
 from repro.lint.engine import LintConfig, lint_program, lint_source, preflight
-from repro.lint.passes import (
-    LintContext,
-    estimate_rewriting_growth,
-    rule_subsumes,
-)
+from repro.lint.passes import rule_subsumes
 from repro.rewriting.budget import RewritingBudget
 
 
@@ -174,12 +170,14 @@ class TestRewritingRisk:
 
     def test_growth_estimate_acyclic(self):
         rules = parse_program("R1: a(X) -> b(X).\nR2: b(X) -> c(X).")
-        ctx = LintContext(rules=rules)
-        estimate, depth = estimate_rewriting_growth(
-            ctx, parse_query("q(X) :- c(X)")
+        budget = RewritingBudget(max_cqs=3)
+        report = lint_program(
+            rules, parse_query("q(X) :- c(X)"), LintConfig(budget=budget)
         )
-        assert depth == 2
-        assert estimate == 4  # (1 + 1 deriver) ** 2
+        (d,) = [d for d in report if d.code == "RL021"]
+        # (1 + 1 deriver) ** 2 over the two-rule chain
+        assert "~4" in d.message
+        assert "2 rounds" in d.message
 
     def test_rl021_silent_on_fo_rewritable_recursion(self):
         # Example 1 is SWR: even with a huge budget max_depth, the

@@ -14,7 +14,6 @@ from repro.api import Session
 from repro.chase import oblivious_chase, restricted_chase, skolem_chase
 from repro.data.database import Database
 from repro.lang.parser import parse_database, parse_program, parse_query
-from repro.rewriting.store import RewritingStore, precompile_workload
 
 RULES = parse_program(
     """
@@ -81,19 +80,16 @@ def test_sql_counters(tmp_path):
 
 
 def test_store_hit_and_miss_counters(tmp_path):
-    queries = [parse_query("q(X) :- org(X)")]
-    store = precompile_workload(queries, RULES)
-    path = tmp_path / "workload.store"
+    query = parse_query("q(X) :- org(X)")
     with obs.capture() as cap:
-        store.save(path)
-        loaded = RewritingStore.load(path)
-        assert loaded.get(queries[0]) is not None  # hit
-        assert loaded.get(parse_query("q(X) :- person(X)")) is None  # miss
+        with Session(RULES, cache_dir=tmp_path) as build:
+            build.prepare(query).result  # noqa: B018 - compiles, stores
+        with Session(RULES, cache_dir=tmp_path) as deployed:
+            deployed.prepare(query).result  # noqa: B018 - hit
     counters = cap.counters()
-    assert counters["store.entries_saved"] == 1
-    assert counters["store.entries_loaded"] == 1
-    assert counters["store.hits"] == 1
-    assert counters["store.misses"] == 1
+    assert counters["api.cache.writes"] == 1
+    assert counters["api.cache.hits"] == 1
+    assert counters["api.cache.misses"] == 1
 
 
 def test_obda_spans_cover_both_backends():

@@ -1,7 +1,7 @@
 """Differential property suite: optimized minimization == naive.
 
 The subsumption kernel (filters + freeze cache + bucketed index +
-incremental frontier + parallel path) must be a *drop-in* replacement
+incremental frontier) must be a *drop-in* replacement
 for the naive quadratic minimizer.  This suite pins that on realistic
 workloads: CQ pools drawn from actual rewriting runs over stratified
 (hence SWR, hence terminating) generated programs, padded with random
@@ -31,7 +31,6 @@ from repro.rewriting.subsume import (
     kernel_remove_subsumed,
     naive_is_subsumed,
     naive_remove_subsumed,
-    parallel_remove_subsumed,
 )
 
 # Stratified relation order (see test_differential_answers.py): a
@@ -147,7 +146,6 @@ def rewriting_pools(draw):
 def test_optimized_minimization_equals_naive_on_swr_pools(queries):
     expected = naive_remove_subsumed(queries)
     assert kernel_remove_subsumed(queries) == expected
-    assert parallel_remove_subsumed(queries, max_workers=4) == expected
 
 
 @settings(max_examples=40, deadline=None)

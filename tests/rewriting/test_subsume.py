@@ -7,8 +7,8 @@ Three layers of guarantees:
   both on hand-built adversarial pairs (the ones that famously break
   naive "optimizations", e.g. non-injective homomorphisms collapsing
   same-relation atoms) and on hypothesis-constructed true pairs;
-* the optimized paths (kernel check, bucketed batch, thread/process
-  parallel, incremental frontier) return *exactly* what the naive
+* the optimized paths (kernel check, bucketed batch, incremental
+  frontier) return *exactly* what the naive
   reference implementations return, including output order;
 * the public ``is_subsumed`` helper runs through the shared kernel, so
   loops over a fixed subsumee reuse its cached canonical database
@@ -36,7 +36,6 @@ from repro.rewriting.subsume import (
     kernel_remove_subsumed,
     naive_is_subsumed,
     naive_remove_subsumed,
-    parallel_remove_subsumed,
     shared_kernel_info,
     signature_rejects,
     size_rejects,
@@ -243,35 +242,6 @@ def test_equivalent_queries_keep_smallest_then_earliest():
     twin = parse_query("q(A) :- r(A, B).")
     assert remove_subsumed([general, twin]) == (general,)
     assert remove_subsumed([twin, general]) == (twin,)
-
-
-# --------------------------------------------------------------------- #
-# Parallel paths                                                         #
-# --------------------------------------------------------------------- #
-
-
-def test_thread_parallel_matches_sequential():
-    queries = pool(3, 48)
-    expected = naive_remove_subsumed(queries)
-    assert parallel_remove_subsumed(queries, max_workers=4) == expected
-    assert remove_subsumed(queries, max_workers=3) == expected
-    assert remove_subsumed(queries, max_workers=0) == expected  # auto
-
-
-def test_process_parallel_matches_sequential():
-    queries = pool(4, 12)
-    assert parallel_remove_subsumed(
-        queries, max_workers=2, mode="process"
-    ) == naive_remove_subsumed(queries)
-
-
-def test_parallel_rejects_unknown_mode():
-    import pytest
-
-    from repro.lang.errors import ReproError
-
-    with pytest.raises(ReproError):
-        parallel_remove_subsumed(pool(0, 4), max_workers=2, mode="gpu")
 
 
 # --------------------------------------------------------------------- #

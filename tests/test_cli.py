@@ -143,44 +143,6 @@ class TestGraphStats:
         assert "{d,m,s}" in out
 
 
-class TestMinimizeWorkers:
-    def test_rewrite_output_is_identical(self, program_file, capsys):
-        assert main(["rewrite", program_file, "q(X) :- c(X)"]) == 0
-        sequential = capsys.readouterr().out
-        assert (
-            main(
-                [
-                    "rewrite",
-                    program_file,
-                    "q(X) :- c(X)",
-                    "--minimize-workers",
-                    "2",
-                ]
-            )
-            == 0
-        )
-        assert capsys.readouterr().out == sequential
-
-    def test_answer_accepts_the_flags(
-        self, program_file, facts_file, capsys
-    ):
-        code = main(
-            [
-                "answer",
-                program_file,
-                "q(X) :- c(X)",
-                facts_file,
-                "--minimize-workers",
-                "2",
-                "--minimize-mode",
-                "thread",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "one" in out and "two" in out
-
-
 class TestTargetFlag:
     """``--target {ucq,datalog,auto}`` on rewrite/answer/trace."""
 
