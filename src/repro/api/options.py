@@ -38,8 +38,6 @@ class EngineOptions:
     Attributes:
         budget: rewriting budget every compilation runs under
             (default: :meth:`RewritingBudget.default`).
-        filter_relevant: backward-reachability rule filtering before
-            each rewriting run.
         prune_empty: drop statically-empty disjuncts from compiled
             rewritings before evaluation (see
             :mod:`repro.checkers.pruning`).
@@ -58,7 +56,6 @@ class EngineOptions:
     """
 
     budget: RewritingBudget = field(default_factory=RewritingBudget.default)
-    filter_relevant: bool = True
     prune_empty: bool = False
     preflight_estimate: bool = False
     target: str = "ucq"

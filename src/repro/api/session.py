@@ -3,7 +3,7 @@
 A :class:`Session` owns everything that is fixed for the lifetime of an
 ontology -- the classification, the rewriting engine with its in-memory
 cache, the optional persistent rewriting cache, the virtual ABox and
-the SQLite evaluation backend -- and hands out
+its SQLite mirror -- and hands out
 :class:`~repro.api.prepared.PreparedQuery` objects whose compilation is
 shared across all of them.  It is the public surface the paper's OBDA
 architecture maps onto::
@@ -22,7 +22,8 @@ architecture maps onto::
 
 It is the library's one answering surface: the rewriting engine only
 compiles, and every evaluation -- in memory, on SQL, over a hybrid
-materialized core -- runs through a session.
+materialized core -- runs through one session method, ``_execute``, on
+one backend type, :class:`~repro.data.sql.SQLiteBackend`.
 """
 
 from __future__ import annotations
@@ -37,12 +38,14 @@ from repro.api.options import EngineOptions
 from repro.api.prepared import PreparedQuery
 from repro.chase.certain import certain_answers_via_chase
 from repro.core.classify import ClassificationReport, classify
-from repro.data.backend import Backend, BackendFactory, create_backend
 from repro.data.database import Database
+from repro.data.evaluation import evaluate_ucq
+from repro.data.sql import SQLiteBackend
+from repro.lang.atoms import Atom
 from repro.lang.errors import ReproError
 from repro.lang.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.lang.signature import Signature
-from repro.lang.terms import Term
+from repro.lang.terms import Null, Term
 from repro.lang.tgd import TGD
 from repro.obda.mappings import MappingAssertion, apply_mappings
 from repro.rewriting.budget import RewritingBudget
@@ -55,6 +58,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hybrid.cost import HybridDecision
     from repro.hybrid.maintain import MaintenanceResult, MaterializedCore
     from repro.lint.diagnostics import LintReport
+    from repro.rewriting.datalog_target import DatalogRewriting
+    from repro.rewriting.rewriter import RewritingResult
 
 _BACKENDS = ("memory", "sql")
 
@@ -67,25 +72,23 @@ class _HybridState:
     """Everything the hybrid answering regime keeps per session.
 
     ``core`` is None for a REWRITE decision (nothing materialized);
-    ``residual_engine`` is set only for SPLIT; ``backend`` is the lazy
-    SQL backend over the materialized instance, rebuilt when a
-    maintenance operation falls back to a full re-chase.
+    ``residual_engine`` is set only for SPLIT; ``mirror`` is the lazy
+    SQLite mirror of the core's instance, dropped when a maintenance
+    operation falls back to a full re-chase.
     """
 
-    __slots__ = ("decision", "rules", "core", "residual_engine", "backend")
+    __slots__ = ("decision", "core", "residual_engine", "mirror")
 
     def __init__(
         self,
         decision: "HybridDecision",
-        rules: tuple[TGD, ...],
         core: "MaterializedCore | None",
         residual_engine: FORewritingEngine | None,
     ) -> None:
         self.decision = decision
-        self.rules = rules
         self.core = core
         self.residual_engine = residual_engine
-        self.backend: Backend | None = None
+        self.mirror: SQLiteBackend | None = None
 
 
 class Session:
@@ -108,11 +111,12 @@ class Session:
             pruning, pre-flight estimation, hybrid regime -- in
             one frozen :class:`~repro.api.EngineOptions` value (default:
             ``EngineOptions()``).
-        backend_factory: the evaluation backend provider -- a name
-            registered with :func:`repro.data.backend.register_backend`
-            (default ``"sqlite"``) or a factory callable
-            ``Signature -> Backend``.  The session programs only
-            against the :class:`~repro.data.backend.Backend` protocol.
+
+    ``backend="sql"`` answers run on a
+    :class:`~repro.data.sql.SQLiteBackend` *mirror*: a SQLite copy of
+    the instance being queried (the virtual ABox, or a hybrid core's
+    instance), built on first use, kept in step with
+    :meth:`insert`/:meth:`delete`, and released by :meth:`close`.
     """
 
     def __init__(
@@ -123,13 +127,11 @@ class Session:
         mappings: Sequence[MappingAssertion] | None = None,
         cache_dir: str | Path | None = None,
         options: EngineOptions | None = None,
-        backend_factory: "str | BackendFactory" = "sqlite",
     ) -> None:
         self._ontology = tuple(ontology)
         self._source = data
         self._mappings = tuple(mappings) if mappings is not None else None
         self._options = options if options is not None else EngineOptions()
-        self._backend_factory = backend_factory
         self._cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._cache = (
             RewritingCache(self._cache_dir)
@@ -144,7 +146,6 @@ class Session:
         self._engine = FORewritingEngine(
             self._ontology,
             budget=self._options.budget,
-            filter_relevant=self._options.filter_relevant,
             persistent=tier,
             preflight_estimate=self._options.preflight_estimate,
             target=self._options.target,
@@ -154,7 +155,7 @@ class Session:
         self._pruning: frozenset[str] | None = None
         self._pruning_ready = False
         self._abox: Database | None = None
-        self._sql_backend: Backend | None = None
+        self._sql_backend: SQLiteBackend | None = None
         self._classification: ClassificationReport | None = None
         self._analysis: "AnalysisReport | None" = None
         self._hybrid: "_HybridState | None" = None
@@ -328,28 +329,44 @@ class Session:
                         span.set(facts=len(self._abox))
             return self._abox
 
-    def sql_backend(self) -> Backend:
-        """The lazily created evaluation backend over the virtual ABox.
+    def sql_backend(self) -> SQLiteBackend:
+        """The lazily created SQLite mirror of the virtual ABox.
 
-        Built by the session's ``backend_factory`` (default: the
-        bundled SQLite provider); the session programs only against the
-        :class:`~repro.data.backend.Backend` protocol.  The schema
-        covers the whole ontology signature (the rewriting may mention
-        relations with no stored facts), and the backend is shared --
-        and safe to share -- across batch worker threads.
+        Shared -- and safe to share -- across batch worker threads.
+        Raises :class:`~repro.lang.errors.ReproError` once the session
+        is closed.
         """
         with self._lock:
             if self._sql_backend is None:
-                with obs.span("obda.sql_backend_init") as init_span:
-                    abox = self.abox()
-                    signature = Signature(dict(abox.signature))
-                    for rule in self._ontology:
-                        signature.observe_tgd(rule)
-                    backend = create_backend(self._backend_factory, signature)
-                    backend.load(abox.facts())
-                    init_span.set(relations=len(signature), facts=len(abox))
-                self._sql_backend = backend
+                self._sql_backend = self._load_mirror(self.abox())
             return self._sql_backend
+
+    def _load_mirror(self, instance: Database) -> SQLiteBackend:
+        """A new SQLite mirror of *instance*; the caller holds the lock.
+
+        The schema covers the whole ontology signature: a rewriting may
+        mention relations with no stored facts.
+        """
+        if self._closed:
+            raise ReproError("session is closed")
+        with obs.span("obda.sql_backend_init") as init_span:
+            signature = Signature(dict(instance.signature))
+            for rule in self._ontology:
+                signature.observe_tgd(rule)
+            mirror = SQLiteBackend(signature)
+            mirror.load(instance.facts())
+            init_span.set(relations=len(signature), facts=len(instance))
+        return mirror
+
+    def _mirror(self, state: "_HybridState | None") -> SQLiteBackend:
+        """The mirror of *state*'s core instance, or of the virtual ABox."""
+        if state is None:
+            return self.sql_backend()
+        with self._lock:
+            if state.mirror is None:
+                assert state.core is not None
+                state.mirror = self._load_mirror(state.core.instance)
+            return state.mirror
 
     # ----------------------------------------------------------------- #
     # Compilation                                                         #
@@ -533,7 +550,7 @@ class Session:
                 mode=self._options.hybrid,
             )
             if decision.choice is HybridChoice.REWRITE:
-                state = _HybridState(decision, (), None, None)
+                state = _HybridState(decision, None, None)
             else:
                 rules = (
                     self._ontology
@@ -562,89 +579,13 @@ class Session:
                     residual_engine = FORewritingEngine(
                         partition.residual,
                         budget=self._options.budget,
-                        filter_relevant=self._options.filter_relevant,
                         persistent=tier,
                         target="ucq",
                     )
-                state = _HybridState(
-                    decision, tuple(rules), core, residual_engine
-                )
+                state = _HybridState(decision, core, residual_engine)
             self._hybrid = state
             self._hybrid_ready = True
             return state
-
-    def _hybrid_answer(
-        self,
-        prepared: PreparedQuery,
-        state: "_HybridState",
-        *,
-        backend: str,
-        require_complete: bool,
-    ) -> frozenset[tuple[Term, ...]]:
-        """Answer over the materialized instance (SPLIT/MATERIALIZE).
-
-        MATERIALIZE evaluates the *original* query over the full chase;
-        SPLIT rewrites w.r.t. the residual rules only and evaluates
-        that rewriting over the chased core — the separability
-        guarantee ``cert(q, S∪R, D) = cert(rewrite_R(q), chase_S(D))``.
-        Both evaluate with certain-answer semantics (null-bearing rows
-        are never answers).
-        """
-        from repro.hybrid.cost import HybridChoice
-
-        core = state.core
-        assert core is not None
-        if state.decision.choice is HybridChoice.MATERIALIZE:
-            ucq = prepared.query
-            complete = True
-        else:
-            assert state.residual_engine is not None
-            result = state.residual_engine._rewrite(prepared.query)
-            FORewritingEngine._check_complete(result, require_complete)
-            ucq = result.ucq
-            complete = result.complete
-        regime = state.decision.choice.value
-        if backend == "sql":
-            from repro.lang.terms import Null
-
-            hybrid_backend = self._hybrid_backend(state)
-            hybrid_backend.ensure_ucq(ucq)
-            with obs.span(
-                "obda.answer",
-                backend="sqlite",
-                hybrid=regime,
-                complete=complete,
-            ) as span:
-                rows = hybrid_backend.execute_ucq(ucq)
-                answers = frozenset(
-                    row
-                    for row in rows
-                    if not any(isinstance(term, Null) for term in row)
-                )
-                span.set(answers=len(answers))
-            return answers
-        from repro.data.evaluation import evaluate_ucq
-
-        with obs.span(
-            "obda.answer", backend="memory", hybrid=regime, complete=complete
-        ) as span:
-            answers = evaluate_ucq(ucq, core.instance, certain=True)
-            span.set(answers=len(answers))
-        return answers
-
-    def _hybrid_backend(self, state: "_HybridState") -> Backend:
-        """The lazy SQL backend mirroring the materialized instance."""
-        with self._lock:
-            if state.backend is None:
-                assert state.core is not None
-                instance = state.core.instance
-                signature = Signature(dict(instance.signature))
-                for rule in self._ontology:
-                    signature.observe_tgd(rule)
-                backend = create_backend(self._backend_factory, signature)
-                backend.load(instance.facts())
-                state.backend = backend
-            return state.backend
 
     def insert(
         self, facts: "Iterable[Any] | str"
@@ -705,7 +646,8 @@ class Session:
             self._pruning_ready = False
             for prepared in self._prepared.values():
                 prepared._invalidate_data_caches()
-            self._refresh_backend(changed, delete=delete)
+            added, removed = ((), changed) if delete else (changed, ())
+            self._apply_delta(self._sql_backend, added, removed)
             result: "MaintenanceResult | None" = None
             state = self._hybrid if self._hybrid_ready else None
             if state is not None and state.core is not None:
@@ -714,54 +656,28 @@ class Session:
                     if delete
                     else state.core.apply_insert(changed)
                 )
-                self._refresh_hybrid_backend(state, result)
+                if result.full_rechase and state.mirror is not None:
+                    # The core was rebuilt wholesale: drop its mirror,
+                    # so the next SQL answer reloads it.
+                    state.mirror.close()
+                    state.mirror = None
+                self._apply_delta(state.mirror, result.added, result.removed)
             return result
 
-    def _refresh_backend(
-        self, changed: Sequence[Any], *, delete: bool
+    @staticmethod
+    def _apply_delta(
+        mirror: SQLiteBackend | None,
+        added: Sequence[Atom],
+        removed: Sequence[Atom],
     ) -> None:
-        """Propagate an ABox delta into the main SQL backend (if built)."""
-        backend = self._sql_backend
-        if backend is None or not changed:
+        """Apply an instance delta to that instance's mirror, once built."""
+        if mirror is None:
             return
-        if delete:
-            remove = getattr(backend, "delete", None)
-            if remove is None:
-                # The backend cannot unload rows; drop it and let the
-                # next use rebuild from the mutated ABox.
-                if not getattr(backend, "closed", False):
-                    backend.close()
-                # audit: ok[RL302] only called from _mutate, under self._lock
-                self._sql_backend = None
-            else:
-                remove(changed)
-        else:
-            backend.ensure_atoms(changed)
-            backend.load(changed)
-
-    def _refresh_hybrid_backend(
-        self, state: "_HybridState", result: "MaintenanceResult"
-    ) -> None:
-        """Mirror a maintenance delta into the hybrid SQL backend."""
-        backend = state.backend
-        if backend is None:
-            return
-        if result.full_rechase:
-            if not getattr(backend, "closed", False):
-                backend.close()
-            state.backend = None
-            return
-        if result.removed:
-            remove = getattr(backend, "delete", None)
-            if remove is None:
-                if not getattr(backend, "closed", False):
-                    backend.close()
-                state.backend = None
-                return
-            remove(result.removed)
-        if result.added:
-            backend.ensure_atoms(result.added)
-            backend.load(result.added)
+        if removed:
+            mirror.delete(removed)
+        if added:
+            mirror.ensure_atoms(added)
+            mirror.load(added)
 
     def _execute(
         self,
@@ -771,66 +687,68 @@ class Session:
         backend: str,
         require_complete: bool,
     ) -> frozenset[tuple[Term, ...]]:
-        """Evaluation entry point shared by PreparedQuery and the pool."""
+        """Evaluation entry point shared by PreparedQuery and the pool.
+
+        Picks *what* to evaluate -- the Datalog program, the pruned UCQ
+        rewriting, the residual rewriting (SPLIT) or the query itself
+        (MATERIALIZE) -- and *where*: a passed database, the virtual
+        ABox or the hybrid core's instance, in memory or on that
+        instance's mirror.  A core serves UCQ-target queries over the
+        session's own data, with certain-answer semantics (null-bearing
+        rows are never answers); SPLIT rests on the separability
+        guarantee ``cert(q, S∪R, D) = cert(rewrite_R(q), chase_S(D))``.
+        """
         if backend not in _BACKENDS:
             raise ReproError(
                 f"unknown backend {backend!r}; expected one of {_BACKENDS}"
             )
-        if prepared.target_selected == "datalog":
-            return self._execute_datalog(
-                prepared,
-                database=database,
-                backend=backend,
-                require_complete=require_complete,
+        on_sql = backend == "sql"
+        if on_sql and database is not None:
+            raise ReproError(
+                "backend='sql' evaluates over the session's own "
+                "data; pass databases only with backend='memory'"
             )
-        if database is None and self._options.hybrid != "off":
-            from repro.hybrid.cost import HybridChoice
-
-            state = self._hybrid_state()
-            if (
-                state is not None
-                and state.decision.choice is not HybridChoice.REWRITE
-            ):
-                return self._hybrid_answer(
-                    prepared,
-                    state,
-                    backend=backend,
-                    require_complete=require_complete,
-                )
-        if backend == "sql":
-            if database is not None:
-                raise ReproError(
-                    "backend='sql' evaluates over the session's own "
-                    "data; pass databases only with backend='memory'"
-                )
-            result = prepared.result
-            FORewritingEngine._check_complete(result, require_complete)
-            ucq = result.ucq
-            pruned = prepared.pruned
-            if pruned is not None:
-                if pruned.ucq is None:
-                    # Every disjunct was statically empty: no database
-                    # reachable through the mappings satisfies any of
-                    # them, so the certain answers are empty.
-                    return frozenset()
-                ucq = pruned.ucq
-            sql_backend = self.sql_backend()
-            sql_backend.ensure_ucq(ucq)
-            with obs.span(
-                "obda.answer", backend="sqlite", complete=result.complete
-            ) as span:
-                answers = sql_backend.execute_ucq(ucq)
-                span.set(answers=len(answers))
-            return answers
-        result = prepared.result
-        FORewritingEngine._check_complete(result, require_complete)
-        ucq = result.ucq
-        if database is not None:
-            # An explicitly passed database bypasses the mappings, so
-            # the session-level supported set does not apply; prune
-            # against *that* database's own (non-empty) relations.
-            target = database
-            if self._options.prune_empty:
+        attrs: dict[str, Any] = {"backend": "sqlite" if on_sql else "memory"}
+        program: DatalogRewriting | None = None
+        result: RewritingResult | None = None
+        ucq = prepared.query
+        state: _HybridState | None = None
+        core: MaterializedCore | None = None
+        if prepared.target_selected == "datalog":
+            # Static pruning does not apply: the program's intermediate
+            # predicates are populated during evaluation, not stored.
+            program = prepared.datalog
+            FORewritingEngine._check_complete(program, require_complete)
+            attrs.update(target="datalog", complete=program.complete)
+        else:
+            state = self._hybrid_state() if database is None else None
+            if state is None or state.core is None:
+                state = None  # hybrid off, or REWRITE: no core serves
+                result = prepared.result
+            else:
+                core = state.core
+                attrs["hybrid"] = state.decision.choice.value
+                # SPLIT rewrites the query w.r.t. the residual rules;
+                # MATERIALIZE evaluates it as is over the full chase.
+                if state.residual_engine is not None:
+                    result = state.residual_engine._rewrite(ucq)
+            if result is not None:
+                FORewritingEngine._check_complete(result, require_complete)
+                ucq = result.ucq
+            attrs["complete"] = result is None or result.complete
+        # Where: in memory, the instance; on SQL, its mirror, loaded
+        # only once some disjunct survives pruning.
+        if not on_sql:
+            if core is not None:
+                instance = core.instance
+            else:
+                instance = database if database is not None else self.abox()
+        if program is None and core is None:
+            pruned = prepared.pruned if database is None else None
+            if database is not None and self._options.prune_empty:
+                # An explicitly passed database bypasses the mappings,
+                # so the session-level supported set does not apply;
+                # prune against *that* database's own relations.
                 from repro.checkers.pruning import (
                     prune_statically_empty,
                     supported_relations,
@@ -839,69 +757,38 @@ class Session:
                 pruned = prune_statically_empty(
                     ucq, supported_relations(None, database)
                 )
-                if pruned.ucq is None:
-                    return frozenset()
-                ucq = pruned.ucq
-        else:
-            target = self.abox()
-            pruned = prepared.pruned
             if pruned is not None:
                 if pruned.ucq is None:
+                    # Every disjunct was statically empty: no database
+                    # reachable through the mappings satisfies any of
+                    # them, so the certain answers are empty.
                     return frozenset()
                 ucq = pruned.ucq
-        with obs.span(
-            "obda.answer", backend="memory", complete=result.complete
-        ) as span:
-            from repro.data.evaluation import evaluate_ucq
-
-            answers = evaluate_ucq(ucq, target)
-            span.set(answers=len(answers))
-        return answers
-
-    def _execute_datalog(
-        self,
-        prepared: PreparedQuery,
-        *,
-        database: Database | None,
-        backend: str,
-        require_complete: bool,
-    ) -> frozenset[tuple[Term, ...]]:
-        """Datalog-target evaluation: materialize the rule program
-        in-memory, or run the compiled ``WITH``-CTE SQL on SQLite.
-
-        Static disjunct pruning does not apply here (the program's
-        intermediate predicates are populated during evaluation, not
-        stored), so ``prune_empty`` is a no-op for this target.
-        """
-        rewriting = prepared.datalog
-        FORewritingEngine._check_complete(rewriting, require_complete)
-        if backend == "sql":
-            if database is not None:
-                raise ReproError(
-                    "backend='sql' evaluates over the session's own "
-                    "data; pass databases only with backend='memory'"
+        if on_sql:
+            mirror = self._mirror(state)
+            if program is not None:
+                # The CTE SQL references base relations only through
+                # the rule bodies; make sure each has a table.
+                mirror.ensure_atoms(program.base_atoms())
+            else:
+                mirror.ensure_ucq(ucq)
+        with obs.span("obda.answer", **attrs) as span:
+            if not on_sql:
+                answers = (
+                    program.answer(instance)
+                    if program is not None
+                    else evaluate_ucq(ucq, instance, certain=core is not None)
                 )
-            sql_backend = self.sql_backend()
-            # The CTE SQL references base (non-intermediate) relations
-            # only through the rule bodies; make sure each has a table.
-            sql_backend.ensure_atoms(rewriting.base_atoms())
-            with obs.span(
-                "obda.answer",
-                backend="sqlite",
-                target="datalog",
-                complete=rewriting.complete,
-            ) as span:
-                answers = sql_backend.execute_sql(prepared.sql)
-                span.set(answers=len(answers))
-            return answers
-        data = database if database is not None else self.abox()
-        with obs.span(
-            "obda.answer",
-            backend="memory",
-            target="datalog",
-            complete=rewriting.complete,
-        ) as span:
-            answers = rewriting.answer(data)
+            elif program is not None:
+                answers = mirror.execute_sql(prepared.sql)
+            else:
+                answers = mirror.execute_ucq(ucq)
+                if core is not None:
+                    answers = frozenset(
+                        row
+                        for row in answers
+                        if not any(isinstance(term, Null) for term in row)
+                    )
             span.set(answers=len(answers))
         return answers
 
@@ -990,24 +877,23 @@ class Session:
         return stats
 
     def close(self) -> None:
-        """Release the evaluation backend and cache handle (idempotent).
+        """Release the SQLite mirrors and the cache handle (idempotent).
 
-        Safe against a backend something else already closed (e.g. a
-        shared backend handed to several sessions): close is only
-        forwarded while the backend reports itself open.
+        A mirror something else already closed is fine: closing a
+        :class:`~repro.data.sql.SQLiteBackend` is idempotent.  A closed
+        session opens no new mirror, so a later SQL answer raises
+        :class:`~repro.lang.errors.ReproError`.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             if self._sql_backend is not None:
-                if not getattr(self._sql_backend, "closed", False):
-                    self._sql_backend.close()
+                self._sql_backend.close()
                 self._sql_backend = None
-            if self._hybrid is not None and self._hybrid.backend is not None:
-                if not getattr(self._hybrid.backend, "closed", False):
-                    self._hybrid.backend.close()
-                self._hybrid.backend = None
+            if self._hybrid is not None and self._hybrid.mirror is not None:
+                self._hybrid.mirror.close()
+                self._hybrid.mirror = None
             if self._cache is not None:
                 self._cache.close()
 

@@ -180,14 +180,19 @@ class SQLiteBackend:
     ``c1 ... ck`` and a covering index per column, then evaluates
     compiled SQL with ordinary SQLite query processing.
 
+    It is the one evaluation backend: :class:`repro.api.Session` keeps
+    one as the *mirror* of each instance it answers over (the virtual
+    ABox, a hybrid core's instance) and keeps it in step with
+    :meth:`load` and :meth:`delete`.
+
     The backend is safe to share across the worker threads of
-    :meth:`repro.api.Session.answer_many`: one connection is opened with
-    ``check_same_thread=False`` and every statement runs under an
-    internal lock (SQLite serialises at the C level anyway; the lock
-    also keeps the progress-handler tick accounting exact).  ``close``
-    is idempotent, and using a closed backend raises
-    :class:`~repro.lang.errors.ReproError` rather than leaking a stale
-    handle.
+    :meth:`repro.api.Session.answer_many` and the serving layer's
+    executor: one connection is opened with ``check_same_thread=False``
+    and every statement runs under an internal lock (SQLite serialises
+    at the C level anyway; the lock also keeps the progress-handler
+    tick accounting exact).  ``close`` is idempotent, and using a
+    closed backend raises :class:`~repro.lang.errors.ReproError` rather
+    than leaking a stale handle.
     """
 
     def __init__(self, signature: Signature):

@@ -25,6 +25,7 @@ from repro.lang.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.lang.tgd import TGD
 from repro.rewriting.budget import RewritingBudget
 from repro.rewriting.datalog_target import DatalogRewriting, rewrite_datalog
+from repro.rewriting.relevance import relevant_rules
 from repro.rewriting.rewriter import RewritingResult, rewrite
 
 ENGINE_VERSION = "2"
@@ -126,7 +127,6 @@ class FORewritingEngine:
         self,
         rules: Sequence[TGD],
         budget: RewritingBudget | None = None,
-        filter_relevant: bool = True,
         persistent: PersistentTier | None = None,
         preflight_estimate: bool = False,
         target: str = "ucq",
@@ -138,7 +138,6 @@ class FORewritingEngine:
             )
         self._rules = tuple(rules)
         self._budget = budget or RewritingBudget.default()
-        self._filter_relevant = filter_relevant
         self._persistent = persistent
         self._preflight_estimate = preflight_estimate
         self._target = target
@@ -220,11 +219,7 @@ class FORewritingEngine:
             cached = self._target_choice.get(ucq)
         if cached is not None:
             return cached
-        rules: Sequence[TGD] = self._rules
-        if self._filter_relevant:
-            from repro.rewriting.relevance import relevant_rules
-
-            rules = relevant_rules(ucq, rules).relevant
+        rules = relevant_rules(ucq, self._rules).relevant
         from repro.checkers.estimator import (
             estimate_combination_bound,
             estimate_disjunct_bound,
@@ -336,12 +331,8 @@ class FORewritingEngine:
                 return stored
             obs.count("engine.disk_misses")
         with obs.span("engine.rewrite", cached=False) as span:
-            rules: Sequence[TGD] = self._rules
-            if self._filter_relevant:
-                from repro.rewriting.relevance import relevant_rules
-
-                rules = relevant_rules(ucq, rules).relevant
-                span.set(relevant_rules=len(rules))
+            rules = relevant_rules(ucq, self._rules).relevant
+            span.set(relevant_rules=len(rules))
             if self._preflight_estimate:
                 self._preflight(ucq, rules)
             result = rewrite(ucq, rules, self._budget)
@@ -361,12 +352,8 @@ class FORewritingEngine:
                 return stored
             obs.count("engine.disk_misses")
         with obs.span("engine.rewrite", cached=False, target="datalog") as span:
-            rules: Sequence[TGD] = self._rules
-            if self._filter_relevant:
-                from repro.rewriting.relevance import relevant_rules
-
-                rules = relevant_rules(ucq, rules).relevant
-                span.set(relevant_rules=len(rules))
+            rules = relevant_rules(ucq, self._rules).relevant
+            span.set(relevant_rules=len(rules))
             result = rewrite_datalog(ucq, rules, self._budget)
             span.set(complete=result.complete, size=result.size)
         if self._persistent is not None:

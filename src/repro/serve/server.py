@@ -110,8 +110,9 @@ class ReproServer:
         )
         self._server: asyncio.base_events.Server | None = None
         self.port: int | None = None
-        # Test/bench hook: runs inside the worker thread before the
-        # query executes -- lets the harness hold slots deterministically.
+        # Test/bench hook: runs inside the worker thread before an
+        # admitted query or mutation executes -- lets the harness hold
+        # slots deterministically.
         self._before_execute: Callable[[], None] | None = None
 
     # ----------------------------------------------------------------- #
@@ -304,58 +305,8 @@ class ReproServer:
         target = payload.get("target")
         if target is not None:
             target = str(target)
-
-        ticket = self.admission.try_admit()
-        if ticket is None:
-            return encode_response(
-                429,
-                {
-                    "error": "server at capacity; retry later",
-                    "inflight": self.admission.capacity,
-                },
-                headers={
-                    "Retry-After": str(self.admission.retry_after_seconds())
-                },
-                keep_alive=request.keep_alive,
-            )
-
-        loop = asyncio.get_running_loop()
-        future = self._executor.submit(
-            self._execute_query, tenant, query_text, backend, target
-        )
-        # The slot is freed when the *thread* finishes, never earlier:
-        # a deadline-exceeded request still occupies its worker until
-        # the rewriting/evaluation actually returns.  A request whose
-        # deadline fires while it is still *queued* gets cancelled by
-        # wait_for before it ever runs -- .exception() on a cancelled
-        # future raises, so check .cancelled() first or the callback
-        # dies and the slot leaks forever.
-        future.add_done_callback(
-            lambda f: ticket.release(
-                error=f.cancelled() or f.exception() is not None
-            )
-        )
-        try:
-            result = await asyncio.wait_for(
-                asyncio.wrap_future(future, loop=loop),
-                timeout=self.config.deadline_seconds,
-            )
-        except asyncio.TimeoutError:
-            self.admission.record_deadline_exceeded()
-            return encode_response(
-                504,
-                {
-                    "error": "deadline exceeded",
-                    "deadline_seconds": self.config.deadline_seconds,
-                },
-                keep_alive=request.keep_alive,
-            )
-        except ReproError as error:
-            return encode_response(
-                400, {"error": str(error)}, keep_alive=request.keep_alive
-            )
-        return encode_response(
-            200, result, keep_alive=request.keep_alive
+        return await self._admit(
+            request, self._execute_query, tenant, query_text, backend, target
         )
 
     async def _mutate(self, request: Request) -> bytes:
@@ -367,10 +318,25 @@ class ReproServer:
         tenant = str(payload.get("tenant", "default"))
         insert_text = str(payload["insert"]) if "insert" in payload else None
         delete_text = str(payload["delete"]) if "delete" in payload else None
-
         # Mutations go through the same admission gate as queries: a
         # re-chase fallback can be as expensive as any rewriting, and
         # sharing the gate keeps the capacity accounting truthful.
+        return await self._admit(
+            request, self._execute_mutate, tenant, insert_text, delete_text
+        )
+
+    async def _admit(
+        self,
+        request: Request,
+        work: Callable[..., dict[str, Any]],
+        *args: Any,
+    ) -> bytes:
+        """Run ``work(*args)`` on the executor under admission control.
+
+        429 with ``Retry-After`` when every slot is held, 504 when the
+        deadline passes first, 400 for a :class:`ReproError`, and
+        otherwise 200 with *work*'s result.
+        """
         ticket = self.admission.try_admit()
         if ticket is None:
             return encode_response(
@@ -385,10 +351,20 @@ class ReproServer:
                 keep_alive=request.keep_alive,
             )
 
+        def run() -> dict[str, Any]:
+            if self._before_execute is not None:
+                self._before_execute()
+            return work(*args)
+
         loop = asyncio.get_running_loop()
-        future = self._executor.submit(
-            self._execute_mutate, tenant, insert_text, delete_text
-        )
+        future = self._executor.submit(run)
+        # The slot is freed when the *thread* finishes, never earlier:
+        # a deadline-exceeded request still occupies its worker until
+        # the rewriting/evaluation actually returns.  A request whose
+        # deadline fires while it is still *queued* gets cancelled by
+        # wait_for before it ever runs -- .exception() on a cancelled
+        # future raises, so check .cancelled() first or the callback
+        # dies and the slot leaks forever.
         future.add_done_callback(
             lambda f: ticket.release(
                 error=f.cancelled() or f.exception() is not None
@@ -445,8 +421,6 @@ class ReproServer:
         backend: str,
         target: str | None,
     ) -> dict[str, Any]:
-        if self._before_execute is not None:
-            self._before_execute()
         started = time.perf_counter()
         session: Session = self.registry.session(tenant)
         with obs.span("serve.query", tenant=tenant, backend=backend) as span:

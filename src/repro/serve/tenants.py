@@ -2,8 +2,8 @@
 
 One server process serves many tenants; each tenant is an ontology
 (plus optional data and mappings) with its own
-:class:`~repro.api.Session` -- engine, in-memory caches and evaluation
-backend.  Isolation comes for free from the cache architecture: the
+:class:`~repro.api.Session` -- engine, in-memory caches and SQLite
+mirror.  Isolation comes for free from the cache architecture: the
 persistent tier keys every entry by ontology digest, so all tenants
 share one cache *file* while never sharing an *entry*.
 
@@ -55,14 +55,12 @@ class TenantRegistry:
         *,
         cache_dir: str | Path | None = None,
         options: EngineOptions | None = None,
-        backend_factory: str = "sqlite",
         max_live: int = 8,
     ) -> None:
         if max_live < 1:
             raise ValueError(f"max_live must be >= 1, got {max_live}")
         self._cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._options = options if options is not None else EngineOptions()
-        self._backend_factory = backend_factory
         self._max_live = max_live
         self._lock = threading.RLock()
         self._defs: dict[str, _TenantDef] = {}
@@ -120,7 +118,6 @@ class TenantRegistry:
                 mappings=definition.mappings,
                 cache_dir=self._cache_dir,
                 options=self._options,
-                backend_factory=self._backend_factory,
             )
             self._live[name] = session
             obs.count("serve.tenant.opened")

@@ -7,6 +7,7 @@ stay removed: :class:`repro.Session` is the one answering surface.
 """
 
 import dataclasses
+import importlib
 import warnings
 
 import pytest
@@ -19,6 +20,7 @@ from repro.api import EngineOptions
 from repro.cli import main
 from repro.data.database import Database
 from repro.lang.parser import parse_database, parse_program
+from repro.serve import TenantRegistry
 
 PROGRAM = "R1: professor(X) -> teaches(X, Y)."
 DATA = "professor(ada)."
@@ -71,6 +73,15 @@ class TestDeprecatedShims:
         fields = {field.name for field in dataclasses.fields(EngineOptions)}
         assert "minimize_workers" not in fields
         assert "minimize_mode" not in fields
+        # The backend registry and its knob: SQLiteBackend is the one
+        # backend type, and relevance filtering always runs.
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.data.backend")
+        with pytest.raises(TypeError):
+            repro.Session(rules, backend_factory="sqlite")
+        with pytest.raises(TypeError):
+            TenantRegistry(backend_factory="sqlite")
+        assert "filter_relevant" not in fields
         program = tmp_path / "p.dlp"
         program.write_text(PROGRAM)
         argv = ["rewrite", str(program), "q(X) :- teaches(X, Y)"]

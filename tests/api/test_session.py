@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro import obs
-from repro.api import Session
+from repro.api import EngineOptions, Session
 from repro.data.database import Database
 from repro.lang.parser import parse_database, parse_program, parse_query
 from repro.rewriting.budget import RewritingBudget
@@ -205,6 +205,26 @@ class TestLifecycle:
         session.close()
         session.close()
         assert backend.closed
+
+    @pytest.mark.parametrize("hybrid", ["off", "materialize"])
+    def test_sql_answer_after_close_raises(self, rules, data, hybrid):
+        from repro.lang.errors import ReproError
+
+        query = "q(X) :- r(X, Y)"
+        session = Session(rules, data, options=EngineOptions(hybrid=hybrid))
+        session.answer(query, backend="sql")  # opens the mirror close() releases
+        session.close()
+        with obs.capture() as cap:
+            with pytest.raises(ReproError, match="session is closed"):
+                session.answer(query, backend="sql")
+        # No mirror was reopened, so none outlives the session.
+        assert not cap.spans("obda.sql_backend_init")
+        assert session._sql_backend is None
+        if hybrid == "materialize":
+            assert session._hybrid is not None
+            assert session._hybrid.core is not None
+            assert session._hybrid.mirror is None
+        session.close()
 
     def test_cache_stats_without_cache_dir(self, rules):
         with Session(rules) as session:

@@ -60,20 +60,42 @@ def database(text: str):
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("backend", ["memory", "sql"])
-def test_every_mode_agrees_on_terminating_ontologies(mode, backend):
-    reference = {}
+@pytest.mark.parametrize(
+    "backend, target",
+    [
+        # The default ucq target keeps the bare backend id.
+        pytest.param(
+            backend,
+            target,
+            id=backend if target == "ucq" else f"{backend}-{target}",
+        )
+        for target in ("ucq", "datalog", "auto")
+        for backend in ("memory", "sql")
+    ],
+)
+def test_every_mode_agrees_on_terminating_ontologies(mode, backend, target):
+    other_data = "assoc_prof(zed)."
+    reference, other_reference = {}, {}
     with Session(TERMINATING, database(TERMINATING_DATA)) as session:
         for query in TERMINATING_QUERIES:
             reference[query] = session.answer(query)
-    options = EngineOptions(hybrid=mode)
+            other_reference[query] = session.answer(
+                query, database(other_data)
+            )
+    options = EngineOptions(hybrid=mode, target=target)
     with Session(
         TERMINATING, database(TERMINATING_DATA), options=options
     ) as session:
         for query in TERMINATING_QUERIES:
             assert (
                 session.answer(query, backend=backend) == reference[query]
-            ), f"mode={mode} backend={backend} query={query}"
+            ), f"mode={mode} backend={backend} target={target} query={query}"
+            # A passed database bypasses the core: its answers come
+            # from that database alone.
+            assert (
+                session.answer(query, database(other_data))
+                == other_reference[query]
+            ), f"mode={mode} target={target} query={query} (passed database)"
 
 
 @pytest.mark.parametrize("backend", ["memory", "sql"])

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.api import Session
+from repro.api import EngineOptions, Session
 from repro.chase import oblivious_chase, restricted_chase, skolem_chase
 from repro.data.database import Database
 from repro.lang.parser import parse_database, parse_program, parse_query
@@ -92,6 +92,16 @@ def test_store_hit_and_miss_counters(tmp_path):
     assert counters["api.cache.misses"] == 1
 
 
+def _answer_span(session, query, **kwargs):
+    """Answer once; return the answers, the attributes of the one
+    ``obda.answer`` span, and the capture."""
+    with obs.capture() as cap:
+        answers = session.answer(query, **kwargs)
+    (span,) = cap.spans("obda.answer")
+    assert span["attrs"]["answers"] == len(answers)
+    return answers, span["attrs"], cap
+
+
 def test_obda_spans_cover_both_backends():
     query = parse_query("q(X) :- person(X)")
     with obs.capture() as cap, Session(RULES, DATABASE) as session:
@@ -99,16 +109,60 @@ def test_obda_spans_cover_both_backends():
         sql = session.answer(query, backend="sql")
         chase = session.answer_chase(query)
     assert memory == sql == chase
-    backends = {
+    backends = [
         span["attrs"]["backend"] for span in cap.spans("obda.answer")
-    }
-    assert backends == {"memory", "sqlite"}
+    ]
+    assert backends == ["memory", "sqlite"]
     assert cap.span("obda.sql_backend_init")["attrs"]["facts"] == len(
         DATABASE
     )
     oracle_span = cap.span("obda.chase_oracle")
     assert oracle_span["attrs"]["answers"] == len(chase)
     assert oracle_span["attrs"]["chase_steps"] >= 1
+    # Every evaluation path -- plain memory and SQL, Datalog, and
+    # answers served from a hybrid core -- emits exactly one span.
+    query = parse_query("q(X, Y) :- worksAt(X, Y)")
+    with Session(RULES, DATABASE) as session:
+        memory, attrs, _ = _answer_span(session, query)
+        assert attrs == {"backend": "memory", "complete": True, "answers": 1}
+        sql, attrs, _ = _answer_span(session, query, backend="sql")
+        assert attrs == {"backend": "sqlite", "complete": True, "answers": 1}
+        for backend, name in (("memory", "memory"), ("sql", "sqlite")):
+            datalog, attrs, _ = _answer_span(
+                session, query, backend=backend, target="datalog"
+            )
+            assert datalog == memory
+            assert attrs == {
+                "backend": name,
+                "target": "datalog",
+                "complete": True,
+                "answers": 1,
+            }
+    assert memory == sql
+    options = EngineOptions(hybrid="materialize")
+    with Session(RULES, DATABASE, options=options) as session:
+        session.hybrid_decision()  # builds the core
+        # The core holds worksAt(alan, _null); certain answers drop it.
+        core_memory, attrs, _ = _answer_span(session, query)
+        assert attrs == {
+            "backend": "memory",
+            "hybrid": "materialize",
+            "complete": True,
+            "answers": 1,
+        }
+        core_sql, attrs, cap = _answer_span(session, query, backend="sql")
+        assert attrs == {
+            "backend": "sqlite",
+            "hybrid": "materialize",
+            "complete": True,
+            "answers": 1,
+        }
+        # The first SQL answer loads the core's mirror, once.
+        (init,) = cap.spans("obda.sql_backend_init")
+        assert init["attrs"]["facts"] > len(DATABASE)
+        _, _, cap = _answer_span(session, query, backend="sql")
+        assert not cap.spans("obda.sql_backend_init")
+    assert core_memory == core_sql == memory
 
 
 def test_disabled_instrumentation_leaves_results_unchanged():

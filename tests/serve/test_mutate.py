@@ -1,5 +1,11 @@
 """End-to-end tests for the ``POST /v1/mutate`` serving route."""
 
+import threading
+import time
+
+import pytest
+
+from repro import obs
 from repro.api import EngineOptions
 from repro.data.database import Database
 from repro.lang.parser import parse_database, parse_program
@@ -133,3 +139,73 @@ class TestMutateRoute:
             )
             assert status == 400
             assert "error" in payload
+
+
+class TestMutateAdmission:
+    def test_overload_sheds_mutations_with_retry_after(self):
+        release = threading.Event()
+        server = _server(workers=1, queue_depth=0)
+        server._before_execute = release.wait
+        with obs.capture() as trace:
+            with BackgroundServer(server) as (host, port):
+                blocker = threading.Thread(
+                    target=_request,
+                    args=(
+                        host,
+                        port,
+                        "POST",
+                        "/v1/mutate",
+                        {"insert": "assoc_prof(carl)."},
+                    ),
+                )
+                blocker.start()
+                # Wait until the mutation actually holds the slot.
+                deadline = time.time() + 10
+                while server.admission.inflight == 0:
+                    assert time.time() < deadline, "mutation never admitted"
+                    time.sleep(0.01)
+                status, headers, payload = _request(
+                    host,
+                    port,
+                    "POST",
+                    "/v1/mutate",
+                    {"insert": "assoc_prof(dee)."},
+                )
+                assert status == 429
+                assert int(headers["Retry-After"]) >= 1
+                assert "error" in payload
+                release.set()
+                blocker.join(timeout=30)
+        assert trace.counter("serve.shed") == 1
+        assert trace.counter("serve.admitted") == 1
+        assert trace.counter("serve.completed") == 1
+
+    def test_mutation_past_its_deadline_returns_504(self):
+        release = threading.Event()
+        server = _server(workers=1, queue_depth=4, deadline_seconds=0.2)
+        server._before_execute = release.wait
+        with obs.capture() as trace:
+            with BackgroundServer(server) as (host, port):
+                status, _, payload = _request(
+                    host,
+                    port,
+                    "POST",
+                    "/v1/mutate",
+                    {"insert": "assoc_prof(carl)."},
+                )
+                assert status == 504
+                assert payload["deadline_seconds"] == pytest.approx(0.2)
+                # The worker still holds its slot until it finishes.
+                assert server.admission.inflight == 1
+                release.set()
+                deadline = time.time() + 10
+                while server.admission.inflight:
+                    assert time.time() < deadline, "slot never released"
+                    time.sleep(0.01)
+                # The 504'd mutation still ran to completion.
+                status, _, after = _request(
+                    host, port, "POST", "/v1/query", {"query": QUERY}
+                )
+                assert status == 200
+                assert len(after["answers"]) == 3
+        assert trace.counter("serve.deadline_exceeded") == 1
