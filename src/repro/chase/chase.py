@@ -22,11 +22,10 @@ from typing import Callable, Iterable, Sequence
 from repro import obs
 from repro.chase.nulls import NullFactory
 from repro.data.database import Database
-from repro.data.evaluation import find_homomorphism
+from repro.data.evaluation import JoinPlan
 from repro.data.saturate import Active, Binding, Fire, add_head, saturate
 from repro.lang.atoms import Atom
 from repro.lang.errors import ChaseBudgetExceeded
-from repro.lang.terms import Variable
 from repro.lang.tgd import TGD
 
 DEFAULT_MAX_STEPS = 100_000
@@ -129,14 +128,12 @@ def _chase(
 
 
 def _head_satisfied(rule: TGD, hom: Binding, instance: Database) -> bool:
-    """True iff the instantiated head maps into *instance* (frontier fixed)."""
-    pattern = [
-        Atom(atom.relation, [
-            hom.get(t, t) if isinstance(t, Variable) else t for t in atom.terms
-        ])
-        for atom in rule.head
-    ]
-    return find_homomorphism(pattern, instance) is not None
+    """True iff the head maps into *instance* with the frontier bound as
+    in *hom*."""
+    frontier = rule.distinguished_variables()
+    plan = JoinPlan(rule.head, instance, frontier)
+    slots = plan.slots([hom[v] for v in frontier])
+    return next(plan.run(instance, slots), None) is not None
 
 
 def _null_firing(instance: Database, nulls: NullFactory) -> Fire:

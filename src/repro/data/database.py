@@ -65,9 +65,12 @@ class Database:
         for position in range(1, fact.arity + 1):
             index = self._indexes.get((fact.relation, position))
             if index is not None:
-                bucket = index.get(fact.terms[position - 1])
+                key = fact.terms[position - 1]
+                bucket = index.get(key)
                 if bucket is not None:
                     bucket.remove(fact.terms)
+                    if not bucket:
+                        del index[key]
         return True
 
     # ----------------------------------------------------------------- #
@@ -86,6 +89,11 @@ class Database:
     def rows(self, relation: str) -> frozenset[tuple[Term, ...]]:
         """All tuples of *relation* (empty when unknown)."""
         return frozenset(self._relations.get(relation, ()))
+
+    def has_row(self, relation: str, row: tuple[Term, ...]) -> bool:
+        """True iff *row* is a stored tuple of *relation*."""
+        rows = self._relations.get(relation)
+        return rows is not None and row in rows
 
     def count(self, relation: str) -> int:
         """Number of stored tuples of *relation*."""
@@ -145,8 +153,7 @@ class Database:
     # ----------------------------------------------------------------- #
 
     def __contains__(self, fact: Atom) -> bool:
-        rows = self._relations.get(fact.relation)
-        return rows is not None and fact.terms in rows
+        return self.has_row(fact.relation, fact.terms)
 
     def __len__(self) -> int:
         return sum(len(rows) for rows in self._relations.values())

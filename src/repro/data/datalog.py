@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro import obs
 from repro.data.database import Database
 from repro.data.saturate import add_head, saturate
 from repro.lang.errors import SafetyError
@@ -63,12 +64,14 @@ class DatalogProgram:
 
     def materialize(self, database: Database) -> MaterializationResult:
         """Compute the least fixpoint of the program over *database*."""
-        instance = database.copy()
-        run = saturate(
-            self._rules,
-            instance,
-            lambda _, rule, hom: add_head(instance, rule, hom),
-        )
+        with obs.span("datalog.materialize", rules=len(self._rules)) as span:
+            instance = database.copy()
+            run = saturate(
+                self._rules,
+                instance,
+                lambda _, rule, hom: add_head(instance, rule, hom),
+            )
+            span.set(rounds=run.rounds, derived=len(run.added))
         return MaterializationResult(
             instance=instance, rounds=run.rounds, derived=len(run.added)
         )

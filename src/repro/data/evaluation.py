@@ -1,9 +1,45 @@
 """Conjunctive-query evaluation over :class:`~repro.data.database.Database`.
 
-Implements ``ans(q, D)`` of Section 3 for CQs and UCQs by an indexed
-backtracking join: atoms are processed most-bound-first, each step
-either probing a (relation, position) hash index when some argument is
-already bound or scanning the relation otherwise.
+Implements ``ans(q, D)`` of Section 3 for CQs and UCQs, and the body
+matching of the chase, Datalog and the materialized core, with one
+compiled join kernel.
+
+**The plan.**  A conjunction of atoms, plus the variables already bound
+when it runs, compiles once per call into a :class:`JoinPlan`: a fixed
+join order and, per step, one access path, the equality checks and the
+new bindings.
+
+* *Order.*  The greedy rule picks the next atom: most bound argument
+  places first (constants and bound variables, each occurrence
+  counted), then the smaller relation, then the earlier atom.
+* *Access path.*  A step probes the (relation, position) hash index on
+  its first bound argument place, or scans the relation when nothing is
+  bound.
+* *Checks.*  The other bound places must equal their values, and a
+  variable repeated inside the atom must see equal values.  A relation
+  stored with another arity than its atom matches nothing, so a plan
+  with such an atom is empty.
+
+**Slot layout.**  Bindings live in one list of slots.  The pre-bound
+variables come first, in the caller's order; then each new variable in
+the order the plan binds it, so a step's new variables fill a
+contiguous run of slots; then one slot per constant of the body, at the
+end of the list.  A step's checks and its probe value are reads from
+that list, and its bindings are one slice assignment.  The list is
+written in place; a binding dict (``dict(zip(plan.variables, slots))``,
+with the keys in binding order) or an answer tuple is built only once
+per complete match.
+
+**Why the enumeration is the old matcher's.**  The per-row matcher this
+kernel replaced re-ran the greedy rule at every partial binding.  The
+rule reads only which variables are bound and the relation sizes (which
+no caller changes while a plan runs), and after any partial match the
+bound variables are exactly those of the atoms matched so far, so every
+partial binding at one depth picks the same atom -- the order is fixed
+once per call.  Each step then reads the same candidate rows in the
+same order (same index probe, or the same scan), keeps the same ones
+and binds the same values, so the plan yields the same homomorphisms
+in the same order.
 
 Two answer policies are provided:
 
@@ -12,16 +48,279 @@ Two answer policies are provided:
   chase instance as a plain database);
 * the ``certain=True`` flag filters tuples mentioning nulls, which is
   the filter used to read certain answers off a chase.
+
+Answers need no more than one witness each: evaluation runs the plan up
+to the last step that binds an answer variable, skips a partial match
+whose answer is already known, and asks the remaining steps only for
+the first completion.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from repro import obs
 from repro.data.database import Database
 from repro.lang.atoms import Atom
 from repro.lang.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.lang.terms import Null, Term, Variable
+
+Binding = dict[Variable, Term]
+
+#: Reads a tuple of values off a row or off the slots.
+Getter = Callable[[Sequence[Term]], tuple[Term, ...]]
+
+
+class _Step(NamedTuple):
+    """One atom of a :class:`JoinPlan`, with its access path."""
+
+    relation: str
+    #: 1-based index position probed, or 0 for a scan.
+    position: int
+    #: Slot holding the probed value.
+    source: int
+    #: Reads the checked places off a row, and their values off the slots.
+    check: Getter | None
+    expect: Getter | None
+    #: Pairs of places that must hold equal values (repeated variables).
+    same: tuple[tuple[int, int], ...]
+    #: The slots ``[low, high)`` the step binds, from ``bind(row)``.
+    low: int
+    high: int
+    bind: Getter | None
+
+
+def _getter(indices: Sequence[int]) -> Getter:
+    """A function reading the values at *indices* as a tuple."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (index,) = indices
+        return lambda values: (values[index],)
+    return lambda values: ()
+
+
+class JoinPlan:
+    """A conjunction of atoms compiled against one database.
+
+    *bound* lists the variables whose values the caller supplies in
+    :meth:`slots`.  With *anchor*, the atom at that index is the first
+    step and reads the rows passed to :meth:`run` instead of the
+    database (the semi-naive delta); the greedy rule orders the rest.
+
+    Attributes:
+        variables: the variables in slot order (bound ones first).
+        steps: the compiled steps, or None when no match can exist.
+    """
+
+    __slots__ = ("variables", "steps", "_slot", "_template")
+
+    def __init__(
+        self,
+        atoms: Sequence[Atom],
+        database: Database,
+        bound: Iterable[Variable] = (),
+        anchor: int | None = None,
+    ):
+        slot: dict[Variable, int] = {}
+        for var in bound:
+            slot.setdefault(var, len(slot))
+        constants: dict[Term, int] = {}
+        arity = database.signature.get
+        empty = False
+        steps = []
+        anchored = anchor is not None
+        for i in _greedy_order(atoms, database, slot, anchor):
+            atom = atoms[i]
+            empty = empty or arity(atom.relation, atom.arity) != atom.arity
+            steps.append(_compile_step(atom, slot, constants, anchored))
+            anchored = False
+        self.variables: tuple[Variable, ...] = tuple(slot)
+        self.steps: tuple[_Step, ...] | None = None if empty else tuple(steps)
+        self._slot = slot
+        # Constant k sits in slot -(k + 1), at the end of the list.
+        self._template: list[Term | None] = [None] * len(slot)
+        self._template.extend(reversed(constants))
+
+    def slots(self, values: Iterable[Term] = ()) -> list[Term | None]:
+        """A fresh slot list holding *values* for the bound variables."""
+        slots = list(self._template)
+        for index, value in enumerate(values):
+            slots[index] = value
+        return slots
+
+    def run(
+        self,
+        database: Database,
+        slots: list,
+        rows: Iterable[tuple[Term, ...]] | None = None,
+    ) -> Iterator[list]:
+        """Yield *slots* once per match, filled in (lazily, in order).
+
+        *rows* feeds an anchored plan's first step.
+        """
+        if self.steps is None:
+            return iter(())
+        return _matches(self.steps, database, slots, rows)
+
+    def binding(self, slots: Sequence[Term]) -> Binding:
+        """The binding dict of a complete match, keys in binding order."""
+        return dict(zip(self.variables, slots))
+
+    def reader(self, terms: Sequence[Term]) -> Getter:
+        """Reads *terms* off a slot list as a tuple (constants as
+        themselves)."""
+        if all(isinstance(t, Variable) for t in terms):
+            return _getter([self._slot[t] for t in terms])
+        spec = [
+            (self._slot[t], t) if isinstance(t, Variable) else (-1, t)
+            for t in terms
+        ]
+        return lambda slots: tuple(
+            slots[index] if index >= 0 else term for index, term in spec
+        )
+
+
+def _greedy_order(
+    atoms: Sequence[Atom],
+    database: Database,
+    bound: Iterable[Variable],
+    anchor: int | None,
+) -> Sequence[int]:
+    """Atom indices in join order: the anchor, then greedily by
+    (most bound places, smallest relation, earliest atom)."""
+    if len(atoms) < 2:
+        return range(len(atoms))
+    bound = set(bound)
+    remaining = list(range(len(atoms)))
+    order: list[int] = []
+    if anchor is not None:
+        remaining.remove(anchor)
+        order.append(anchor)
+        bound.update(atoms[anchor].variables())
+    sizes = {atom.relation: database.count(atom.relation) for atom in atoms}
+
+    def rank(i: int) -> tuple[int, int, int]:
+        places = sum(
+            not isinstance(t, Variable) or t in bound for t in atoms[i].terms
+        )
+        return (-places, sizes[atoms[i].relation], i)
+
+    while remaining:
+        best = min(remaining, key=rank)
+        remaining.remove(best)
+        order.append(best)
+        bound.update(atoms[best].variables())
+    return order
+
+
+def _compile_step(
+    atom: Atom,
+    slot: dict[Variable, int],
+    constants: dict[Term, int],
+    anchored: bool,
+) -> _Step:
+    """Compile *atom* given the variables *slot* already binds; assign
+    slots to the atom's new variables and to its new constants (both
+    in place)."""
+    fixed: list[tuple[int, int]] = []  # (place, slot) of bound places
+    same: list[tuple[int, int]] = []
+    binds: list[int] = []  # places of the new variables, in slot order
+    low = len(slot)
+    for place, term in enumerate(atom.terms):
+        if not isinstance(term, Variable):
+            index = constants.setdefault(term, len(constants))
+            fixed.append((place, -1 - index))
+        elif term not in slot:
+            slot[term] = low + len(binds)
+            binds.append(place)
+        elif slot[term] >= low:
+            same.append((binds[slot[term] - low], place))
+        else:
+            fixed.append((place, slot[term]))
+    if anchored:
+        checked = fixed
+        position = source = 0
+    elif fixed:
+        (probe, source), checked = fixed[0], fixed[1:]
+        position = probe + 1
+    else:
+        checked = []
+        position = source = 0
+    return _Step(
+        atom.relation,
+        position,
+        source,
+        _getter([p for p, _ in checked]) if checked else None,
+        _getter([s for _, s in checked]) if checked else None,
+        tuple(same),
+        low,
+        len(slot),
+        _getter(binds) if binds else None,
+    )
+
+
+def _matches(
+    steps: Sequence[_Step],
+    database: Database,
+    slots: list,
+    first_rows: Iterable[tuple[Term, ...]] | None = None,
+) -> Iterator[list]:
+    """The plan interpreter: depth-first over *steps* without recursion.
+
+    Level ``i`` keeps its candidate iterator and its expected values in
+    ``candidates[i]`` / ``expected[i]``; descending opens the next
+    level, exhausting a level returns to the one above it.
+    """
+    depth = len(steps)
+    if not depth:
+        yield slots
+        return
+    last = depth - 1
+    candidates: list = [None] * depth
+    expected: list = [None] * depth
+    step = steps[0]
+    if first_rows is not None:
+        candidates[0] = iter(first_rows)
+        expected[0] = step.expect(slots) if step.expect is not None else None
+    else:
+        candidates[0], expected[0] = _open(step, database, slots)
+    level = 0
+    while level >= 0:
+        _, _, _, check, _, same, low, high, bind = steps[level]
+        want = expected[level]
+        for row in candidates[level]:
+            if check is not None and check(row) != want:
+                continue
+            if same and any(row[a] != row[b] for a, b in same):
+                continue
+            if bind is not None:
+                slots[low:high] = bind(row)
+            if level == last:
+                yield slots
+                continue
+            level += 1
+            candidates[level], expected[level] = _open(
+                steps[level], database, slots
+            )
+            break
+        else:
+            level -= 1
+
+
+def _open(step: _Step, database: Database, slots: list):
+    """The candidate rows of *step* under *slots*, and its expected values."""
+    if step.position:
+        rows = database.lookup(step.relation, step.position, slots[step.source])
+    else:
+        rows = database.rows(step.relation)
+    return iter(rows), (step.expect(slots) if step.expect is not None else None)
+
+
+# --------------------------------------------------------------------- #
+# Answers                                                               #
+# --------------------------------------------------------------------- #
 
 
 def evaluate_cq(
@@ -35,14 +334,7 @@ def evaluate_cq(
     otherwise.
     """
     answers: set[tuple[Term, ...]] = set()
-    for binding in _match_body(list(query.body), database, {}):
-        row = tuple(
-            binding[t] if isinstance(t, Variable) else t
-            for t in query.answer_terms
-        )
-        if certain and any(isinstance(t, Null) for t in row):
-            continue
-        answers.add(row)
+    _collect(query, database, certain, answers)
     return frozenset(answers)
 
 
@@ -52,109 +344,77 @@ def evaluate_ucq(
     certain: bool = False,
 ) -> frozenset[tuple[Term, ...]]:
     """All answers of a UCQ (union of the disjuncts' answers)."""
+    ucq = UnionOfConjunctiveQueries.of(query)
     answers: set[tuple[Term, ...]] = set()
-    for cq in UnionOfConjunctiveQueries.of(query):
-        answers.update(evaluate_cq(cq, database, certain=certain))
+    with obs.span("data.evaluate", disjuncts=len(ucq)) as span:
+        for cq in ucq:
+            _collect(cq, database, certain, answers)
+        span.set(answers=len(answers))
     return frozenset(answers)
+
+
+def _collect(
+    query: ConjunctiveQuery,
+    database: Database,
+    certain: bool,
+    answers: set[tuple[Term, ...]],
+) -> None:
+    """Add the answers of *query* missing from *answers* to it.
+
+    The plan runs up to the last step binding an answer variable; the
+    remaining steps only need one completion per new answer.
+    """
+    plan = JoinPlan(query.body, database)
+    if plan.steps is None:
+        return
+    answer_vars = set(query.answer_variables)
+    split = 0
+    for number, step in enumerate(plan.steps):
+        if any(v in answer_vars for v in plan.variables[step.low:step.high]):
+            split = number + 1
+    prefix, suffix = plan.steps[:split], plan.steps[split:]
+    head = plan.reader(query.answer_terms)
+    slots = plan.slots()
+    for _ in _matches(prefix, database, slots):
+        row = head(slots)
+        if row in answers or (certain and Null in map(type, row)):
+            continue
+        if suffix:
+            for _ in _matches(suffix, database, slots):
+                break
+            else:
+                continue
+        answers.add(row)
 
 
 def holds(query: ConjunctiveQuery, database: Database) -> bool:
     """True iff the boolean query (or some answer) is satisfied."""
-    for _ in _match_body(list(query.body), database, {}):
-        return True
-    return False
+    return find_homomorphism(query.body, database) is not None
+
+
+# --------------------------------------------------------------------- #
+# Homomorphisms                                                         #
+# --------------------------------------------------------------------- #
 
 
 def find_homomorphism(
-    atoms: Sequence[Atom], database: Database
-) -> dict[Variable, Term] | None:
-    """A homomorphism from *atoms* into *database*, or None.
-
-    Used by the chase (applicability and satisfaction checks) and by
-    CQ containment via the canonical-database method.
-    """
-    for binding in _match_body(list(atoms), database, {}):
-        return binding
-    return None
+    atoms: Sequence[Atom],
+    database: Database,
+    binding: Binding | None = None,
+) -> Binding | None:
+    """The first homomorphism from *atoms* into *database* extending
+    *binding*, or None."""
+    return next(all_homomorphisms(atoms, database, binding), None)
 
 
 def all_homomorphisms(
-    atoms: Sequence[Atom], database: Database
-) -> Iterator[dict[Variable, Term]]:
-    """Every homomorphism from *atoms* into *database* (lazily)."""
-    return _match_body(list(atoms), database, {})
-
-
-def _match_body(
-    atoms: list[Atom],
+    atoms: Sequence[Atom],
     database: Database,
-    binding: dict[Variable, Term],
-) -> Iterator[dict[Variable, Term]]:
-    """Backtracking join: yield every extension of *binding* matching *atoms*."""
-    if not atoms:
-        yield dict(binding)
-        return
-    index = _pick_next(atoms, database, binding)
-    atom = atoms[index]
-    rest = atoms[:index] + atoms[index + 1:]
-    for row in _candidate_rows(atom, database, binding):
-        extension = _match_atom(atom, row, binding)
-        if extension is None:
-            continue
-        yield from _match_body(rest, database, extension)
-
-
-def _pick_next(
-    atoms: list[Atom], database: Database, binding: dict[Variable, Term]
-) -> int:
-    """Greedy join order: prefer atoms with bound arguments, then small relations."""
-    best_index = 0
-    best_key: tuple[int, int] | None = None
-    for i, atom in enumerate(atoms):
-        bound = sum(
-            1
-            for t in atom.terms
-            if not isinstance(t, Variable) or t in binding
-        )
-        key = (-bound, database.count(atom.relation))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_index = i
-    return best_index
-
-
-def _candidate_rows(
-    atom: Atom, database: Database, binding: dict[Variable, Term]
-) -> tuple[tuple[Term, ...], ...]:
-    """Rows of the atom's relation worth trying under *binding*.
-
-    Probes the hash index on the first bound argument position, falling
-    back to a full relation scan when nothing is bound.
-    """
-    for position, term in enumerate(atom.terms, start=1):
-        if isinstance(term, Variable):
-            value = binding.get(term)
-            if value is not None:
-                return database.lookup(atom.relation, position, value)
-        else:
-            return database.lookup(atom.relation, position, term)
-    return tuple(database.rows(atom.relation))
-
-
-def _match_atom(
-    atom: Atom, row: tuple[Term, ...], binding: dict[Variable, Term]
-) -> dict[Variable, Term] | None:
-    """Extend *binding* so that *atom* maps onto *row*, or None."""
-    if len(row) != atom.arity:
-        return None
-    extension = dict(binding)
-    for term, value in zip(atom.terms, row):
-        if isinstance(term, Variable):
-            bound = extension.get(term)
-            if bound is None:
-                extension[term] = value
-            elif bound != value:
-                return None
-        elif term != value:
-            return None
-    return extension
+    binding: Binding | None = None,
+) -> Iterator[Binding]:
+    """Every homomorphism from *atoms* into *database* extending
+    *binding* (lazily, each a fresh dict holding *binding* too)."""
+    binding = binding or {}
+    plan = JoinPlan(atoms, database, binding)
+    for slots in plan.run(database, plan.slots(binding.values())):
+        yield plan.binding(slots)

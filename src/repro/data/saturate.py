@@ -24,12 +24,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.data.database import Database
-from repro.data.evaluation import _match_atom, _match_body, all_homomorphisms
+from repro.data.evaluation import Binding, JoinPlan, all_homomorphisms
 from repro.lang.atoms import Atom
 from repro.lang.terms import Term, Variable
 from repro.lang.tgd import TGD
-
-Binding = dict[Variable, Term]
 
 #: ``fire(rule_index, rule, hom)`` applies one trigger to the instance
 #: and returns the facts it added.
@@ -133,12 +131,21 @@ def instantiate(atom: Atom, assignment: Binding) -> Atom:
 
 
 def add_head(instance: Database, rule: TGD, assignment: Binding) -> list[Atom]:
-    """Add *rule*'s head under *assignment*; return the facts that were new."""
-    return [
-        fact
-        for fact in (instantiate(atom, assignment) for atom in rule.head)
-        if instance.add(fact)
-    ]
+    """Add *rule*'s head under *assignment*; return the facts that were new.
+
+    A head fact already stored is recognised by its row, before an
+    atom is built for it.
+    """
+    added: list[Atom] = []
+    for atom in rule.head:
+        row = tuple(
+            [assignment[t] if isinstance(t, Variable) else t for t in atom.terms]
+        )
+        if not instance.has_row(atom.relation, row):
+            fact = Atom(atom.relation, row)
+            instance.add(fact)
+            added.append(fact)
+    return added
 
 
 def _new_homomorphisms(
@@ -146,14 +153,14 @@ def _new_homomorphisms(
 ) -> list[Binding] | None:
     """Body homomorphisms of *rule* that use a fact logged past *mark*.
 
-    None when no body relation has such facts.  A homomorphism that
-    uses new facts at several body positions is reached once per
-    anchored position and kept once.
+    None when no body relation has such facts.  The body compiles once
+    per anchored position, that atom reading the new rows.  A
+    homomorphism that uses new facts at several body positions is
+    reached once per anchored position and kept once.
     """
-    body = list(rule.body)
     anchors = [
         (position, log.get(atom.relation, [])[mark.get(atom.relation, 0):])
-        for position, atom in enumerate(body)
+        for position, atom in enumerate(rule.body)
     ]
     anchors = [(position, rows) for position, rows in anchors if rows]
     if not anchors:
@@ -161,17 +168,14 @@ def _new_homomorphisms(
     seen: set[tuple[Term, ...]] | None = set() if len(anchors) > 1 else None
     homs: list[Binding] = []
     for position, rows in anchors:
-        atom = body[position]
-        rest = body[:position] + body[position + 1:]
-        for row in rows:
-            binding = _match_atom(atom, row, {})
-            if binding is None:
-                continue
-            for hom in _match_body(rest, instance, binding):
-                if seen is not None:
-                    key = tuple(hom[v] for v in rule.body_variables())
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                homs.append(hom)
+        plan = JoinPlan(rule.body, instance, anchor=position)
+        key = plan.reader(rule.body_variables())
+        slots = plan.slots()
+        for _ in plan.run(instance, slots, rows):
+            if seen is not None:
+                values = key(slots)
+                if values in seen:
+                    continue
+                seen.add(values)
+            homs.append(plan.binding(slots))
     return homs

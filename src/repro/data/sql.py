@@ -36,6 +36,10 @@ from repro.lang.terms import Constant, Null, Term, Variable
 # enough to keep the callback itself off the profile.
 _PROGRESS_GRANULARITY = 256
 
+# SQLite rejects a compound SELECT of more terms than this
+# (SQLITE_MAX_COMPOUND_SELECT); longer unions are nested in chunks.
+_MAX_COMPOUND_TERMS = 500
+
 
 def _encode(term: Term) -> str:
     if isinstance(term, Constant):
@@ -114,7 +118,25 @@ def ucq_to_sql(query: UnionOfConjunctiveQueries | ConjunctiveQuery) -> str:
     """Compile a UCQ into a ``UNION`` of per-disjunct ``SELECT`` blocks."""
     ucq = UnionOfConjunctiveQueries.of(query)
     with obs.span("sql.compile", disjuncts=len(ucq)):
-        return "\nUNION\n".join(cq_to_sql(cq) for cq in ucq)
+        return _compound([cq_to_sql(cq) for cq in ucq], "UNION")
+
+
+def _compound(selects: list[str], operator: str) -> str:
+    """Join *selects* with *operator* (``UNION`` or ``UNION ALL``).
+
+    Past SQLite's cap on the terms of one compound SELECT, the terms
+    are grouped into chunks of at most that many, each chunk a
+    ``SELECT * FROM (...)`` term of the outer compound.
+    """
+    separator = f"\n{operator}\n"
+    while len(selects) > _MAX_COMPOUND_TERMS:
+        selects = [
+            "SELECT * FROM (\n"
+            + separator.join(selects[start:start + _MAX_COMPOUND_TERMS])
+            + "\n)"
+            for start in range(0, len(selects), _MAX_COMPOUND_TERMS)
+        ]
+    return separator.join(selects)
 
 
 def _rule_to_cq(rule) -> ConjunctiveQuery:
@@ -150,14 +172,15 @@ def datalog_to_sql(rewriting) -> str:
             columns = ", ".join(
                 f"c{i}" for i in range(1, arity + 1)
             ) or "c0"
-            selects = "\nUNION ALL\n".join(
-                cq_to_sql(_rule_to_cq(rule)) for rule in rules
+            selects = _compound(
+                [cq_to_sql(_rule_to_cq(rule)) for rule in rules], "UNION ALL"
             )
             ctes.append(
                 f"{_quote_ident(name)}({columns}) AS (\n{selects}\n)"
             )
-        goal_selects = "\nUNION ALL\n".join(
-            cq_to_sql(_rule_to_cq(rule)) for rule in rewriting.goal_rules
+        goal_selects = _compound(
+            [cq_to_sql(_rule_to_cq(rule)) for rule in rewriting.goal_rules],
+            "UNION ALL",
         )
         columns = ", ".join(
             f"a{i}" for i in range(rewriting.arity)

@@ -50,6 +50,11 @@ class Atom:
         self.span = span
         self._hash = hash((self.relation, self.terms))
 
+    def __reduce__(self):
+        # Rebuild through the constructor: the cached hash is only valid
+        # in the process that computed it (str hashes are salted).
+        return (Atom, (self.relation, self.terms, self.span))
+
     @property
     def arity(self) -> int:
         """Number of argument places of this atom's relation symbol."""
@@ -156,6 +161,9 @@ class Position:
         self.relation = relation
         self.index = index
         self._hash = hash(("Position", relation, index))
+
+    def __reduce__(self):
+        return (Position, (self.relation, self.index))
 
     @property
     def is_generic(self) -> bool:

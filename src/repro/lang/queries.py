@@ -58,6 +58,14 @@ class ConjunctiveQuery:
                 )
         self._hash = hash((self.answer_terms, self.body))
 
+    def __reduce__(self):
+        # Rebuild through the constructor: the cached hash is only valid
+        # in the process that computed it (str hashes are salted).
+        return (
+            ConjunctiveQuery,
+            (self.answer_terms, self.body, self.name, self.span),
+        )
+
     @property
     def arity(self) -> int:
         """Number of answer positions."""
@@ -335,6 +343,9 @@ class UnionOfConjunctiveQueries:
         self.arity = arity
         self.disjuncts = tuple(kept)
         self._hash = hash(frozenset(cq.canonical() for cq in kept))
+
+    def __reduce__(self):
+        return (UnionOfConjunctiveQueries, (self.disjuncts, self.name))
 
     @classmethod
     def of(cls, query: "ConjunctiveQuery | UnionOfConjunctiveQueries") -> "UnionOfConjunctiveQueries":

@@ -78,6 +78,9 @@ class Signature(Mapping[str, int]):
     def __getitem__(self, relation: str) -> int:
         return self._arities[relation]
 
+    def get(self, relation: str, default: int | None = None) -> int | None:
+        return self._arities.get(relation, default)
+
     def __iter__(self) -> Iterator[str]:
         return iter(self._arities)
 

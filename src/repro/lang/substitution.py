@@ -32,6 +32,11 @@ class Substitution(Mapping[Variable, Term]):
         }
         self._hash: int | None = None
 
+    def __reduce__(self):
+        # Rebuild through the constructor: a cached hash is only valid in
+        # the process that computed it (str hashes are salted).
+        return (Substitution, (self._map,))
+
     @classmethod
     def identity(cls) -> "Substitution":
         """The empty (identity) substitution."""

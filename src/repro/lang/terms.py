@@ -8,7 +8,10 @@ they live here because they are terms wherever atoms are manipulated.
 
 All term types are immutable, hashable and totally ordered (ordering is
 by kind first, then by name/value), so they can be used freely in sets,
-dict keys and sorted output.
+dict keys and sorted output.  Each term computes its hash once, at
+construction, and pickles through its constructor: Python salts ``str``
+hashes per process, so a hash carried across a pickle would be wrong in
+the process that loads it.
 """
 
 from __future__ import annotations
@@ -24,12 +27,16 @@ class Variable:
     Two variables with the same name are the same variable.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_hash")
 
     def __init__(self, name: str):
         if not name:
             raise ValueError("variable name must be non-empty")
         self.name = name
+        self._hash = hash(("Variable", name))
+
+    def __reduce__(self):
+        return (Variable, (self.name,))
 
     def __repr__(self) -> str:
         return f"Variable({self.name!r})"
@@ -41,7 +48,7 @@ class Variable:
         return isinstance(other, Variable) and self.name == other.name
 
     def __hash__(self) -> int:
-        return hash(("Variable", self.name))
+        return self._hash
 
     def __lt__(self, other: "Term") -> bool:
         return _sort_key(self) < _sort_key(other)
@@ -55,10 +62,14 @@ class Constant:
     payloads are equal.
     """
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_hash")
 
     def __init__(self, value):
         self.value = value
+        self._hash = hash(("Constant", value))
+
+    def __reduce__(self):
+        return (Constant, (self.value,))
 
     def __repr__(self) -> str:
         return f"Constant({self.value!r})"
@@ -72,7 +83,7 @@ class Constant:
         return isinstance(other, Constant) and self.value == other.value
 
     def __hash__(self) -> int:
-        return hash(("Constant", self.value))
+        return self._hash
 
     def __lt__(self, other: "Term") -> bool:
         return _sort_key(self) < _sort_key(other)
@@ -87,12 +98,16 @@ class Null:
     certain answers: a tuple mentioning a null is not a certain answer.
     """
 
-    __slots__ = ("label",)
+    __slots__ = ("label", "_hash")
 
     def __init__(self, label: str):
         if not label:
             raise ValueError("null label must be non-empty")
         self.label = label
+        self._hash = hash(("Null", label))
+
+    def __reduce__(self):
+        return (Null, (self.label,))
 
     def __repr__(self) -> str:
         return f"Null({self.label!r})"
@@ -104,7 +119,7 @@ class Null:
         return isinstance(other, Null) and self.label == other.label
 
     def __hash__(self) -> int:
-        return hash(("Null", self.label))
+        return self._hash
 
     def __lt__(self, other: "Term") -> bool:
         return _sort_key(self) < _sort_key(other)

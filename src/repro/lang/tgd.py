@@ -68,6 +68,11 @@ class TGD:
             v for v in self._head_vars if v in body_set
         )
 
+    def __reduce__(self):
+        # Rebuild through the constructor: the cached hash is only valid
+        # in the process that computed it (str hashes are salted).
+        return (TGD, (self.body, self.head, self.label, self.span))
+
     # ----------------------------------------------------------------- #
     # Variable classification (Section 3)                                #
     # ----------------------------------------------------------------- #

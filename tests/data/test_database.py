@@ -48,6 +48,27 @@ class TestMutation:
         assert len(db.lookup("r", 1, A)) == 1
 
 
+    def test_insert_delete_pairs_leave_index_size_unchanged(self):
+        # The /v1/mutate pattern: insert and delete facts on fresh
+        # constants.  A bucket emptied by a delete must not linger.
+        db = Database([fact("r", "a", "b")])
+        for position in (1, 2):
+            db.lookup("r", position, A)
+        sizes = {key: len(index) for key, index in db._indexes.items()}
+        for i in range(1000):
+            fresh = fact("r", f"x{i}", f"y{i}")
+            db.add(fresh)
+            db.discard(fresh)
+        assert {key: len(index) for key, index in db._indexes.items()} == sizes
+        assert db.lookup("r", 1, A) == ((A, Constant("b")),)
+
+    def test_has_row(self):
+        db = Database([fact("r", "a", "b")])
+        assert db.has_row("r", (A, Constant("b")))
+        assert not db.has_row("r", (Constant("b"), A))
+        assert not db.has_row("s", (A,))
+
+
 class TestAccess:
     def test_rows_and_count(self):
         db = Database([fact("r", "a"), fact("r", "b"), fact("s", "c")])

@@ -1,14 +1,19 @@
 """Tests for repro.data.sql: SQL compilation and the SQLite backend."""
 
+import itertools
+
 import pytest
 
+from repro.api import Session
 from repro.data.database import Database
 from repro.data.evaluation import evaluate_ucq
-from repro.data.sql import SQLiteBackend, cq_to_sql, ucq_to_sql
+from repro.data.sql import SQLiteBackend, cq_to_sql, datalog_to_sql, ucq_to_sql
 from repro.lang.atoms import Atom
 from repro.lang.parser import parse_database, parse_query, parse_ucq
-from repro.lang.queries import ConjunctiveQuery
+from repro.lang.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.lang.terms import Constant, Null, Variable
+from repro.lang.tgd import TGD
+from repro.rewriting.datalog_target import DatalogRewriting
 
 X, Y = Variable("X"), Variable("Y")
 
@@ -146,3 +151,71 @@ class TestRandomizedAgreement:
                 assert backend.execute_cq(query) == evaluate_ucq(
                     query, database
                 )
+
+
+def _blowup(atoms):
+    """``q(X) :- c1(X), ..., cn(X)`` with each ``ci`` derived three ways
+    (``4^n`` UCQ disjuncts); ``u`` derives every atom, ``v`` stores
+    them, ``w`` misses one."""
+    rules = [
+        TGD([Atom(f"a{i}_{j}", [X])], [Atom(f"c{i}", [X])])
+        for i in range(1, atoms + 1)
+        for j in range(1, 4)
+    ]
+    query = ConjunctiveQuery([X], [Atom(f"c{i}", [X]) for i in range(1, atoms + 1)])
+    facts = []
+    for i in range(1, atoms + 1):
+        facts.append(Atom(f"a{i}_1", [Constant("u")]))
+        facts.append(Atom(f"c{i}", [Constant("v")]))
+        if i < atoms:
+            facts.append(Atom(f"a{i}_2", [Constant("w")]))
+    return rules, query, Database(facts)
+
+
+class TestCompoundSelectCap:
+    """SQLite caps one compound SELECT at 500 terms; longer unions are
+    nested in chunks."""
+
+    EXPECTED = {(Constant("u"),), (Constant("v"),)}
+
+    def test_ucq_past_the_cap(self):
+        _, query, database = _blowup(5)
+        choices = [
+            [atom] + [Atom(f"a{i}_{j}", [X]) for j in range(1, 4)]
+            for i, atom in enumerate(query.body, start=1)
+        ]
+        ucq = UnionOfConjunctiveQueries(
+            [ConjunctiveQuery([X], list(body)) for body in itertools.product(*choices)]
+        )
+        assert len(ucq) == 1024
+        with SQLiteBackend.from_database(database) as backend:
+            backend.ensure_ucq(ucq)
+            assert backend.execute_ucq(ucq) == evaluate_ucq(ucq, database)
+            assert backend.execute_ucq(ucq) == self.EXPECTED
+
+    def test_session_answers_the_blowup_family_on_sql(self):
+        rules, query, database = _blowup(5)
+        session = Session(rules, database)
+        assert session.answer(query, backend="sql") == session.answer(query)
+        assert session.answer(query) == self.EXPECTED
+
+    @pytest.mark.parametrize("where", ["aux", "goal"])
+    def test_datalog_unions_past_the_cap(self, where):
+        derived = "aux" if where == "aux" else "goal"
+        branches = tuple(
+            TGD([Atom(f"p{i}", [X])], [Atom(derived, [X])]) for i in range(600)
+        )
+        aux, goal = (
+            (branches, (TGD([Atom("aux", [X])], [Atom("goal", [X])]),))
+            if where == "aux"
+            else ((), branches)
+        )
+        rewriting = DatalogRewriting("goal", 1, aux, goal, True, 0, 0)
+        database = Database(
+            Atom(f"p{i}", [Constant(f"c{i % 7}")]) for i in range(0, 600, 50)
+        )
+        with SQLiteBackend.from_database(database) as backend:
+            backend.ensure_atoms(rewriting.base_atoms())
+            answers = backend.execute_sql(datalog_to_sql(rewriting))
+        assert answers == rewriting.answer(database)
+        assert len(answers) == 7

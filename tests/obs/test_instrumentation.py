@@ -165,6 +165,33 @@ def test_obda_spans_cover_both_backends():
     assert core_memory == core_sql == memory
 
 
+def test_evaluation_and_materialization_spans():
+    """In-memory UCQ evaluation and Datalog materialization each open
+    one span per call -- none per CQ, per rule or per trigger."""
+    query = parse_query("q(X) :- person(X)")
+    with Session(RULES, DATABASE) as session:
+        answers, _, cap = _answer_span(session, query)
+        (span,) = cap.spans("data.evaluate")
+        assert span["parent"] == cap.span("obda.answer")["id"]
+        assert span["attrs"] == {
+            "disjuncts": len(session.prepare(query).ucq),
+            "answers": len(answers),
+        }
+        assert span["attrs"]["disjuncts"] > 1
+        assert not cap.spans("datalog.materialize")
+        answers, _, cap = _answer_span(session, query, target="datalog")
+        (span,) = cap.spans("datalog.materialize")
+        program = session.prepare(query, target="datalog").datalog
+        assert span["attrs"]["rules"] == program.size > 1
+        assert span["attrs"]["rounds"] >= 1
+        assert span["attrs"]["derived"] >= len(answers)
+        assert not cap.spans("data.evaluate")
+    with obs.capture() as cap:
+        restricted_chase(RULES, DATABASE)
+    assert not cap.spans("data.evaluate")
+    assert not cap.spans("datalog.materialize")
+
+
 def test_disabled_instrumentation_leaves_results_unchanged():
     """With the default null tracer the pipeline behaves identically."""
     query = parse_query("q(X) :- org(X)")
