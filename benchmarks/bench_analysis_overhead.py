@@ -1,17 +1,16 @@
 """Constraint-interaction analyzer overhead and the SPLIT payoff, gated.
 
 The termination lattice + separability analysis of ``repro.analysis``
-runs inside the strategy decision procedure and the ``repro check``
+runs inside ``Session``'s hybrid planner and the ``repro check``
 interaction stage, so it must be nearly free next to the work it
 steers.  The first test measures a *cold* full analysis (graph +
 certificate caches cleared every run) against classification over the
 curated corpus and asserts it costs <10%.
 
-The second test gates the SPLIT strategy on its observability
-counters: answering the split workload must perform exactly one
-separation (a proper one), and its answers must match both the pure
-chase lower bound and the direct core-chase + residual-rewriting
-composition.
+The second test gates the SPLIT plan on its observability counters:
+answering the split workload through ``Session(hybrid="auto")`` must
+perform exactly one separation (a proper one), and its answers must
+match the pure chase lower bound.
 """
 
 import time
@@ -25,9 +24,9 @@ from repro.analysis import (
     clear_graph_cache,
     termination_certificate,
 )
+from repro.api import EngineOptions, Session
 from repro.chase.certain import certain_answers_via_chase
 from repro.core.classify import classify
-from repro.obda.strategy import Strategy, answer_with_best_strategy
 from repro.workloads.corpus import CORPUS
 from repro.workloads.interaction import split_workload
 
@@ -93,31 +92,31 @@ def test_analysis_overhead(benchmark):
         "gate": 0.10,
     }
 
-    assert overhead < 0.10, (
-        f"cold analysis costs {overhead:.1%} of classification "
-        "(budget: <10%)"
-    )
-
     # --- SPLIT payoff, counter-gated -------------------------------
     rules, query, database = split_workload()
-    with obs.capture() as captured:
-        report = answer_with_best_strategy(query, rules, database)
-    assert report.strategy is Strategy.SPLIT
-    assert report.exact
+    options = EngineOptions(hybrid="auto")
+    with obs.capture() as captured, Session(
+        rules, database, options=options
+    ) as session:
+        prepared = session.prepare(query)
+        answers = prepared.answer()
+        plan = prepared.plan()
+    assert plan.kind == "split"
+    assert plan.exact
     assert captured.counter("analysis.separations") == 1
     assert captured.counter("analysis.proper_separations") == 1
 
     lower = certain_answers_via_chase(
         query, rules, database, max_steps=5_000, strict=False
     )
-    assert report.answers == lower.answers
+    assert answers == lower.answers
 
     payload.update(
         {
-            "split_strategy": report.strategy.value,
-            "split_answers": len(report.answers),
-            "split_core_rules": len(report.partition.core),
-            "split_residual_rules": len(report.partition.residual),
+            "split_strategy": plan.kind,
+            "split_answers": len(answers),
+            "split_core_rules": len(plan.partition.core),
+            "split_residual_rules": len(plan.partition.residual),
             "separations": int(captured.counter("analysis.separations")),
             "proper_separations": int(
                 captured.counter("analysis.proper_separations")
@@ -125,3 +124,10 @@ def test_analysis_overhead(benchmark):
         }
     )
     write_json_artifact("analysis_overhead.json", payload)
+
+    # The timing gate is checked last, so the deterministic SPLIT
+    # counters are gated and recorded on every run.
+    assert overhead < 0.10, (
+        f"cold analysis costs {overhead:.1%} of classification "
+        "(budget: <10%)"
+    )

@@ -1,8 +1,9 @@
 """Whole-ruleset constraint-interaction analysis.
 
 This package answers two static questions about a TGD set as a whole,
-feeding both the ``repro check`` diagnostics (RL2xx) and the Section-7
-strategy selection of :mod:`repro.obda.strategy`:
+feeding both the ``repro check`` diagnostics (RL2xx) and the hybrid
+planner of :class:`repro.api.Session` (Section 7's chase and SPLIT
+plans):
 
 * **Where does the set sit in the chase-termination lattice?**
   :mod:`repro.analysis.termination` checks weak acyclicity ⊊ joint

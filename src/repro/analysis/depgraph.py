@@ -1,12 +1,12 @@
 """The shared, digest-cached position dependency graph.
 
 Every termination criterion in :mod:`repro.analysis.termination` (and
-:func:`repro.chase.termination.is_weakly_acyclic`, which now delegates
-here) reads the same position dependency graph.  Building it is linear
-in the program size but the Section-7 decision procedure consults it on
-*every* query, so the graph is built once per rule set and cached under
-the rule-order-insensitive ontology digest of
-:mod:`repro.rewriting.store`.
+:func:`repro.chase.termination.is_weakly_acyclic`, which delegates
+here) reads the same position dependency graph, and only this module
+constructs it.  Building it is linear in the program size, but the
+lattice, separability and ``repro check`` passes each consult it, so
+the graph is built once per rule set and cached under the
+rule-order-insensitive ontology digest of :mod:`repro.rewriting.store`.
 
 The graph is a :class:`~repro.graphs.cycles.LabeledGraph` rather than a
 raw ``networkx`` multigraph so that every edge carries rule provenance

@@ -7,7 +7,8 @@ This package is the stable programmatic surface of the library:
   cache and evaluation backends, all computed once and shared;
 * :class:`PreparedQuery` -- a canonicalized conjunctive query bound to
   a session, compiled (rewritten) at most once, reusable for in-memory
-  and SQL evaluation;
+  and SQL evaluation; its :class:`AnswerPlan` says what an answer
+  evaluates, where, and whether it is exact;
 * :class:`RewritingCache` -- the on-disk (SQLite) rewriting cache
   behind ``Session(cache_dir=...)``, shared safely across sessions,
   threads and processes;
@@ -31,10 +32,11 @@ from repro.api.cache import (
 )
 from repro.api.options import EngineOptions
 from repro.api.pool import BatchResult, resolve_workers
-from repro.api.prepared import PreparedQuery
+from repro.api.prepared import AnswerPlan, PreparedQuery
 from repro.api.session import Session
 
 __all__ = [
+    "AnswerPlan",
     "BatchResult",
     "CACHE_SCHEMA_VERSION",
     "CacheKey",

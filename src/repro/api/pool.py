@@ -30,7 +30,6 @@ from concurrent.futures import (
     as_completed,
 )
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro import obs
@@ -50,9 +49,10 @@ class BatchResult:
 
     ``answers`` is None in two cases: the query failed (``error`` holds
     the message) or the batch ran compile-only (no database).
-    ``disjuncts``/``complete`` describe the compiled rewriting whenever
-    compilation succeeded; under the Datalog target ``disjuncts``
-    counts the program's rules instead of UCQ disjuncts.
+    ``complete``/``disjuncts`` are the exactness and size of the plan
+    that answered (or, compile-only, would answer) the query: see
+    :class:`~repro.api.prepared.AnswerPlan`.  Under the Datalog target
+    ``disjuncts`` counts the program's rules instead of UCQ disjuncts.
     """
 
     index: int
@@ -151,25 +151,24 @@ def _thread_task(
     try:
         prepared = session.prepare(query, target=target)
         answers = None
-        compile_only = database is None and session.data is None
-        if not compile_only:
+        if database is not None or session.data is not None:
             answers = prepared.answer(
                 database, backend=backend, require_complete=require_complete
             )
-        else:
+        plan = prepared.plan(database, backend=backend)
+        if answers is None and require_complete and not plan.exact:
             # Compile-only batches still honour require_complete so
             # truncated rewritings surface as per-item errors.
-            if require_complete and not prepared.complete:
-                raise ReproError(
-                    "rewriting incomplete within budget; rerun with "
-                    "require_complete=False for a sound approximation"
-                )
+            raise ReproError(
+                "rewriting incomplete within budget; rerun with "
+                "require_complete=False for a sound approximation"
+            )
         return BatchResult(
             index=index,
             query=text,
             answers=answers,
-            complete=prepared.complete,
-            disjuncts=prepared.size,
+            complete=plan.exact,
+            disjuncts=plan.size,
             seconds=time.perf_counter() - started,
         )
     except Exception as error:  # noqa: BLE001 - one bad query != dead batch

@@ -13,6 +13,7 @@ against any database with the right signature.
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.data.database import Database
@@ -24,8 +25,69 @@ from repro.rewriting.rewriter import RewritingResult
 from repro.rewriting.store import query_digest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.analysis import SeparabilityReport, TerminationCertificate
     from repro.api.session import Session
     from repro.checkers.pruning import PruneResult
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class AnswerPlan:
+    """What one answer evaluates, where, and whether it is exact.
+
+    The session's one planning step builds it, ``Session._execute``
+    evaluates it, and :meth:`PreparedQuery.plan` returns it unevaluated.
+
+    Attributes:
+        kind: ``"rewriting"`` (a complete rewriting over the data),
+            ``"chase"`` (the query itself over the materialized chase),
+            ``"split"`` (the residual rewriting over the materialized
+            core) or ``"approximation"`` (a rewriting the budget cut
+            short: sound answers that may be incomplete).
+        source: the instance evaluated -- ``"database"`` (passed
+            explicitly), ``"abox"`` or ``"core"``.
+        backend: ``"memory"``, or ``"sql"`` for the instance's mirror.
+        target: ``"ucq"`` or ``"datalog"``.
+        size: disjuncts of the evaluated UCQ before pruning, or rules
+            of the Datalog program.
+        certificate, partition: the ontology's termination-lattice
+            certificate and separability partition, whenever a hybrid
+            regime analysed the session (None otherwise).
+        rewriting, ucq, database, state: what ``_execute`` evaluates --
+            the compiled artifact (None for a chase plan), the UCQ
+            after pruning (None for Datalog, or when pruning left no
+            disjunct), the passed database and the hybrid state whose
+            core serves the plan.
+    """
+
+    kind: str
+    source: str
+    backend: str
+    target: str
+    size: int
+    certificate: "TerminationCertificate | None"
+    partition: "SeparabilityReport | None"
+    rewriting: RewritingResult | DatalogRewriting | None
+    ucq: UnionOfConjunctiveQueries | None
+    database: Database | None
+    state: Any
+
+    @property
+    def exact(self) -> bool:
+        """True iff the answers are exactly the certain answers."""
+        return self.kind != "approximation"
+
+    def to_dict(self) -> dict[str, object]:
+        return {
+            "kind": self.kind,
+            "exact": self.exact,
+            "source": self.source,
+            "backend": self.backend,
+            "target": self.target,
+            "size": self.size,
+        }
+
+    def __repr__(self) -> str:
+        return f"AnswerPlan({self.to_dict()})"
 
 
 class PreparedQuery:
@@ -35,7 +97,9 @@ class PreparedQuery:
     are equal up to variable renaming / atom reordering / disjunct
     permutation return the *same* object.  Compilation is deferred to
     the first use of :attr:`result` / :attr:`ucq` / :attr:`sql` /
-    :meth:`answer` and is thread-safe.
+    :meth:`plan` / :meth:`answer` and is thread-safe.  Whether answers
+    are exact is the plan's to say (:attr:`AnswerPlan.exact`): a hybrid
+    plan may never compile the rewriting over the full ontology.
     """
 
     __slots__ = (
@@ -147,22 +211,6 @@ class PreparedQuery:
         return self.result.ucq
 
     @property
-    def complete(self) -> bool:
-        """True iff the selected target's rewriting finished within the
-        session budget."""
-        if self.target_selected == "datalog":
-            return self.datalog.complete
-        return self.result.complete
-
-    @property
-    def size(self) -> int:
-        """Size of the selected target's artifact: UCQ disjuncts, or
-        Datalog rules."""
-        if self.target_selected == "datalog":
-            return self.datalog.size
-        return self.result.size
-
-    @property
     def pruned(self) -> "PruneResult | None":
         """The rewriting after the session's static pruning (cached).
 
@@ -224,41 +272,60 @@ class PreparedQuery:
                     self._sql = sql
         return sql
 
+    def plan(
+        self, database: Database | None = None, *, backend: str = "memory"
+    ) -> AnswerPlan:
+        """The plan :meth:`answer` runs for these arguments.
+
+        Compiles what the plan evaluates and evaluates nothing: a hybrid
+        session's first plan builds its decision (and core), as its
+        first answer would.
+        """
+        return self._session._plan(self, database, backend)
+
     def explain(self) -> dict[str, Any]:
-        """A plain-dict summary of the compilation, for logs and CLIs."""
-        selected = self.target_selected
-        if selected == "datalog":
-            rewriting = self.datalog
-            return {
-                "query": str(self._query),
-                "digest": self._digest,
-                "target": self._target,
-                "target_selected": selected,
-                "rules": rewriting.size,
-                "aux_predicates": len(rewriting.predicates),
-                "fallback_disjuncts": rewriting.fallback_disjuncts,
-                "complete": rewriting.complete,
-                "depth_reached": rewriting.depth_reached,
-                "generated": rewriting.generated,
-                "max_body_atoms": rewriting.max_body_atoms,
-            }
-        result = self.result
-        pruned = self.pruned
-        return {
+        """A plain-dict summary of the plan, for logs and CLIs.
+
+        ``plan`` names the certificate that admitted the plan: the
+        SWR/WR class of the query-relevant fragment, ``completed within
+        budget``, the termination-lattice level or the partition sizes.
+        The compilation statistics describe the artifact the plan
+        evaluates, so a chase plan has none.
+        """
+        plan = self.plan()
+        summary: dict[str, Any] = {
             "query": str(self._query),
             "digest": self._digest,
             "target": self._target,
-            "target_selected": selected,
-            "disjuncts": result.size,
-            "complete": result.complete,
-            "depth_reached": result.depth_reached,
-            "generated": result.generated,
-            "max_body_atoms": result.max_body_atoms,
-            "pruned_disjuncts": pruned.dropped if pruned is not None else 0,
-            "effective_disjuncts": (
-                pruned.kept if pruned is not None else result.size
-            ),
+            "target_selected": plan.target,
+            "complete": plan.exact,
+            "plan": {
+                **plan.to_dict(),
+                "certificate": self._session._certificate(self, plan),
+            },
         }
+        rewriting = plan.rewriting
+        if rewriting is None:
+            return summary
+        summary.update(
+            depth_reached=rewriting.depth_reached,
+            generated=rewriting.generated,
+            max_body_atoms=rewriting.max_body_atoms,
+        )
+        if isinstance(rewriting, DatalogRewriting):
+            summary.update(
+                rules=rewriting.size,
+                aux_predicates=len(rewriting.predicates),
+                fallback_disjuncts=rewriting.fallback_disjuncts,
+            )
+        else:
+            kept = len(plan.ucq) if plan.ucq is not None else 0
+            summary.update(
+                disjuncts=rewriting.size,
+                pruned_disjuncts=rewriting.size - kept,
+                effective_disjuncts=kept,
+            )
+        return summary
 
     def _invalidate_data_caches(self) -> None:
         """Drop artifacts derived from the session's *data*.
@@ -293,10 +360,7 @@ class PreparedQuery:
         raises :class:`~repro.lang.errors.RewritingBudgetExceeded`.
         """
         return self._session._execute(
-            self,
-            database=database,
-            backend=backend,
-            require_complete=require_complete,
+            self, self.plan(database, backend=backend), require_complete
         )
 
     def __repr__(self) -> str:

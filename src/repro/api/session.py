@@ -20,8 +20,11 @@ architecture maps onto::
     for item in session.answer_many(queries, max_workers=4):
         print(item.index, len(item.answers))
 
-It is the library's one answering surface: the rewriting engine only
-compiles, and every evaluation -- in memory, on SQL, over a hybrid
+It is the library's one answering surface and its one planner: the
+rewriting engine only compiles; one planning step, ``_plan``, decides
+what each answer evaluates, where, and whether it is exact (the
+:class:`~repro.api.prepared.AnswerPlan` that :meth:`PreparedQuery.plan`
+reports); and every evaluation -- in memory, on SQL, over a hybrid
 materialized core -- runs through one session method, ``_execute``, on
 one backend type, :class:`~repro.data.sql.SQLiteBackend`.
 """
@@ -35,7 +38,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 from repro import obs
 from repro.api.cache import CacheStats, EngineTier, RewritingCache
 from repro.api.options import EngineOptions
-from repro.api.prepared import PreparedQuery
+from repro.api.prepared import AnswerPlan, PreparedQuery
 from repro.chase.certain import certain_answers_via_chase
 from repro.core.classify import ClassificationReport, classify
 from repro.data.database import Database
@@ -63,8 +66,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 _BACKENDS = ("memory", "sql")
 
-#: Chase step budget for building a hybrid materialized core; matches
-#: the strategy layer's chase ceiling.
+#: Chase step budget for building a hybrid materialized core: the
+#: ceiling of every chase or split plan's materialization.
 HYBRID_CHASE_MAX_STEPS = 200_000
 
 
@@ -138,15 +141,8 @@ class Session:
             if self._cache_dir is not None
             else None
         )
-        tier = (
-            EngineTier(self._cache, self._ontology, self._options.budget)
-            if self._cache is not None
-            else None
-        )
-        self._engine = FORewritingEngine(
+        self._engine = self._new_engine(
             self._ontology,
-            budget=self._options.budget,
-            persistent=tier,
             preflight_estimate=self._options.preflight_estimate,
             target=self._options.target,
         )
@@ -161,6 +157,20 @@ class Session:
         self._hybrid: "_HybridState | None" = None
         self._hybrid_ready = False
         self._closed = False
+
+    def _new_engine(
+        self, rules: tuple[TGD, ...], **options: Any
+    ) -> FORewritingEngine:
+        """A rewriting engine over *rules*, on the session's budget and
+        persistent cache."""
+        tier = (
+            EngineTier(self._cache, rules, self._options.budget)
+            if self._cache is not None
+            else None
+        )
+        return FORewritingEngine(
+            rules, budget=self._options.budget, persistent=tier, **options
+        )
 
     # ----------------------------------------------------------------- #
     # Layers                                                              #
@@ -567,20 +577,8 @@ class Session:
                 )
                 residual_engine = None
                 if decision.choice is HybridChoice.SPLIT:
-                    tier = (
-                        EngineTier(
-                            self._cache,
-                            partition.residual,
-                            self._options.budget,
-                        )
-                        if self._cache is not None
-                        else None
-                    )
-                    residual_engine = FORewritingEngine(
-                        partition.residual,
-                        budget=self._options.budget,
-                        persistent=tier,
-                        target="ucq",
+                    residual_engine = self._new_engine(
+                        partition.residual, target="ucq"
                     )
                 state = _HybridState(decision, core, residual_engine)
             self._hybrid = state
@@ -679,71 +677,45 @@ class Session:
             mirror.ensure_atoms(added)
             mirror.load(added)
 
-    def _execute(
+    def _plan(
         self,
         prepared: PreparedQuery,
-        *,
         database: Database | None,
         backend: str,
-        require_complete: bool,
-    ) -> frozenset[tuple[Term, ...]]:
-        """Evaluation entry point shared by PreparedQuery and the pool.
+    ) -> AnswerPlan:
+        """The one planning step behind every answer.
 
-        Picks *what* to evaluate -- the Datalog program, the pruned UCQ
-        rewriting, the residual rewriting (SPLIT) or the query itself
-        (MATERIALIZE) -- and *where*: a passed database, the virtual
-        ABox or the hybrid core's instance, in memory or on that
-        instance's mirror.  A core serves UCQ-target queries over the
-        session's own data, with certain-answer semantics (null-bearing
-        rows are never answers); SPLIT rests on the separability
+        Decides *what* to evaluate (the Datalog program, the pruned UCQ
+        rewriting, the residual rewriting for SPLIT or the query itself
+        for MATERIALIZE), *where* (a passed database, the virtual ABox
+        or the hybrid core's instance, in memory or on its mirror) and
+        whether the answers are exact.  A core serves UCQ-target queries
+        over the session's own data; SPLIT rests on the separability
         guarantee ``cert(q, S∪R, D) = cert(rewrite_R(q), chase_S(D))``.
         """
         if backend not in _BACKENDS:
             raise ReproError(
                 f"unknown backend {backend!r}; expected one of {_BACKENDS}"
             )
-        on_sql = backend == "sql"
-        if on_sql and database is not None:
+        if backend == "sql" and database is not None:
             raise ReproError(
                 "backend='sql' evaluates over the session's own "
                 "data; pass databases only with backend='memory'"
             )
-        attrs: dict[str, Any] = {"backend": "sqlite" if on_sql else "memory"}
-        program: DatalogRewriting | None = None
-        result: RewritingResult | None = None
-        ucq = prepared.query
-        state: _HybridState | None = None
-        core: MaterializedCore | None = None
-        if prepared.target_selected == "datalog":
+        target = prepared.target_selected
+        hybrid = None
+        if target == "ucq" and database is None and self._source is not None:
+            hybrid = self._hybrid_state()
+        state = hybrid if hybrid is not None and hybrid.core is not None else None
+        source = "database" if database is not None else "abox"
+        rewriting: RewritingResult | DatalogRewriting | None
+        ucq: UnionOfConjunctiveQueries | None = None
+        if target == "datalog":
             # Static pruning does not apply: the program's intermediate
             # predicates are populated during evaluation, not stored.
-            program = prepared.datalog
-            FORewritingEngine._check_complete(program, require_complete)
-            attrs.update(target="datalog", complete=program.complete)
-        else:
-            state = self._hybrid_state() if database is None else None
-            if state is None or state.core is None:
-                state = None  # hybrid off, or REWRITE: no core serves
-                result = prepared.result
-            else:
-                core = state.core
-                attrs["hybrid"] = state.decision.choice.value
-                # SPLIT rewrites the query w.r.t. the residual rules;
-                # MATERIALIZE evaluates it as is over the full chase.
-                if state.residual_engine is not None:
-                    result = state.residual_engine._rewrite(ucq)
-            if result is not None:
-                FORewritingEngine._check_complete(result, require_complete)
-                ucq = result.ucq
-            attrs["complete"] = result is None or result.complete
-        # Where: in memory, the instance; on SQL, its mirror, loaded
-        # only once some disjunct survives pruning.
-        if not on_sql:
-            if core is not None:
-                instance = core.instance
-            else:
-                instance = database if database is not None else self.abox()
-        if program is None and core is None:
+            rewriting = prepared.datalog
+        elif state is None:
+            rewriting = prepared.result
             pruned = prepared.pruned if database is None else None
             if database is not None and self._options.prune_empty:
                 # An explicitly passed database bypasses the mappings,
@@ -755,16 +727,66 @@ class Session:
                 )
 
                 pruned = prune_statically_empty(
-                    ucq, supported_relations(None, database)
+                    rewriting.ucq, supported_relations(None, database)
                 )
-            if pruned is not None:
-                if pruned.ucq is None:
-                    # Every disjunct was statically empty: no database
-                    # reachable through the mappings satisfies any of
-                    # them, so the certain answers are empty.
-                    return frozenset()
-                ucq = pruned.ucq
+            # A pruned UCQ of None means every disjunct is statically
+            # empty: the certain answers are empty.
+            ucq = rewriting.ucq if pruned is None else pruned.ucq
+        elif state.residual_engine is not None:
+            source, rewriting = "core", state.residual_engine._rewrite(
+                prepared.query
+            )
+            ucq = rewriting.ucq
+        else:
+            source, rewriting, ucq = "core", None, prepared.query
+        if rewriting is not None and not rewriting.complete:
+            kind = "approximation"
+        elif state is None:
+            kind = "rewriting"
+        else:
+            kind = "chase" if rewriting is None else "split"
+        analysis = self._analysis if hybrid is not None else None
+        return AnswerPlan(
+            kind=kind,
+            source=source,
+            backend=backend,
+            target=target,
+            size=len(prepared.query) if rewriting is None else rewriting.size,
+            certificate=analysis.certificate if analysis else None,
+            partition=analysis.separability if analysis else None,
+            rewriting=rewriting,
+            ucq=ucq,
+            database=database,
+            state=state,
+        )
+
+    def _execute(
+        self,
+        prepared: PreparedQuery,
+        plan: AnswerPlan,
+        require_complete: bool,
+    ) -> frozenset[tuple[Term, ...]]:
+        """Evaluate *plan*: the one place any answer is computed."""
+        if plan.rewriting is not None:
+            FORewritingEngine._check_complete(plan.rewriting, require_complete)
+        program = plan.rewriting if plan.target == "datalog" else None
+        ucq = plan.ucq
+        if program is None and ucq is None:
+            return frozenset()
+        state: _HybridState | None = plan.state
+        core = state.core if state is not None else None
+        on_sql = plan.backend == "sql"
+        attrs: dict[str, Any] = {
+            "backend": "sqlite" if on_sql else "memory",
+            "complete": plan.exact,
+        }
+        if program is not None:
+            attrs["target"] = "datalog"
+        if state is not None:
+            attrs["hybrid"] = state.decision.choice.value
         if on_sql:
+            # The instance's mirror, loaded only once some disjunct
+            # survives pruning.
             mirror = self._mirror(state)
             if program is not None:
                 # The CTE SQL references base relations only through
@@ -772,6 +794,10 @@ class Session:
                 mirror.ensure_atoms(program.base_atoms())
             else:
                 mirror.ensure_ucq(ucq)
+        elif core is not None:
+            instance = core.instance
+        else:
+            instance = plan.database if plan.database is not None else self.abox()
         with obs.span("obda.answer", **attrs) as span:
             if not on_sql:
                 answers = (
@@ -791,6 +817,33 @@ class Session:
                     )
             span.set(answers=len(answers))
         return answers
+
+    def _certificate(self, prepared: PreparedQuery, plan: AnswerPlan) -> str:
+        """The certificate that admitted *plan*.
+
+        Only ``explain()`` asks, so the SWR/WR class check of the
+        query-relevant fragment never runs per answer.
+        """
+        if plan.kind == "approximation":
+            return "none: rewriting incomplete within budget"
+        if plan.kind == "rewriting":
+            from repro.core.per_query import classify_for_query
+
+            report = classify_for_query(prepared.query, self._ontology)
+            if not report.fo_rewritable_guaranteed:
+                return "completed within budget"
+            which = "SWR" if report.swr.is_swr else "WR"
+            return f"query-relevant fragment is {which}"
+        assert plan.certificate is not None and plan.partition is not None
+        core = plan.partition.core_certificate
+        level = (plan.certificate if plan.kind == "chase" else core).level
+        assert level is not None
+        if plan.kind == "chase":
+            return f"chase terminates: {level.value}"
+        return (
+            f"separable: {len(plan.partition.core)}-rule core "
+            f"({level.value}) / {len(plan.partition.residual)}-rule residual"
+        )
 
     # ----------------------------------------------------------------- #
     # Introspection / lifecycle                                           #

@@ -17,10 +17,7 @@ from repro.chase.chase import (
 )
 from repro.chase.nulls import NullFactory
 from repro.chase.skolem import skolem_chase
-from repro.chase.termination import (
-    is_weakly_acyclic,
-    position_dependency_graph,
-)
+from repro.chase.termination import is_weakly_acyclic
 
 __all__ = [
     "ChaseResult",
@@ -29,7 +26,6 @@ __all__ = [
     "certain_answers_via_chase",
     "is_weakly_acyclic",
     "oblivious_chase",
-    "position_dependency_graph",
     "restricted_chase",
     "skolem_chase",
 ]

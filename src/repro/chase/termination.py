@@ -14,57 +14,24 @@ every body occurrence of a frontier variable ``x`` at position ``p``:
   position ``q``;
 * a **special** edge ``p -> q`` for every head position ``q`` holding
   an existential head variable (a value invented from ``x``'s value).
+
+Only :mod:`repro.analysis.depgraph` constructs that graph.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import networkx as nx
-
-from repro.lang.atoms import Position
-from repro.lang.terms import Variable
 from repro.lang.tgd import TGD
-
-
-def position_dependency_graph(rules: Sequence[TGD]) -> nx.MultiDiGraph:
-    """Build the position dependency graph of *rules*.
-
-    Edges carry a boolean attribute ``special``.
-    """
-    graph = nx.MultiDiGraph()
-    for rule in rules:
-        frontier = set(rule.distinguished_variables())
-        existential = set(rule.existential_head_variables())
-        head_sites: dict[Variable, list[Position]] = {}
-        existential_sites: list[Position] = []
-        for atom in rule.head:
-            for position, term in enumerate(atom.terms, start=1):
-                if isinstance(term, Variable):
-                    site = Position(atom.relation, position)
-                    if term in existential:
-                        existential_sites.append(site)
-                    else:
-                        head_sites.setdefault(term, []).append(site)
-        for atom in rule.body:
-            for position, term in enumerate(atom.terms, start=1):
-                if not isinstance(term, Variable) or term not in frontier:
-                    continue
-                source = Position(atom.relation, position)
-                for target in head_sites.get(term, ()):
-                    graph.add_edge(source, target, special=False)
-                for target in existential_sites:
-                    graph.add_edge(source, target, special=True)
-    return graph
 
 
 def is_weakly_acyclic(rules: Sequence[TGD]) -> bool:
     """True iff no cycle of the dependency graph uses a special edge.
 
     Delegates to the digest-cached dependency graph of
-    :mod:`repro.analysis.depgraph`, so hot paths (the per-query
-    Section-7 decision procedure) stop rebuilding the graph on every
-    call; cache traffic shows up as ``analysis.graph_cache_hits``.
+    :mod:`repro.analysis.depgraph`, so repeated checks of one rule set
+    build the graph once; cache traffic shows up as
+    ``analysis.graph_cache_hits``.
     """
     from repro.analysis.depgraph import dependency_graph
 

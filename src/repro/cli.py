@@ -294,7 +294,8 @@ def _rewrite_with_target(args: argparse.Namespace, rules, query) -> int:
         options=EngineOptions.from_args(args),
     ) as session:
         prepared = session.prepare(query)
-        if not prepared.complete:
+        complete = prepared.plan().exact
+        if not complete:
             print(
                 "warning: rewriting incomplete within budget; "
                 "output is a sound under-approximation",
@@ -308,7 +309,7 @@ def _rewrite_with_target(args: argparse.Namespace, rules, query) -> int:
             print(str(prepared.datalog))
         else:
             print(format_ucq(prepared.ucq))
-        return 0 if prepared.complete else 3
+        return 0 if complete else 3
 
 
 def cmd_answer(args: argparse.Namespace) -> int:
@@ -327,15 +328,15 @@ def cmd_answer(args: argparse.Namespace) -> int:
             options=EngineOptions.from_args(args),
         ) as session:
             prepared = session.prepare(query)
-            if not prepared.complete:
+            answers = prepared.answer(
+                backend=args.backend, require_complete=False
+            )
+            if not prepared.plan(backend=args.backend).exact:
                 print(
                     "warning: rewriting incomplete; answers are a sound "
                     "under-approximation",
                     file=sys.stderr,
                 )
-            answers = prepared.answer(
-                backend=args.backend, require_complete=False
-            )
     if query.is_boolean():
         print("true" if answers else "false")
     else:
@@ -507,7 +508,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
             ) as session:
                 prepared = session.prepare(query)
                 selected = prepared.target_selected
-                complete = prepared.complete
+                rewriting = (
+                    prepared.datalog if selected == "datalog" else prepared.result
+                )
+                complete = rewriting.complete
                 trace_span.set(
                     query=str(query), complete=complete, target=selected
                 )
@@ -521,7 +525,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
                     )
                 )
                 if selected == "datalog":
-                    rewriting = prepared.datalog
                     summary.append(
                         f"rewriting: {rewriting.size} rule(s) "
                         f"({len(rewriting.predicates)} aux predicate(s), "
@@ -530,11 +533,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
                         f"complete={rewriting.complete}"
                     )
                 else:
-                    result = prepared.result
                     summary.append(
-                        f"rewriting: {result.size} disjunct(s), "
-                        f"depth {result.depth_reached}, "
-                        f"complete={result.complete}"
+                        f"rewriting: {rewriting.size} disjunct(s), "
+                        f"depth {rewriting.depth_reached}, "
+                        f"complete={rewriting.complete}"
                     )
                 summary.append(f"sql:       {len(prepared.sql)} chars")
                 if database is not None:

@@ -16,7 +16,9 @@ work:
 Feasibility comes first — MATERIALIZE requires a terminating full
 certificate, SPLIT a proper separable partition — and the surviving
 candidates are ranked by an explainable estimate over the documented
-unit costs of :data:`DEFAULT_UNIT_COSTS`.  Two callers use the
+unit costs of :data:`DEFAULT_UNIT_COSTS`.  One rule overrides the
+estimates: a REWRITE with no static disjunct bound never beats a
+proper partition's SPLIT.  Two callers use the
 :class:`HybridDecision`: :class:`repro.api.Session` acts on it (it
 builds the materialized core SPLIT or MATERIALIZE asks for), and
 ``repro classify --explain`` displays it.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro import obs
 from repro.analysis.separability import SeparabilityReport
@@ -155,10 +157,18 @@ def decide(
         )
         feasible.append("split")
 
-    best = min(feasible, key=lambda name: (estimates[name], name))
+    ranked = {name: estimates[name] for name in feasible}
+    prefix = ""
+    if partition.full_bound is None and partition.proper:
+        # An unbounded rewriting may never finish, while a proper
+        # partition's SPLIT chases a terminating core and rewrites only
+        # the residual: never rank the former above the latter.
+        del ranked["rewrite"]
+        prefix = "rewrite has no static disjunct bound; "
+    best = min(ranked, key=lambda name: (ranked[name], name))
     decision = HybridDecision(
         choice=HybridChoice(best),
-        reason=_explain(best, estimates, workload_weight),
+        reason=prefix + _explain(best, ranked, workload_weight),
         estimates=estimates,
         feasible=tuple(feasible),
         workload_weight=workload_weight,

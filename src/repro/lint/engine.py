@@ -10,8 +10,8 @@ exceptions; :func:`preflight` is the cheap error-level subset that
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Sequence
 
 from repro.lang.errors import ParseError
 from repro.lang.parser import parse_program, parse_query
@@ -207,8 +207,3 @@ def preflight(
             if d.severity is Severity.ERROR and d.code not in config.disabled
         )
     return tuple(findings)
-
-
-def strictness_config(config: LintConfig, codes: Iterable[str]) -> LintConfig:
-    """A copy of *config* with *codes* added to the disabled set."""
-    return replace(config, disabled=config.disabled | set(codes))

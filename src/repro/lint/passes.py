@@ -71,10 +71,6 @@ class LintContext:
                 self._wr = "budget"
         return self._wr if isinstance(self._wr, WRResult) else None
 
-    def wr_budget_exceeded(self) -> bool:
-        self.wr()
-        return self._wr == "budget"
-
     def branching(self) -> dict[str, list[str]]:
         """relation -> labels of the rules deriving it (head relation)."""
         out: dict[str, list[str]] = {}

@@ -37,7 +37,7 @@ return exactly the same results.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.data.database import Database
 from repro.data.evaluation import all_homomorphisms
@@ -625,12 +625,3 @@ class SubsumptionFrontier:
         self._members[member_id] = query
         self._ranks[member_id] = rank
         self._buckets.setdefault(profile.relations, []).append(member_id)
-
-
-def profile_pairs(
-    queries: Iterable[ConjunctiveQuery],
-    kernel: SubsumptionKernel | None = None,
-) -> list[CQProfile]:
-    """Profiles for a batch of queries (helper for tests/benches)."""
-    kernel = kernel or SubsumptionKernel()
-    return [kernel.profile(query) for query in queries]

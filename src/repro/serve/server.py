@@ -426,12 +426,14 @@ class ReproServer:
         with obs.span("serve.query", tenant=tenant, backend=backend) as span:
             prepared = session.prepare(query_text, target=target)
             answers = prepared.answer(backend=backend, require_complete=False)
-            span.set(answers=len(answers), complete=prepared.complete)
+            plan = prepared.plan(backend=backend)
+            span.set(answers=len(answers), complete=plan.exact)
         return {
             "tenant": tenant,
             "query": query_text,
-            "target": prepared.target_selected,
-            "complete": prepared.complete,
+            "target": plan.target,
+            "plan": plan.kind,
+            "complete": plan.exact,
             "answers": sorted(
                 [str(term) for term in row] for row in answers
             ),

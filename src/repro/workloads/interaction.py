@@ -1,8 +1,8 @@
 """Workloads exercising the constraint-interaction analyzer.
 
 Hand-verified rule sets separating the termination lattice's levels,
-plus ready-made (rules, query, database) workloads that drive the new
-Section-7 strategy cells:
+plus ready-made (rules, query, database) workloads that drive the
+Section-7 plan kinds of :meth:`repro.api.PreparedQuery.plan`:
 
 * :func:`ja_not_wa` -- jointly acyclic but not weakly acyclic: the
   invention cycle ``s -> r -> t -> s`` is guarded by ``u``, which no
@@ -13,9 +13,9 @@ Section-7 strategy cells:
   ``"b"`` clashes with the body constant ``"c"``, so the trigger can
   never actually fire; only the unification-aware analysis sees this.
 * :func:`lattice_chase_workload` -- Example 2 (whose chain query makes
-  every rewriting probe diverge) unioned with one of the above, so the
-  decision procedure must fall through to the chase, which only the
-  JA/SWA lattice members admit.
+  every rewriting diverge) unioned with one of the above, so only a
+  chase plan answers exactly, and only the JA/SWA lattice members
+  admit it.
 * :func:`split_workload` -- Example 2 plus an audit/delegate invention
   cycle: not terminating at any lattice level, not FO-rewritable, but
   separable into a chase-safe core {R1, R2, R3} and a rewritable
@@ -76,10 +76,10 @@ def _renamed_swa_rules() -> tuple[TGD, ...]:
 def lattice_chase_workload(
     level: str,
 ) -> tuple[tuple[TGD, ...], ConjunctiveQuery, Database]:
-    """A workload only the lattice-admitted CHASE branch answers exactly.
+    """A workload only a lattice-admitted chase plan answers exactly.
 
     *level* is ``"ja"`` or ``"swa"``.  The fragment unions Example 2
-    (so the query's rewriting diverges and the probe cannot help) with
+    (so the query's rewriting diverges within any budget) with
     a set that breaks weak acyclicity but terminates at the requested
     lattice level; the chase over the union terminates.
     """
@@ -113,7 +113,7 @@ R5: delegate(X, Y) -> audit(Y).
 
 
 def split_workload() -> tuple[tuple[TGD, ...], ConjunctiveQuery, Database]:
-    """A workload answerable exactly only by the SPLIT strategy.
+    """A workload answerable exactly only by a split plan.
 
     The full set terminates at no lattice level (R4/R5 feed each other
     fresh nulls) and the query's rewriting diverges through Example
@@ -122,7 +122,7 @@ def split_workload() -> tuple[tuple[TGD, ...], ConjunctiveQuery, Database]:
     """
     rules = parse_program(SPLIT_RULES_TEXT)
     # The constant anchor "a" keeps the Example-2 chain from being
-    # folded away by UCQ subsumption, so the full-set probe diverges;
+    # folded away by UCQ subsumption, so the full-set rewriting diverges;
     # the delegate/audit atoms pull R4 and R5 into the fragment.
     query = parse_query('q(W) :- r("a", X), delegate(W, Z)')
     database = Database(

@@ -14,6 +14,7 @@ import pytest
 
 import repro
 import repro.api
+import repro.chase
 import repro.obda
 import repro.rewriting
 from repro.api import EngineOptions
@@ -26,6 +27,7 @@ PROGRAM = "R1: professor(X) -> teaches(X, Y)."
 DATA = "professor(ada)."
 
 API_SURFACE = [
+    "AnswerPlan",
     "BatchResult",
     "CACHE_SCHEMA_VERSION",
     "CacheKey",
@@ -82,6 +84,14 @@ class TestDeprecatedShims:
         with pytest.raises(TypeError):
             TenantRegistry(backend_factory="sqlite")
         assert "filter_relevant" not in fields
+        # The Section-7 strategy tree: Session is the one planner.
+        for name in ("answer_with_best_strategy", "Strategy", "StrategyReport"):
+            assert not hasattr(repro.obda, name), name
+            assert name not in repro.obda.__all__
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.obda.strategy")
+        assert not hasattr(repro.chase, "position_dependency_graph")
+        assert "position_dependency_graph" not in repro.chase.__all__
         program = tmp_path / "p.dlp"
         program.write_text(PROGRAM)
         argv = ["rewrite", str(program), "q(X) :- teaches(X, Y)"]

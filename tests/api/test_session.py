@@ -68,7 +68,7 @@ class TestPrepare:
     def test_prepared_exposes_plan(self, rules):
         with Session(rules) as session:
             prepared = session.prepare("q(X) :- r(X, Y)")
-            assert prepared.complete
+            assert prepared.plan().exact
             assert len(prepared.ucq) == 3
             assert "SELECT DISTINCT" in prepared.sql
             explain = prepared.explain()

@@ -1,9 +1,7 @@
 """Tests for repro.chase.termination (weak acyclicity)."""
 
-from repro.chase.termination import (
-    is_weakly_acyclic,
-    position_dependency_graph,
-)
+from repro.analysis.depgraph import SPECIAL, dependency_graph
+from repro.chase.termination import is_weakly_acyclic
 from repro.lang.atoms import Position
 from repro.lang.parser import parse_program
 from repro.workloads.paper import example1, example2, example3
@@ -12,26 +10,24 @@ from repro.workloads.paper import example1, example2, example3
 class TestDependencyGraph:
     def test_regular_edge_for_copied_variable(self):
         rules = parse_program("a(X) -> b(X).")
-        graph = position_dependency_graph(rules)
+        graph = dependency_graph(rules).graph
         assert graph.has_edge(Position("a", 1), Position("b", 1))
-        labels = [
-            d["special"]
-            for _, _, d in graph.edges(data=True)
-        ]
-        assert labels == [False]
+        labels = [edge.labels for edge in graph.edges]
+        assert labels == [frozenset()]
 
     def test_special_edge_for_invented_value(self):
         rules = parse_program("a(X) -> b(X, Y).")
-        graph = position_dependency_graph(rules)
+        graph = dependency_graph(rules).graph
         edges = {
-            (s, t, d["special"]) for s, t, d in graph.edges(data=True)
+            (edge.source, edge.target, SPECIAL in edge.labels)
+            for edge in graph.edges
         }
         assert (Position("a", 1), Position("b", 1), False) in edges
         assert (Position("a", 1), Position("b", 2), True) in edges
 
     def test_non_frontier_body_variable_creates_no_edges(self):
         rules = parse_program("a(X, Z) -> b(X).")
-        graph = position_dependency_graph(rules)
+        graph = dependency_graph(rules).graph
         assert not graph.has_edge(Position("a", 2), Position("b", 1))
 
 

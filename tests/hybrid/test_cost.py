@@ -86,6 +86,20 @@ def test_auto_offers_split_only_on_proper_partitions():
     assert "split" not in decision.feasible
 
 
+def test_auto_never_prefers_unbounded_rewrite_over_split():
+    # Without a workload the partition has no static disjunct bounds,
+    # so REWRITE and SPLIT both estimate at the UNBOUNDED ceiling.
+    separable = separate(SEPARABLE)
+    assert separable.proper and separable.full_bound is None
+    decision = decide(partition=separable, data_size=10)
+    assert decision.choice is HybridChoice.SPLIT
+    assert decision.estimates["rewrite"] <= decision.estimates["split"]
+    assert "no static disjunct bound" in decision.reason
+    # Inseparable: REWRITE stays the fallback, bound or no bound.
+    inseparable = separate(INSEPARABLE)
+    assert decide(partition=inseparable).choice is HybridChoice.REWRITE
+
+
 def test_split_core_share_uses_live_relation_sizes():
     # With a workload, the residual disjunct bound is finite and the
     # core-share term is what distinguishes the estimates.

@@ -277,3 +277,24 @@ def test_invalid_hybrid_options_are_rejected():
         EngineOptions(hybrid="sometimes")
     with pytest.raises(ValueError):
         EngineOptions(hybrid_threshold=0.0)
+
+
+def test_auto_splits_the_split_workload_before_any_prepare():
+    # The decision is made before the first query: no workload, hence
+    # no static disjunct bound for REWRITE, whose rewriting diverges
+    # here.  SPLIT answers exactly.
+    from repro.chase.certain import certain_answers_via_chase
+    from repro.workloads.interaction import split_workload
+
+    rules, query, data = split_workload()
+    options = EngineOptions(hybrid="auto")
+    with Session(rules, data, options=options) as session:
+        decision = session.hybrid_decision()
+        assert decision is not None
+        assert decision.choice is HybridChoice.SPLIT
+        answers = session.answer(query)
+        assert session.prepare(query).plan().kind == "split"
+    lower = certain_answers_via_chase(
+        query, rules, data, max_steps=5_000, strict=False
+    )
+    assert answers == lower.answers

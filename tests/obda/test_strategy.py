@@ -1,255 +1,272 @@
-"""Tests for repro.obda.strategy (the Section-7 decision procedure)."""
+"""Section 7's decision procedure, answered by ``Session``'s one planner.
+
+Every cell of the procedure -- rewriting when the query-relevant
+fragment is SWR/WR or the rewriting completes within budget, the chase
+when a termination-lattice member certifies it, SPLIT when a
+non-terminating set separates, and approximation otherwise -- is a
+plan kind of :meth:`repro.api.PreparedQuery.plan`.  The rewriting cells
+run with ``hybrid="off"``, the chase and split cells with
+``hybrid="auto"``, all under the procedure's depth cap.
+"""
 
 from repro.analysis import TerminationCriterion
+from repro.api import EngineOptions, Session
 from repro.chase.certain import certain_answers, certain_answers_via_chase
 from repro.data.database import Database
 from repro.lang.parser import parse_database, parse_program, parse_query
-from repro.obda.strategy import Strategy, answer_with_best_strategy
+from repro.rewriting.approx import approximate_answers
+from repro.rewriting.budget import RewritingBudget
 from repro.workloads.interaction import lattice_chase_workload, split_workload
 from repro.workloads.paper import EXAMPLE2_QUERY, example2, example3
+
+#: The procedure's depth caps: the rewriting cells' and the
+#: approximation cells'.
+PROBE_DEPTH = 10
+APPROX_DEPTH = 8
+
+# Example 2 with a rule that breaks weak acyclicity: no lattice level,
+# no proper partition, and the chain query's rewriting diverges.
+NON_WA_RULES = parse_program(
+    """
+    t(Y1, Y2), r(Y3, Y4) -> s(Y1, Y3, Y2).
+    s(Y1, Y1, Y2) -> r(Y2, Y3).
+    r(X, Y) -> t(Y, Z).
+    """
+)
 
 
 def db(text):
     return Database(parse_database(text))
 
 
+def run(query, rules, database, *, hybrid="off", depth=PROBE_DEPTH):
+    """Answer on both backends through ``Session``.
+
+    Returns the memory plan, the memory answers, the SQL answers and
+    the certificate ``explain()`` names.
+    """
+    options = EngineOptions(
+        hybrid=hybrid, budget=RewritingBudget.shallow(depth)
+    )
+    with Session(rules, database, options=options) as session:
+        prepared = session.prepare(query)
+        answers = prepared.answer(require_complete=False)
+        sql = prepared.answer(backend="sql", require_complete=False)
+        certificate = prepared.explain()["plan"]["certificate"]
+        return prepared.plan(), answers, sql, certificate
+
+
 class TestStrategySelection:
     def test_swr_fragment_uses_rewriting(self, hierarchy_rules):
-        report = answer_with_best_strategy(
+        plan, answers, _, _ = run(
             parse_query("q(X) :- d(X)"), hierarchy_rules, db("a(v).")
         )
-        assert report.strategy is Strategy.REWRITING
-        assert report.exact
-        assert len(report.answers) == 1
+        assert plan.kind == "rewriting"
+        assert plan.exact
+        assert len(answers) == 1
 
     def test_wr_fragment_uses_rewriting(self):
-        report = answer_with_best_strategy(
+        plan, _, _, certificate = run(
             parse_query("q(X, Y) :- r(X, Y)"),
             example3(),
             db("s(a, b, c)."),
         )
-        assert report.strategy is Strategy.REWRITING
-        assert "WR" in report.reason
+        assert plan.kind == "rewriting"
+        assert "WR" in certificate
 
     def test_example2_weakly_acyclic_falls_back_to_chase(self):
         # Example 2 is not WR and its chain query diverges, but the
         # set IS weakly acyclic: the chase gives exact answers.
         database = db("t(b, a). r(b, e).")
-        report = answer_with_best_strategy(
-            EXAMPLE2_QUERY, example2(), database
+        plan, answers, _, _ = run(
+            EXAMPLE2_QUERY, example2(), database, hybrid="auto"
         )
-        assert report.strategy is Strategy.CHASE
-        assert report.exact
-        assert report.answers == certain_answers(
+        assert plan.kind == "chase"
+        assert plan.exact
+        assert answers == certain_answers(
             EXAMPLE2_QUERY, example2(), database
         )
 
     def test_non_wa_non_wr_uses_approximation(self):
-        # Extend Example 2 with a rule that breaks weak acyclicity.
-        rules = parse_program(
-            """
-            t(Y1, Y2), r(Y3, Y4) -> s(Y1, Y3, Y2).
-            s(Y1, Y1, Y2) -> r(Y2, Y3).
-            r(X, Y) -> t(Y, Z).
-            """
-        )
         from repro.chase.termination import is_weakly_acyclic
 
-        assert not is_weakly_acyclic(rules)
+        assert not is_weakly_acyclic(NON_WA_RULES)
         database = db("t(b, a). r(b, e).")
-        report = answer_with_best_strategy(
-            EXAMPLE2_QUERY, rules, database, probe_depth=8
+        plan, answers, _, _ = run(
+            EXAMPLE2_QUERY,
+            NON_WA_RULES,
+            database,
+            hybrid="auto",
+            depth=APPROX_DEPTH,
         )
-        assert report.strategy is Strategy.APPROXIMATION
-        # Sound: every reported answer is certain (chase would diverge,
-        # so validate soundness structurally: the approximation is a
-        # subset of a generously-bounded non-strict chase evaluation).
-        from repro.chase.certain import certain_answers_via_chase
-
+        assert plan.kind == "approximation"
+        # The same depth-capped under-approximation the procedure
+        # always returned...
+        assert answers == approximate_answers(
+            EXAMPLE2_QUERY, NON_WA_RULES, database, max_depth=APPROX_DEPTH
+        ).answers
+        # ...and sound: the chase would diverge, so validate against a
+        # generously-bounded non-strict chase prefix.  Boolean query:
+        # if the approximation says yes, the prefix derived it too.
         lower_bound = certain_answers_via_chase(
-            EXAMPLE2_QUERY, rules, database, max_steps=5_000, strict=False
+            EXAMPLE2_QUERY, NON_WA_RULES, database, max_steps=5_000,
+            strict=False,
         )
-        # Boolean query: if approximation says yes, the (sound) chase
-        # prefix must also have derived it.
-        if report.answers:
-            assert lower_bound.answers == report.answers
+        if answers:
+            assert lower_bound.answers == answers
 
     def test_probed_rewriting_branch(self):
-        # A per-query terminating case over the non-WR Example 2 where
-        # the static check cannot help: the t-query only reaches R1,
-        # whose fragment is... still classified; craft a fragment the
-        # static check rejects but the probe accepts: Example 2's full
-        # fragment with the s-query (s is produced by R1 only and its
-        # rewriting terminates).
-        report = answer_with_best_strategy(
-            parse_query("q() :- s(X, X, Y)"),
-            example2(),
-            db("t(b, a). r(b, e)."),
-            probe_depth=10,
-        )
-        assert report.strategy in (
-            Strategy.PROBED_REWRITING,
-            Strategy.REWRITING,
-            Strategy.CHASE,
-        )
-        assert report.exact
-        # Whatever branch ran, it must agree with the chase.
-        assert report.answers == certain_answers(
-            parse_query("q() :- s(X, X, Y)"),
-            example2(),
-            db("t(b, a). r(b, e)."),
-        )
+        # The s-query over the non-WR Example 2: the static class check
+        # cannot help, but s is produced by R1 only and its rewriting
+        # completes within the depth cap.
+        query = parse_query("q() :- s(X, X, Y)")
+        database = db("t(b, a). r(b, e).")
+        plan, answers, _, _ = run(query, example2(), database)
+        assert plan.kind in ("rewriting", "chase")
+        assert plan.exact
+        # Whatever plan ran, it must agree with the chase.
+        assert answers == certain_answers(query, example2(), database)
 
     def test_reason_is_informative(self, hierarchy_rules):
-        report = answer_with_best_strategy(
+        plan, _, _, certificate = run(
             parse_query("q(X) :- b(X)"), hierarchy_rules, db("a(v).")
         )
-        assert "rewriting" in report.reason
+        assert plan.kind == "rewriting"
+        assert certificate == "query-relevant fragment is SWR"
 
 
 class TestDecisionMatrix:
-    """One test per cell of the Section-7 decision tree.
+    """One test per cell of the Section-7 decision procedure.
 
-    Cells are (fragment class x termination verdict x probe outcome):
-    the two static-rewriting rows, the probe row, one chase row per
-    termination-lattice member, the split row and the approximation
-    fallback.  Each cell asserts the routed strategy, the report
-    metadata and -- where a ground truth is computable -- the answers.
+    Cells are (fragment class x termination verdict x rewriting
+    outcome): the two static-rewriting rows, the completed-within-budget
+    row, one chase row per termination-lattice member, the split row
+    and the approximation fallback.  Each cell asserts the plan, the
+    certificate that admitted it and -- where a ground truth is
+    computable -- memory == SQL == the chase oracle.
     """
 
-    def _report(self, query, rules, database, **kwargs):
-        return answer_with_best_strategy(query, rules, database, **kwargs)
-
     def test_cell_swr_rewriting(self, hierarchy_rules):
-        report = self._report(
-            parse_query("q(X) :- d(X)"), hierarchy_rules, db("a(v).")
+        query, database = parse_query("q(X) :- d(X)"), db("a(v).")
+        plan, answers, sql, certificate = run(query, hierarchy_rules, database)
+        assert plan.kind == "rewriting"
+        assert plan.exact
+        assert certificate == "query-relevant fragment is SWR"
+        assert plan.certificate is None  # never reached the lattice
+        assert answers == sql == certain_answers(
+            query, hierarchy_rules, database
         )
-        assert report.strategy is Strategy.REWRITING
-        assert report.exact
-        assert report.certificate is None  # never reached the lattice
 
     def test_cell_wr_rewriting(self):
-        report = self._report(
-            parse_query("q(X, Y) :- r(X, Y)"), example3(), db("s(a, b, c).")
-        )
-        assert report.strategy is Strategy.REWRITING
-        assert report.exact
+        query, database = parse_query("q(X, Y) :- r(X, Y)"), db("s(a, b, c).")
+        plan, answers, sql, certificate = run(query, example3(), database)
+        assert plan.kind == "rewriting"
+        assert plan.exact
+        assert certificate == "query-relevant fragment is WR"
+        assert answers == sql == certain_answers(query, example3(), database)
 
     def test_cell_probe_terminates(self):
-        report = self._report(
+        plan, _, _, certificate = run(
             parse_query("q() :- s(X, X, Y)"),
             example2(),
             db("t(b, a). r(b, e)."),
-            probe_depth=10,
         )
-        assert report.strategy is Strategy.PROBED_REWRITING
-        assert report.exact
+        assert plan.kind == "rewriting"
+        assert plan.exact
+        assert certificate == "completed within budget"
 
     def test_cell_chase_weak_acyclicity(self):
         database = db("t(b, a). r(b, e).")
-        report = self._report(EXAMPLE2_QUERY, example2(), database)
-        assert report.strategy is Strategy.CHASE
-        assert report.exact
-        assert report.certificate is not None
-        assert report.certificate.level is TerminationCriterion.WEAK_ACYCLICITY
-        assert report.answers == certain_answers(
+        plan, answers, sql, certificate = run(
+            EXAMPLE2_QUERY, example2(), database, hybrid="auto"
+        )
+        assert plan.kind == "chase"
+        assert plan.exact
+        assert plan.certificate.level is TerminationCriterion.WEAK_ACYCLICITY
+        assert certificate == "chase terminates: weak-acyclicity"
+        assert answers == sql == certain_answers(
             EXAMPLE2_QUERY, example2(), database
         )
 
     def test_cell_chase_joint_acyclicity(self):
         rules, query, database = lattice_chase_workload("ja")
-        report = self._report(query, rules, database)
-        assert report.strategy is Strategy.CHASE
-        assert report.exact
-        assert report.certificate.level is (
+        plan, answers, sql, certificate = run(
+            query, rules, database, hybrid="auto"
+        )
+        assert plan.kind == "chase"
+        assert plan.exact
+        assert plan.certificate.level is (
             TerminationCriterion.JOINT_ACYCLICITY
         )
-        assert "joint-acyclicity" in report.reason
-        assert report.answers == certain_answers_via_chase(
+        assert "joint-acyclicity" in certificate
+        assert answers == sql == certain_answers_via_chase(
             query, rules, database, max_steps=100_000, strict=True
         ).answers
 
     def test_cell_chase_super_weak_acyclicity(self):
         rules, query, database = lattice_chase_workload("swa")
-        report = self._report(query, rules, database)
-        assert report.strategy is Strategy.CHASE
-        assert report.exact
-        assert report.certificate.level is (
+        plan, answers, sql, certificate = run(
+            query, rules, database, hybrid="auto"
+        )
+        assert plan.kind == "chase"
+        assert plan.exact
+        assert plan.certificate.level is (
             TerminationCriterion.SUPER_WEAK_ACYCLICITY
         )
-        assert "super-weak-acyclicity" in report.reason
+        assert "super-weak-acyclicity" in certificate
+        assert answers == sql == certain_answers_via_chase(
+            query, rules, database, max_steps=100_000, strict=True
+        ).answers
 
     def test_cell_split(self):
         rules, query, database = split_workload()
-        report = self._report(query, rules, database)
-        assert report.strategy is Strategy.SPLIT
-        assert report.exact
-        assert report.partition is not None and report.partition.proper
-        assert not report.certificate.terminating
-        assert "separable" in report.reason
+        plan, answers, sql, certificate = run(
+            query, rules, database, hybrid="auto"
+        )
+        assert plan.kind == "split"
+        assert plan.exact
+        assert plan.partition is not None and plan.partition.proper
+        assert not plan.certificate.terminating
+        assert certificate.startswith("separable")
+        assert "3-rule core" in certificate
+        assert "2-rule residual" in certificate
         # Ground truth: generously bounded non-strict chase lower bound
         # (sound prefix) must agree on this finite workload.
         lower = certain_answers_via_chase(
             query, rules, database, max_steps=5_000, strict=False
         )
-        assert report.answers == lower.answers
+        assert answers == sql == lower.answers
 
     def test_cell_approximation(self):
-        # Non-terminating at every lattice level, probe diverges, and
-        # the chase-safe core cannot answer the query exactly: Example
-        # 2's rules with the invention loop folded back in.
-        rules = parse_program(
-            """
-            t(Y1, Y2), r(Y3, Y4) -> s(Y1, Y3, Y2).
-            s(Y1, Y1, Y2) -> r(Y2, Y3).
-            r(X, Y) -> t(Y, Z).
-            """
+        # Non-terminating at every lattice level, the rewriting
+        # diverges, and no chase-safe core answers the query exactly:
+        # Example 2's rules with the invention loop folded back in.
+        plan, _, _, certificate = run(
+            EXAMPLE2_QUERY,
+            NON_WA_RULES,
+            db("t(b, a). r(b, e)."),
+            hybrid="auto",
+            depth=APPROX_DEPTH,
         )
-        report = self._report(
-            EXAMPLE2_QUERY, rules, db("t(b, a). r(b, e)."), probe_depth=8
-        )
-        assert report.strategy is Strategy.APPROXIMATION
-        assert not report.exact
-        assert report.certificate is not None
-        assert not report.certificate.terminating
+        assert plan.kind == "approximation"
+        assert not plan.exact
+        assert certificate.startswith("none")
+        assert plan.certificate is not None
+        assert not plan.certificate.terminating
 
 
 class TestSplitDifferential:
     """SPLIT must agree with every other exact evaluation path."""
 
-    def _pieces(self):
-        from repro.analysis import separate
-        from repro.chase.chase import restricted_chase
-        from repro.rewriting.engine import rewrite
-
-        rules, query, database = split_workload()
-        partition = separate(rules)
-        chased = restricted_chase(list(partition.core), database)
-        assert chased.fixpoint
-        ucq = rewrite(query, partition.residual).ucq
-        return query, rules, database, chased.instance, ucq
-
     def test_memory_equals_sql_equals_chase(self):
-        from repro.data.evaluation import evaluate_ucq
-        from repro.data.sql import SQLiteBackend
-        from repro.lang.signature import Signature
-        from repro.lang.terms import Null
-
-        query, rules, database, chased_db, ucq = self._pieces()
-
-        memory = evaluate_ucq(ucq, chased_db, certain=True)
-
-        signature = Signature(dict(chased_db.signature))
-        for rule in rules:
-            signature.observe_tgd(rule)
-        with SQLiteBackend(signature) as backend:
-            backend.load(chased_db.facts())
-            raw = backend.execute_ucq(ucq)
-        sql = frozenset(
-            row
-            for row in raw
-            if not any(isinstance(t, Null) for t in row)
-        )
+        rules, query, database = split_workload()
+        options = EngineOptions(hybrid="auto")
+        with Session(rules, database, options=options) as session:
+            memory = session.answer(query)
+            sql = session.answer(query, backend="sql")
+            plan = session.prepare(query).plan(backend="sql")
+        assert plan.kind == "split"
+        assert plan.source == "core"
 
         chase_lower = certain_answers_via_chase(
             query, rules, database, max_steps=5_000, strict=False
@@ -258,10 +275,18 @@ class TestSplitDifferential:
         assert memory == sql == chase_lower
 
     def test_strategy_answers_match_differential(self):
-        rules, query, database = split_workload()
-        report = answer_with_best_strategy(query, rules, database)
-        assert report.strategy is Strategy.SPLIT
-        query2, rules2, _, chased_db, ucq = self._pieces()
+        # The plan's answers equal the composition SPLIT stands for:
+        # chase the core once, rewrite the query over the residual.
+        from repro.analysis import separate
+        from repro.chase.chase import restricted_chase
         from repro.data.evaluation import evaluate_ucq
+        from repro.rewriting.rewriter import rewrite
 
-        assert report.answers == evaluate_ucq(ucq, chased_db, certain=True)
+        rules, query, database = split_workload()
+        plan, answers, _, _ = run(query, rules, database, hybrid="auto")
+        assert plan.kind == "split"
+        partition = separate(rules)
+        chased = restricted_chase(list(partition.core), database)
+        assert chased.fixpoint
+        ucq = rewrite(query, partition.residual).ucq
+        assert answers == evaluate_ucq(ucq, chased.instance, certain=True)

@@ -222,3 +222,40 @@ class TestWarmServing:
                 )
                 assert status == 200
         assert trace.counter("rewrite.cqs_generated") == 0
+
+
+class TestPlanReporting:
+    def test_materialized_tenant_reports_the_plan_that_ran(self):
+        # Example 2's chain query has no finite rewriting, but its rules
+        # are weakly acyclic: a materialize tenant answers exactly over
+        # the chase and must never compile the full rewriting just to
+        # report exactness.
+        from repro.rewriting.budget import RewritingBudget
+        from repro.workloads.paper import EXAMPLE2_QUERY, example2
+
+        config = ServeConfig(
+            port=0,
+            options=EngineOptions(
+                hybrid="materialize",
+                budget=RewritingBudget(max_seconds=10.0),
+            ),
+        )
+        registry = TenantRegistry(options=config.effective_options())
+        registry.register(
+            "example2", example2(), Database(parse_database("t(b, a). r(b, e)."))
+        )
+        server = ReproServer(registry, config)
+        with obs.capture() as trace:
+            with BackgroundServer(server) as (host, port):
+                status, _, payload = _request(
+                    host,
+                    port,
+                    "POST",
+                    "/v1/query",
+                    {"query": str(EXAMPLE2_QUERY), "tenant": "example2"},
+                )
+        assert status == 200
+        assert payload["complete"] is True
+        assert payload["plan"] == "chase"
+        assert payload["answers"] == [[]]  # the Boolean query holds
+        assert not trace.spans("engine.rewrite")

@@ -41,6 +41,16 @@ class TestClassify:
         assert main(["classify", program_file, "--explain"]) == 0
         assert "SWR: True" in capsys.readouterr().out
 
+    def test_explain_splits_a_separable_program(self, tmp_path, capsys):
+        # No static disjunct bound for REWRITE, a proper partition:
+        # the same SPLIT a hybrid="auto" session picks.
+        from repro.workloads.interaction import SPLIT_RULES_TEXT
+
+        path = tmp_path / "split.dlp"
+        path.write_text(SPLIT_RULES_TEXT)
+        assert main(["classify", str(path), "--explain"]) == 0
+        assert "hybrid regime: split" in capsys.readouterr().out
+
 
 class TestRewrite:
     def test_datalog_output(self, program_file, capsys):
@@ -92,6 +102,22 @@ class TestAnswer:
     def test_boolean_query(self, program_file, facts_file, capsys):
         assert main(["answer", program_file, "q() :- c(X)", facts_file]) == 0
         assert capsys.readouterr().out.strip() == "true"
+
+    def test_exactness_comes_from_the_plan(self, tmp_path, capsys):
+        # Example 2's chain query never finishes rewriting, but the
+        # materialized chase answers it exactly: no incomplete warning.
+        program = tmp_path / "ex2.dlp"
+        program.write_text(DANGEROUS)
+        facts = tmp_path / "facts.dlp"
+        facts.write_text("t(b, a). r(b, e).")
+        argv = ["answer", str(program), 'q() :- r("a", X)', str(facts)]
+        assert main([*argv, "--max-depth", "5"]) == 0
+        captured = capsys.readouterr()
+        assert "incomplete" in captured.err
+        assert main([*argv, "--max-depth", "5", "--hybrid", "materialize"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip() == "true"
+        assert "incomplete" not in captured.err
 
 
 class TestGraph:
