@@ -21,7 +21,7 @@ from pathlib import Path
 
 from _harness import write_artifact, write_json_artifact
 
-from repro.audit import AuditConfig, audit_paths
+from repro.audit import audit_paths
 from repro.lint.diagnostics import Severity
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -29,10 +29,10 @@ BUDGET_SECONDS = 10.0
 
 
 def test_audit_overhead_on_own_source(benchmark):
-    report = benchmark(lambda: audit_paths([REPO_SRC], AuditConfig()))
+    report = benchmark(lambda: audit_paths([REPO_SRC]))
 
     start = time.perf_counter()
-    report = audit_paths([REPO_SRC], AuditConfig())
+    report = audit_paths([REPO_SRC])
     seconds = time.perf_counter() - start
 
     files = {d.file for d in report.diagnostics if d.file}

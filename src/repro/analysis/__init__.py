@@ -30,6 +30,7 @@ from repro.analysis.depgraph import (
     DependencyGraph,
     clear_graph_cache,
     dependency_graph,
+    derivers,
     graph_cache_size,
     rule_name,
     rules_by_name,
@@ -103,6 +104,7 @@ __all__ = [
     "clear_certificate_cache",
     "clear_graph_cache",
     "dependency_graph",
+    "derivers",
     "graph_cache_size",
     "joint_dependency_graph",
     "rule_name",

@@ -56,6 +56,20 @@ def rules_by_name(rules: Sequence[TGD]) -> dict[str, TGD]:
     }
 
 
+def derivers(rules: Sequence[TGD]) -> dict[str, dict[str, TGD]]:
+    """relation -> {provenance key: rule} of the rules deriving it.
+
+    Relations and rules appear in program order; a key seen twice keeps
+    its first rule.
+    """
+    out: dict[str, dict[str, TGD]] = {}
+    for index, rule in enumerate(rules, start=1):
+        name = rule_name(rule, index)
+        for atom in rule.head:
+            out.setdefault(atom.relation, {}).setdefault(name, rule)
+    return out
+
+
 @dataclass(frozen=True)
 class DependencyGraph:
     """The position dependency graph of one TGD set.

@@ -74,8 +74,8 @@ def _project_separability(ctx: CheckContext) -> SeparabilityReport:
     return separate(
         rules,
         queries=ctx.project.queries,
-        budget=ctx.budget,
-        default_depth=ctx.default_depth,
+        budget=ctx.config.budget,
+        default_depth=ctx.config.default_depth,
         certificate=termination_certificate(rules),
     )
 

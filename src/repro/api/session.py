@@ -262,8 +262,9 @@ class Session:
         Runs the ``repro check`` passes (:mod:`repro.checkers`) over
         the session's ontology, mappings and data, with *queries* as
         the workload (default: every query prepared so far).  Returns
-        the :class:`~repro.lint.diagnostics.LintReport`; render it
-        with :func:`repro.checkers.render_check`.
+        the :class:`~repro.lint.diagnostics.LintReport`; render it with
+        :func:`repro.lint.render`, which takes the ``repro-check``
+        driver and rule names from the report.
         """
         from repro.checkers import CheckConfig, Project, check_project
 

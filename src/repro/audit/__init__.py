@@ -10,30 +10,14 @@ for the lock inventory and sanctioned acquisition order the passes and
 the sanitizer enforce.
 """
 
-from repro.audit.engine import (
-    AUDIT_REGISTRY,
-    AUDIT_SECONDARY_CODES,
-    AUDIT_STAGES,
-    AuditConfig,
-    AuditSpec,
-    all_audit_codes,
-    audit_code_names,
-    audit_files,
-    audit_paths,
-)
+from repro.audit.engine import AUDIT, audit_files, audit_paths
 from repro.audit.model import AuditFile, iter_python_files, load_audit_file
 from repro.audit.order import DECLARED_ORDER, group_of, rank_of
 
 __all__ = [
-    "AUDIT_REGISTRY",
-    "AUDIT_SECONDARY_CODES",
-    "AUDIT_STAGES",
-    "AuditConfig",
+    "AUDIT",
     "AuditFile",
-    "AuditSpec",
     "DECLARED_ORDER",
-    "all_audit_codes",
-    "audit_code_names",
     "audit_files",
     "audit_paths",
     "group_of",

@@ -1,9 +1,10 @@
 """The audit pass pipeline: ``repro audit`` over Python source trees.
 
-Mirrors :mod:`repro.lint.engine` structurally -- a registry of passes
-with stable public codes, a config with stages/disabled sets, and a
-:class:`~repro.lint.diagnostics.LintReport` out the other end so the
-shared renderers, ``--strict`` gating and exit-code contract apply
+:data:`AUDIT` is a :class:`~repro.lint.diagnostics.Pipeline` like
+``repro lint``'s and ``repro check``'s -- passes with stable public
+codes, one run loop, one ``disabled`` check -- and a
+:class:`~repro.lint.diagnostics.LintReport` comes out the other end, so
+the shared renderers, ``--strict`` gating and exit-code contract apply
 unchanged.  The unit of analysis is a set of *Python files* (the
 project's own source, or user extension code) instead of a TGD
 program.
@@ -17,9 +18,8 @@ rationale in the diff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro import obs
 from repro.audit.asyncpasses import (
@@ -44,129 +44,91 @@ from repro.audit.locks import (
     pass_unguarded_shared_write,
 )
 from repro.audit.model import AuditFile, iter_python_files
-from repro.lint.diagnostics import Diagnostic, LintReport, Severity
-
-AuditPass = Callable[[Sequence[AuditFile]], Iterator[Diagnostic]]
-
-
-@dataclass(frozen=True)
-class AuditSpec:
-    """One registered audit pass: code, name, stage, callable."""
-
-    code: str
-    name: str
-    stage: str  # "locks" | "async" | "executors" | "lifecycle"
-    run: AuditPass
-
-
-#: Every pass, in pipeline order.  Codes are stable public API.
-AUDIT_REGISTRY: tuple[AuditSpec, ...] = (
-    AuditSpec("RL300", "lock-order-cycle", "locks", pass_lock_order),
-    AuditSpec("RL301", "manual-acquire", "locks", pass_manual_acquire),
-    AuditSpec("RL302", "unguarded-shared-write", "locks", pass_unguarded_shared_write),
-    AuditSpec("RL303", "sleep-in-async", "async", pass_sleep_in_async),
-    AuditSpec("RL304", "blocking-db-in-async", "async", pass_blocking_db_in_async),
-    AuditSpec("RL305", "blocking-io-in-async", "async", pass_blocking_io_in_async),
-    AuditSpec("RL306", "sync-lock-in-async", "async", pass_sync_lock_in_async),
-    AuditSpec("RL307", "future-dropped", "executors", pass_future_dropped),
-    AuditSpec("RL308", "done-callback-swallows", "executors", pass_done_callback_swallows),
-    AuditSpec("RL309", "spawn-unpicklable", "executors", pass_spawn_unpicklable),
-    AuditSpec("RL310", "loop-not-closed", "lifecycle", pass_loop_not_closed),
-    AuditSpec("RL311", "run-forever-no-join", "lifecycle", pass_run_forever_no_join),
-    AuditSpec("RL312", "unbounded-wait", "lifecycle", pass_unbounded_wait),
+from repro.lint.diagnostics import (
+    Diagnostic,
+    LintReport,
+    Pass,
+    Pipeline,
+    Severity,
 )
 
-#: Codes emitted by the driver itself, not a registered pass.
-AUDIT_SECONDARY_CODES: dict[str, str] = {
-    "RL313": "unparsable-file",
-    "RL314": "unjustified-suppression",
-}
-
-AUDIT_STAGES: tuple[str, ...] = ("locks", "async", "executors", "lifecycle")
-
-
-def all_audit_codes() -> tuple[str, ...]:
-    """Every diagnostic code the auditor can emit, sorted."""
-    return tuple(
-        sorted(
-            {spec.code for spec in AUDIT_REGISTRY} | set(AUDIT_SECONDARY_CODES)
-        )
-    )
-
-
-def audit_code_names() -> dict[str, str]:
-    """code -> short kebab-case name, for SARIF rule metadata."""
-    out = {spec.code: spec.name for spec in AUDIT_REGISTRY}
-    out.update(AUDIT_SECONDARY_CODES)
-    return dict(sorted(out.items()))
-
-
-@dataclass(frozen=True)
-class AuditConfig:
-    """Knobs of one audit run.
-
-    Attributes:
-        stages: which pass stages run.
-        disabled: diagnostic codes to suppress globally.
-    """
-
-    stages: tuple[str, ...] = AUDIT_STAGES
-    disabled: frozenset[str] = field(default_factory=frozenset)
+#: The ``repro audit`` front end.  Codes are stable public API.
+AUDIT: Pipeline[Sequence[AuditFile]] = Pipeline(
+    tool="repro-audit",
+    passes=(
+        Pass("RL300", "lock-order-cycle", "locks", pass_lock_order),
+        Pass("RL301", "manual-acquire", "locks", pass_manual_acquire),
+        Pass("RL302", "unguarded-shared-write", "locks", pass_unguarded_shared_write),
+        Pass("RL303", "sleep-in-async", "async", pass_sleep_in_async),
+        Pass("RL304", "blocking-db-in-async", "async", pass_blocking_db_in_async),
+        Pass("RL305", "blocking-io-in-async", "async", pass_blocking_io_in_async),
+        Pass("RL306", "sync-lock-in-async", "async", pass_sync_lock_in_async),
+        Pass("RL307", "future-dropped", "executors", pass_future_dropped),
+        Pass("RL308", "done-callback-swallows", "executors", pass_done_callback_swallows),
+        Pass("RL309", "spawn-unpicklable", "executors", pass_spawn_unpicklable),
+        Pass("RL310", "loop-not-closed", "lifecycle", pass_loop_not_closed),
+        Pass("RL311", "run-forever-no-join", "lifecycle", pass_run_forever_no_join),
+        Pass("RL312", "unbounded-wait", "lifecycle", pass_unbounded_wait),
+    ),
+    secondary={
+        "RL313": "unparsable-file",
+        "RL314": "unjustified-suppression",
+    },
+    unparsed="RL313",
+)
 
 
 def audit_files(
     files: Sequence[AuditFile],
-    config: AuditConfig | None = None,
+    *,
+    disabled: Iterable[str] = frozenset(),
     path: str = "<audit>",
 ) -> LintReport:
-    """Run every registered pass over parsed *files*."""
-    config = config or AuditConfig()
-    diagnostics: list[Diagnostic] = []
+    """Run every audit pass over parsed *files*.
+
+    *disabled* codes are suppressed globally; :data:`AUDIT` must know
+    each one (ValueError otherwise), and RL313 cannot be disabled.
+    """
+    muted = AUDIT.check_disabled(disabled)
+    diagnostics = [d for d in _file_findings(files) if d.code not in muted]
     parsed = [file for file in files if file.tree is not None]
-    for file in files:
-        if file.error is not None:
-            diagnostics.append(
-                Diagnostic(
-                    code="RL313",
-                    severity=Severity.ERROR,
-                    message=f"cannot parse: {file.error.msg}",
-                    span=file.span_at_line(file.error.lineno or 1),
-                    file=file.path,
-                )
-            )
-        for lineno in file.bare_suppressions():
-            diagnostics.append(
-                Diagnostic(
-                    code="RL314",
-                    severity=Severity.WARNING,
-                    message=(
-                        "suppression marker without a justification: "
-                        "`# audit: ok[...]` must say why"
-                    ),
-                    span=file.span_at_line(lineno),
-                    file=file.path,
-                    hint="append the reason after the bracket, e.g. "
-                    "`# audit: ok[RL312] future is done (as_completed)`",
-                )
-            )
     by_path = {file.path: file for file in files}
     with obs.span("audit.run", files=len(files)):
-        for spec in AUDIT_REGISTRY:
-            if spec.stage not in config.stages:
+        for diagnostic in AUDIT.run(parsed, muted):
+            if _suppressed(diagnostic, by_path):
+                obs.count("audit.suppressed")
                 continue
-            for diagnostic in spec.run(parsed):
-                if diagnostic.code in config.disabled:
-                    continue
-                if _suppressed(diagnostic, by_path):
-                    obs.count("audit.suppressed")
-                    continue
-                diagnostics.append(diagnostic)
-    report = LintReport.of(
-        (d for d in diagnostics if d.code not in config.disabled), path=path
-    )
+            diagnostics.append(diagnostic)
+    report = LintReport.of(diagnostics, path=path, pipeline=AUDIT)
     obs.count("audit.files", len(files))
     obs.count("audit.findings", len(report))
     return report
+
+
+def _file_findings(files: Sequence[AuditFile]) -> Iterator[Diagnostic]:
+    """The driver's own codes: unparsable files and bare suppressions."""
+    for file in files:
+        if file.error is not None:
+            yield Diagnostic(
+                code="RL313",
+                severity=Severity.ERROR,
+                message=f"cannot parse: {file.error.msg}",
+                span=file.span_at_line(file.error.lineno or 1),
+                file=file.path,
+            )
+        for lineno in file.bare_suppressions():
+            yield Diagnostic(
+                code="RL314",
+                severity=Severity.WARNING,
+                message=(
+                    "suppression marker without a justification: "
+                    "`# audit: ok[...]` must say why"
+                ),
+                span=file.span_at_line(lineno),
+                file=file.path,
+                hint="append the reason after the bracket, e.g. "
+                "`# audit: ok[RL312] future is done (as_completed)`",
+            )
 
 
 def _suppressed(diagnostic: Diagnostic, by_path: dict[str, AuditFile]) -> bool:
@@ -180,7 +142,8 @@ def _suppressed(diagnostic: Diagnostic, by_path: dict[str, AuditFile]) -> bool:
 
 def audit_paths(
     paths: Sequence[str | Path],
-    config: AuditConfig | None = None,
+    *,
+    disabled: Iterable[str] = frozenset(),
 ) -> LintReport:
     """Audit every ``.py`` file under *paths* (files or directories).
 
@@ -191,4 +154,4 @@ def audit_paths(
     resolved = iter_python_files([str(p) for p in paths])
     files = [AuditFile(str(p), Path(p).read_text()) for p in resolved]
     display = ", ".join(str(p) for p in paths)
-    return audit_files(files, config, path=display)
+    return audit_files(files, disabled=disabled, path=display)

@@ -22,14 +22,10 @@ from repro.checkers.estimator import (
     estimate_disjunct_bound,
 )
 from repro.checkers.passes import (
-    CHECK_REGISTRY,
+    CHECK,
     CheckConfig,
     CheckContext,
-    CheckSpec,
-    all_check_codes,
-    check_code_names,
     check_project,
-    render_check,
 )
 from repro.checkers.project import Project, load_project, parse_queries
 from repro.checkers.pruning import (
@@ -40,20 +36,16 @@ from repro.checkers.pruning import (
 
 __all__ = [
     "BlowupEstimate",
-    "CHECK_REGISTRY",
+    "CHECK",
     "CheckConfig",
     "CheckContext",
-    "CheckSpec",
     "Project",
     "PruneResult",
     "RewritingBlowupWarning",
-    "all_check_codes",
-    "check_code_names",
     "check_project",
     "estimate_disjunct_bound",
     "load_project",
     "parse_queries",
     "prune_statically_empty",
-    "render_check",
     "supported_relations",
 ]

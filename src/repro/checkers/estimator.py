@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.analysis.depgraph import derivers
 from repro.lang.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.lang.tgd import TGD
 from repro.rewriting.budget import RewritingBudget
@@ -68,25 +69,9 @@ class BlowupEstimate:
         return ">=10^18" if self.capped else f"~{self.bound}"
 
 
-def _rule_label(rule: TGD, index: int) -> str:
-    return rule.label or f"#{index}"
-
-
-def _derivers(rules: Sequence[TGD]) -> dict[str, list[tuple[str, TGD]]]:
-    """relation -> (label, rule) pairs with that head relation."""
-    out: dict[str, list[tuple[str, TGD]]] = {}
-    for index, rule in enumerate(rules, start=1):
-        label = _rule_label(rule, index)
-        for atom in rule.head:
-            entries = out.setdefault(atom.relation, [])
-            if all(existing != label for existing, _ in entries):
-                entries.append((label, rule))
-    return out
-
-
 def _longest_chain(
     roots: Sequence[str],
-    derivers: dict[str, list[tuple[str, TGD]]],
+    deriving: dict[str, dict[str, TGD]],
 ) -> tuple[int, tuple[str, ...], bool]:
     """(depth, rule chain, cyclic) of the longest derivation path.
 
@@ -114,7 +99,7 @@ def _longest_chain(
         in_progress[relation] = None
         best = 0
         best_chain: tuple[str, ...] = ()
-        for label, rule in derivers.get(relation, ()):
+        for label, rule in deriving.get(relation, {}).items():
             in_progress[relation] = label
             for atom in rule.body:
                 sub = visit(atom.relation)
@@ -142,7 +127,7 @@ def _longest_chain(
 
 def _alternatives(
     relation: str,
-    derivers: dict[str, list[tuple[str, TGD]]],
+    deriving: dict[str, dict[str, TGD]],
     memo: dict[str, int],
     in_progress: set[str],
 ) -> int:
@@ -159,12 +144,12 @@ def _alternatives(
         return ESTIMATE_CAP
     in_progress.add(relation)
     total = 1
-    for _, rule in derivers.get(relation, ()):
+    for rule in deriving.get(relation, {}).values():
         contribution = 1
         for atom in rule.body:
             contribution = min(
                 contribution
-                * _alternatives(atom.relation, derivers, memo, in_progress),
+                * _alternatives(atom.relation, deriving, memo, in_progress),
                 ESTIMATE_CAP,
             )
         total = min(total + contribution, ESTIMATE_CAP)
@@ -189,7 +174,7 @@ def estimate_combination_bound(
     ``n(k+1) + 1`` rules.  Deterministic in (query, rules), so the
     engine's ``target="auto"`` resolves identically in every process.
     """
-    derivers = _derivers(tuple(rules))
+    deriving = derivers(rules)
     ucq = UnionOfConjunctiveQueries.of(query)
     memo: dict[str, int] = {}
     total = 0
@@ -198,7 +183,7 @@ def estimate_combination_bound(
         for atom in cq.body:
             product = min(
                 product
-                * _alternatives(atom.relation, derivers, memo, set()),
+                * _alternatives(atom.relation, deriving, memo, set()),
                 ESTIMATE_CAP,
             )
         total = min(total + product, ESTIMATE_CAP)
@@ -222,18 +207,17 @@ def estimate_disjunct_bound(
     the reported chain is the worst disjunct's.
     """
     budget = budget or RewritingBudget.default()
-    rules = tuple(rules)
-    derivers = _derivers(rules)
+    deriving = derivers(rules)
     ucq = UnionOfConjunctiveQueries.of(query)
 
     total = 0
     worst: BlowupEstimate | None = None
     for cq in ucq:
         per_round = 1 + sum(
-            len(derivers.get(atom.relation, ())) for atom in cq.body
+            len(deriving.get(atom.relation, {})) for atom in cq.body
         )
         depth, chain, cyclic = _longest_chain(
-            [atom.relation for atom in cq.body], derivers
+            [atom.relation for atom in cq.body], deriving
         )
         if cyclic:
             depth = (

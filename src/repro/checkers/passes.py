@@ -27,8 +27,9 @@ lint subsystem (:mod:`repro.lint`); the code catalogue lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
+from repro.analysis.depgraph import derivers, rule_name
 from repro.analysis.passes import (
     pass_inseparable,
     pass_lattice_admitted,
@@ -42,12 +43,34 @@ from repro.graphs.analysis import reachable
 from repro.graphs.position_graph import build_position_graph
 from repro.lang.atoms import Position
 from repro.lang.errors import NotSupportedError
-from repro.lang.spans import Span
-from repro.lang.tgd import TGD
-from repro.lint.diagnostics import Diagnostic, LintReport, Severity
-from repro.lint.formats import render
+from repro.lint.diagnostics import (
+    Diagnostic,
+    LintReport,
+    Pass,
+    Pipeline,
+    Severity,
+)
 from repro.rewriting.budget import RewritingBudget
 from repro.rewriting.relevance import relevant_rules
+
+
+@dataclass(frozen=True)
+class CheckConfig:
+    """Knobs of one check run.
+
+    Attributes:
+        budget: the rewriting budget RL105 estimates against.
+        default_depth: assumed rounds for RL105 on cyclic programs.
+        disabled: diagnostic codes to suppress; :data:`CHECK` must know
+            each one (ValueError otherwise).
+    """
+
+    budget: RewritingBudget = field(default_factory=RewritingBudget.default)
+    default_depth: int = 10
+    disabled: frozenset[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        CHECK.check_disabled(self.disabled)
 
 
 @dataclass
@@ -55,24 +78,9 @@ class CheckContext:
     """Shared (memoized) state of one ``repro check`` run."""
 
     project: Project
-    budget: RewritingBudget = field(default_factory=RewritingBudget.default)
-    default_depth: int = 10
+    config: CheckConfig = field(default_factory=CheckConfig)
     _reachable: frozenset[str] | None = field(default=None, repr=False)
     _supported: frozenset[str] | None = field(default=None, repr=False)
-
-    def rule_label(self, rule: TGD, index: int) -> str:
-        return rule.label or f"#{index}"
-
-    def derivers(self) -> dict[str, list[str]]:
-        """relation -> labels of the rules deriving it."""
-        out: dict[str, list[str]] = {}
-        for index, rule in enumerate(self.project.rules, start=1):
-            label = self.rule_label(rule, index)
-            for atom in rule.head:
-                entries = out.setdefault(atom.relation, [])
-                if label not in entries:
-                    entries.append(label)
-        return out
 
     def consumed_relations(self) -> frozenset[str]:
         """Relations read by rule bodies or workload queries."""
@@ -146,13 +154,6 @@ class CheckContext:
         return self._supported
 
 
-CheckPass = Callable[[CheckContext], Iterator[Diagnostic]]
-
-
-def _rule_span(rule: TGD) -> Span | None:
-    return rule.span
-
-
 # --------------------------------------------------------------------- #
 # Workload passes (RL100, RL101, RL107)                                  #
 # --------------------------------------------------------------------- #
@@ -188,7 +189,7 @@ def pass_dead_rules(ctx: CheckContext) -> Iterator[Diagnostic]:
         head_relations = {atom.relation for atom in rule.head}
         if head_relations & relations:
             continue
-        label = ctx.rule_label(rule, index)
+        label = rule_name(rule, index)
         heads = ", ".join(sorted(head_relations))
         yield Diagnostic(
             code="RL100",
@@ -197,7 +198,7 @@ def pass_dead_rules(ctx: CheckContext) -> Iterator[Diagnostic]:
                 f"rule {label} is dead for this workload: head "
                 f"relation(s) {heads} unreachable from any query"
             ),
-            span=_rule_span(rule),
+            span=rule.span,
             rule=label,
             hint="drop the rule or add the query that needs it",
         )
@@ -210,7 +211,7 @@ def pass_unconsumed_relations(ctx: CheckContext) -> Iterator[Diagnostic]:
     consumed = ctx.consumed_relations()
     seen: set[str] = set()
     for index, rule in enumerate(ctx.project.rules, start=1):
-        label = ctx.rule_label(rule, index)
+        label = rule_name(rule, index)
         for atom in rule.head:
             relation = atom.relation
             if relation in consumed or relation in seen:
@@ -223,7 +224,7 @@ def pass_unconsumed_relations(ctx: CheckContext) -> Iterator[Diagnostic]:
                     f"relation {relation} is produced (by {label}) but "
                     "never consumed by any rule body or workload query"
                 ),
-                span=_rule_span(rule),
+                span=rule.span,
                 rule=label,
                 hint="dead derivation output; drop it or query it",
             )
@@ -244,9 +245,9 @@ def pass_unmapped_relations(ctx: CheckContext) -> Iterator[Diagnostic]:
     supported = ctx.supported()
     if supported is None:
         return
-    derivers = ctx.derivers()
+    deriving = derivers(ctx.project.rules)
     for relation in sorted(ctx.consumed_relations()):
-        if relation in derivers or relation in supported:
+        if relation in deriving or relation in supported:
             continue
         yield Diagnostic(
             code="RL102",
@@ -360,17 +361,17 @@ def pass_statically_empty(ctx: CheckContext) -> Iterator[Diagnostic]:
     supported = ctx.supported()
     if supported is None:
         return
-    derivers = ctx.derivers()
+    deriving = derivers(ctx.project.rules)
     interesting = ctx.reachable_relations()
     candidates = (
         interesting
         if interesting is not None
-        else ctx.consumed_relations() | frozenset(derivers)
+        else ctx.consumed_relations() | frozenset(deriving)
     )
     for relation in sorted(candidates):
-        if relation in supported or relation not in derivers:
+        if relation in supported or relation not in deriving:
             continue
-        rules = ", ".join(derivers[relation])
+        rules = ", ".join(deriving[relation])
         yield Diagnostic(
             code="RL106",
             severity=Severity.INFO,
@@ -394,14 +395,15 @@ def pass_statically_empty(ctx: CheckContext) -> Iterator[Diagnostic]:
 
 def pass_rewriting_blowup(ctx: CheckContext) -> Iterator[Diagnostic]:
     """RL105: the static disjunct bound exceeds the rewriting budget."""
+    budget = ctx.config.budget
     for query in ctx.project.queries:
         estimate = estimate_disjunct_bound(
             query,
             ctx.project.rules,
-            budget=ctx.budget,
-            default_depth=ctx.default_depth,
+            budget=budget,
+            default_depth=ctx.config.default_depth,
         )
-        if estimate.bound <= ctx.budget.max_cqs:
+        if estimate.bound <= budget.max_cqs:
             continue
         chain = " -> ".join(estimate.chain) if estimate.chain else "(none)"
         depth_kind = "assumed" if estimate.cyclic else "derivation"
@@ -411,7 +413,7 @@ def pass_rewriting_blowup(ctx: CheckContext) -> Iterator[Diagnostic]:
             message=(
                 f"rewriting of query {query.name} may blow up: "
                 f"estimated {estimate.render_bound()} disjuncts "
-                f"exceeds the budget of {ctx.budget.max_cqs}"
+                f"exceeds the budget of {budget.max_cqs}"
             ),
             rule=f"query {query.name}",
             notes=(
@@ -432,95 +434,37 @@ def pass_rewriting_blowup(ctx: CheckContext) -> Iterator[Diagnostic]:
 
 
 # --------------------------------------------------------------------- #
-# Registry and drivers                                                   #
+# The pipeline and its driver                                            #
 # --------------------------------------------------------------------- #
 
-
-@dataclass(frozen=True)
-class CheckSpec:
-    """One registered check pass: its primary code, stage and callable."""
-
-    code: str
-    name: str
-    stage: str  # "workload" | "coverage" | "estimate" | "interaction"
-    run: CheckPass
-
-
-#: Every check pass, in pipeline order.  Codes are stable public API.
-CHECK_REGISTRY: tuple[CheckSpec, ...] = (
-    CheckSpec("RL100", "dead-rule", "workload", pass_dead_rules),
-    CheckSpec("RL101", "unconsumed-relation", "workload", pass_unconsumed_relations),
-    CheckSpec("RL102", "unmapped-relation", "coverage", pass_unmapped_relations),
-    CheckSpec("RL103", "mapping-arity-mismatch", "coverage", pass_mapping_arity),
-    CheckSpec("RL104", "mapping-source-missing", "coverage", pass_mapping_sources),
-    CheckSpec("RL105", "rewriting-blowup", "estimate", pass_rewriting_blowup),
-    CheckSpec("RL106", "statically-empty-relation", "coverage", pass_statically_empty),
-    CheckSpec("RL107", "no-workload", "workload", pass_no_workload),
-    CheckSpec("RL200", "lattice-admitted-termination", "interaction", pass_lattice_admitted),
-    CheckSpec("RL201", "chase-non-terminating", "interaction", pass_non_terminating),
-    CheckSpec("RL202", "separable-core", "interaction", pass_separable_core),
-    CheckSpec("RL203", "inseparable-interaction", "interaction", pass_inseparable),
+#: The ``repro check`` front end.  Codes are stable public API.
+CHECK: Pipeline[CheckContext] = Pipeline(
+    tool="repro-check",
+    passes=(
+        Pass("RL100", "dead-rule", "workload", pass_dead_rules),
+        Pass("RL101", "unconsumed-relation", "workload", pass_unconsumed_relations),
+        Pass("RL102", "unmapped-relation", "coverage", pass_unmapped_relations),
+        Pass("RL103", "mapping-arity-mismatch", "coverage", pass_mapping_arity),
+        Pass("RL104", "mapping-source-missing", "coverage", pass_mapping_sources),
+        Pass("RL105", "rewriting-blowup", "estimate", pass_rewriting_blowup),
+        Pass("RL106", "statically-empty-relation", "coverage", pass_statically_empty),
+        Pass("RL107", "no-workload", "workload", pass_no_workload),
+        Pass("RL200", "lattice-admitted-termination", "interaction", pass_lattice_admitted),
+        Pass("RL201", "chase-non-terminating", "interaction", pass_non_terminating),
+        Pass("RL202", "separable-core", "interaction", pass_separable_core),
+        Pass("RL203", "inseparable-interaction", "interaction", pass_inseparable),
+    ),
 )
-
-
-def all_check_codes() -> tuple[str, ...]:
-    """Every diagnostic code ``repro check`` can emit, sorted."""
-    return tuple(sorted(spec.code for spec in CHECK_REGISTRY))
-
-
-def check_code_names() -> dict[str, str]:
-    """code -> short kebab-case name, for SARIF rule metadata."""
-    return dict(
-        sorted((spec.code, spec.name) for spec in CHECK_REGISTRY)
-    )
-
-
-@dataclass(frozen=True)
-class CheckConfig:
-    """Knobs of one check run.
-
-    Attributes:
-        budget: the rewriting budget RL105 estimates against.
-        default_depth: assumed rounds for RL105 on cyclic programs.
-        stages: which pass stages run.
-        disabled: diagnostic codes to suppress.
-    """
-
-    budget: RewritingBudget = field(default_factory=RewritingBudget.default)
-    default_depth: int = 10
-    stages: tuple[str, ...] = (
-        "workload",
-        "coverage",
-        "estimate",
-        "interaction",
-    )
-    disabled: frozenset[str] = frozenset()
 
 
 def check_project(
     project: Project, config: CheckConfig | None = None
 ) -> LintReport:
-    """Run every registered check pass over *project*."""
+    """Run every check pass over *project*."""
     config = config or CheckConfig()
-    ctx = CheckContext(
-        project=project,
-        budget=config.budget,
-        default_depth=config.default_depth,
-    )
-    diagnostics: list[Diagnostic] = []
-    for spec in CHECK_REGISTRY:
-        if spec.stage not in config.stages:
-            continue
-        diagnostics.extend(
-            d for d in spec.run(ctx) if d.code not in config.disabled
-        )
     return LintReport.of(
-        diagnostics, path=project.path, source=project.source_text
-    )
-
-
-def render_check(report: LintReport, fmt: str) -> str:
-    """Render a check report (text/json/sarif) with the RL1xx catalogue."""
-    return render(
-        report, fmt, names=check_code_names(), tool="repro-check"
+        CHECK.run(CheckContext(project, config), config.disabled),
+        path=project.path,
+        source=project.source_text,
+        pipeline=CHECK,
     )

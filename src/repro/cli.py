@@ -74,8 +74,8 @@ from repro.graphs.position_graph import build_position_graph
 from repro.lang.errors import ReproError
 from repro.lang.parser import parse_database, parse_program, parse_query
 from repro.lang.printer import format_answers, format_ucq
-from repro.lint.diagnostics import Diagnostic, LintReport
-from repro.lint.engine import LintConfig, lint_source, preflight
+from repro.lint.diagnostics import LintReport, Pipeline
+from repro.lint.engine import LINT, LintConfig, lint_source, preflight
 from repro.lint.formats import render, render_text
 from repro.rewriting.rewriter import rewrite
 
@@ -90,13 +90,25 @@ def _read(path: str) -> str:
         raise ReproError(f"cannot read {path}: {reason}") from error
 
 
-def _preflight(rules, query=None, path="<string>") -> tuple[Diagnostic, ...]:
-    """Run the error-level lint passes; print any findings to stderr."""
+class _Rejected(Exception):
+    """The input failed the preflight; its findings are on stderr."""
+
+
+def _load_program(args: argparse.Namespace, query_text: str | None = None):
+    """Parse ``args.program`` (and *query_text*), then run the preflight.
+
+    Every subcommand that reads a program starts here, except ``lint``,
+    which reports the same findings itself.  RL001 findings go to
+    stderr and end the command with exit code 2.
+    """
+    rules = parse_program(_read(args.program))
+    query = parse_query(query_text) if query_text is not None else None
     findings = preflight(rules, query)
     if findings:
-        report = LintReport.of(findings, path=path)
+        report = LintReport.of(findings, path=args.program, pipeline=LINT)
         print(render_text(report), file=sys.stderr)
-    return findings
+        raise _Rejected
+    return rules, query
 
 
 def _add_engine_options(
@@ -171,9 +183,7 @@ def _add_engine_options(
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    rules = parse_program(_read(args.program))
-    if _preflight(rules, path=args.program):
-        return 2
+    rules, _ = _load_program(args)
     report = classify(rules)
     print(report.table())
     if args.explain:
@@ -237,10 +247,7 @@ def _termination_summary(rules) -> str:
 
 
 def cmd_rewrite(args: argparse.Namespace) -> int:
-    rules = parse_program(_read(args.program))
-    query = parse_query(args.query)
-    if _preflight(rules, query, path=args.program):
-        return 2
+    rules, query = _load_program(args, args.query)
     if getattr(args, "target", "ucq") != "ucq":
         return _rewrite_with_target(args, rules, query)
     if args.explain or args.cache_dir is None:
@@ -315,8 +322,7 @@ def _rewrite_with_target(args: argparse.Namespace, rules, query) -> int:
 def cmd_answer(args: argparse.Namespace) -> int:
     from repro.api import Session
 
-    rules = parse_program(_read(args.program))
-    query = parse_query(args.query)
+    rules, query = _load_program(args, args.query)
     database = Database(parse_database(_read(args.data)))
     if args.via_chase:
         answers = certain_answers(query, rules, database)
@@ -350,9 +356,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
     from repro.api import Session, resolve_workers
 
-    rules = parse_program(_read(args.program))
-    if _preflight(rules, path=args.program):
-        return 2
+    rules, _ = _load_program(args)
     lines = [
         line.strip()
         for line in _read(args.queries).splitlines()
@@ -441,7 +445,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    rules = parse_program(_read(args.program))
+    rules, _ = _load_program(args)
     if args.kind == "position":
         graph = build_position_graph(rules)
         rendered = (
@@ -486,9 +490,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     with obs.use(tree):
         with obs.span("trace", program=args.program) as trace_span:
             with obs.span("parse.program"):
-                rules = parse_program(_read(args.program))
-            if _preflight(rules, path=args.program):
-                return 2
+                rules, _ = _load_program(args)
             with obs.span("parse.query"):
                 query = (
                     parse_query(args.query)
@@ -580,9 +582,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import ReproServer, ServeConfig, TenantRegistry
 
-    rules = parse_program(_read(args.program))
-    if _preflight(rules, path=args.program):
-        return 2
+    rules, _ = _load_program(args)
     database = (
         Database(parse_database(_read(args.data))) if args.data else None
     )
@@ -632,12 +632,47 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_report_options(parser: argparse.ArgumentParser, example: str) -> None:
+    """--format/--strict/--disable, shared by lint, check and audit."""
+    parser.add_argument(
+        "--format",
+        choices=("text", "json", "sarif"),
+        default="text",
+        help="output format (default: text)",
+    )
+    parser.add_argument(
+        "--strict",
+        action="store_true",
+        help="exit non-zero on warnings too (CI gating)",
+    )
+    parser.add_argument(
+        "--disable",
+        action="append",
+        metavar="CODE",
+        help=f"suppress a diagnostic code (repeatable), e.g. {example}",
+    )
+
+
+def _disabled(args: argparse.Namespace, pipeline: Pipeline) -> frozenset[str]:
+    """The --disable codes, checked by *pipeline*; a bad one exits 2."""
+    try:
+        return pipeline.check_disabled(args.disable or ())
+    except ValueError as error:
+        raise ReproError(str(error)) from None
+
+
+def _emit(report: LintReport, args: argparse.Namespace) -> int:
+    """Print *report* in --format; the exit code follows --strict."""
+    print(render(report, args.format))
+    return report.exit_code(strict=args.strict)
+
+
 def cmd_lint(args: argparse.Namespace) -> int:
     path = "<stdin>" if args.program == "-" else args.program
     config = LintConfig(
         budget=EngineOptions.from_args(args).budget,
         branching_threshold=args.branching_threshold,
-        disabled=frozenset(args.disable or ()),
+        disabled=_disabled(args, LINT),
         stages=(
             ("wellformed",)
             if args.no_recursion
@@ -650,40 +685,31 @@ def cmd_lint(args: argparse.Namespace) -> int:
         config=config,
         path=path,
     )
-    print(render(report, args.format))
-    return report.exit_code(strict=args.strict)
+    return _emit(report, args)
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    from repro.audit import AuditConfig, audit_code_names, audit_paths
+    from repro.audit import AUDIT, audit_paths
 
-    config = AuditConfig(disabled=frozenset(args.disable or ()))
+    disabled = _disabled(args, AUDIT)
     try:
-        report = audit_paths(args.paths, config)
+        report = audit_paths(args.paths, disabled=disabled)
     except FileNotFoundError as error:
         raise ReproError(str(error)) from error
     except OSError as error:
         raise ReproError(f"cannot read audit input: {error}") from error
-    print(render(report, args.format, names=audit_code_names(), tool="repro-audit"))
-    return report.exit_code(strict=args.strict)
+    return _emit(report, args)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from repro.checkers import (
-        CheckConfig,
-        check_project,
-        load_project,
-        render_check,
-    )
+    from repro.checkers import CHECK, CheckConfig, check_project, load_project
 
     config = CheckConfig(
         budget=EngineOptions.from_args(args).budget,
         default_depth=args.assumed_depth,
-        disabled=frozenset(args.disable or ()),
+        disabled=_disabled(args, CHECK),
     )
-    report = check_project(load_project(args.project), config)
-    print(render_check(report, args.format))
-    return report.exit_code(strict=args.strict)
+    return _emit(check_project(load_project(args.project), config), args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -889,27 +915,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also lint this query against the program, "
         'e.g. "q(X) :- r(X, Y)"',
     )
-    p_lint.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format (default: text)",
-    )
-    p_lint.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit non-zero on warnings too (CI gating)",
-    )
+    _add_report_options(p_lint, "RL006")
     p_lint.add_argument(
         "--no-recursion",
         action="store_true",
         help="skip the graph-based recursion and risk passes",
-    )
-    p_lint.add_argument(
-        "--disable",
-        action="append",
-        metavar="CODE",
-        help="suppress a diagnostic code (repeatable), e.g. RL006",
     )
     p_lint.add_argument(
         "--branching-threshold",
@@ -931,23 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="project.json manifest (or a directory containing one) "
         "naming the ontology and optional queries/mappings/data files",
     )
-    p_check.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format (default: text)",
-    )
-    p_check.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit non-zero on warnings too (CI gating)",
-    )
-    p_check.add_argument(
-        "--disable",
-        action="append",
-        metavar="CODE",
-        help="suppress a diagnostic code (repeatable), e.g. RL106",
-    )
+    _add_report_options(p_check, "RL106")
     p_check.add_argument(
         "--assumed-depth",
         type=int,
@@ -969,23 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Python files or directories to audit (directories are "
         "walked recursively for .py files)",
     )
-    p_audit.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format (default: text)",
-    )
-    p_audit.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit non-zero on warnings too (CI gating)",
-    )
-    p_audit.add_argument(
-        "--disable",
-        action="append",
-        metavar="CODE",
-        help="suppress a diagnostic code (repeatable), e.g. RL312",
-    )
+    _add_report_options(p_audit, "RL312")
     p_audit.set_defaults(func=cmd_audit)
 
     return parser
@@ -1003,6 +981,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
+        return 2
+    except _Rejected:
         return 2
     except BrokenPipeError:
         # Downstream consumer (e.g. `| head`) closed the pipe early;

@@ -14,12 +14,16 @@ Typical usage::
     raise SystemExit(report.exit_code(strict=True))
 """
 
-from repro.lint.diagnostics import Diagnostic, LintReport, Severity
+from repro.lint.diagnostics import (
+    Diagnostic,
+    LintReport,
+    Pass,
+    Pipeline,
+    Severity,
+)
 from repro.lint.engine import (
+    LINT,
     LintConfig,
-    PASS_REGISTRY,
-    all_codes,
-    code_names,
     lint_program,
     lint_source,
     preflight,
@@ -29,13 +33,13 @@ from repro.lint.passes import LintContext, rule_subsumes
 
 __all__ = [
     "Diagnostic",
+    "LINT",
     "LintConfig",
     "LintContext",
     "LintReport",
-    "PASS_REGISTRY",
+    "Pass",
+    "Pipeline",
     "Severity",
-    "all_codes",
-    "code_names",
     "lint_program",
     "lint_source",
     "preflight",

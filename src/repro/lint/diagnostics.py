@@ -1,17 +1,31 @@
-"""Diagnostic records and reports for the static-analysis layer.
+"""Diagnostic records, reports and pipelines of the static-analysis layer.
 
 A :class:`Diagnostic` is one finding: a stable code (``RL001``), a
 severity, a human-readable message, an optional source span, the label
 of the rule it concerns, an optional fix hint and free-form notes
 (e.g. the edges of a witness cycle).  A :class:`LintReport` is an
 ordered collection with severity gating for CI.
+
+A :class:`Pipeline` is one front end -- ``repro lint``, ``repro check``
+or ``repro audit`` -- as a value: its :class:`Pass` records, the codes
+it emits besides theirs, its SARIF driver name, and the one run loop
+and ``disabled`` check all three share.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Generic,
+    Iterable,
+    Iterator,
+    Mapping,
+    TypeVar,
+)
 
 from repro.lang.spans import Span
 
@@ -92,6 +106,94 @@ class Diagnostic:
         return out
 
 
+C = TypeVar("C")
+
+
+@dataclass(frozen=True)
+class Pass(Generic[C]):
+    """One registered pass: its primary code, name, stage and callable.
+
+    Attributes:
+        code: the code the pass is registered under (stable public API).
+        name: short kebab-case name, the SARIF rule name.
+        stage: the pipeline stage the pass belongs to.
+        run: the pass itself, from the pipeline's context to findings.
+    """
+
+    code: str
+    name: str
+    stage: str
+    run: Callable[[C], Iterable[Diagnostic]]
+
+
+@dataclass(frozen=True, eq=False)
+class Pipeline(Generic[C]):
+    """One diagnostic front end: its passes and its code catalogue.
+
+    Attributes:
+        tool: the SARIF driver name of its reports.
+        passes: every pass, in pipeline order.
+        secondary: code -> name for the codes no pass is registered
+            under: those a pass emits beside its own code (RL004 beside
+            RL003) and those the driver emits itself (RL000, RL313).
+        unparsed: the code the driver reports for input that did not
+            parse, if any.  It cannot be disabled: the input behind it
+            was never analysed.
+    """
+
+    tool: str
+    passes: tuple[Pass[C], ...]
+    secondary: Mapping[str, str] = field(default_factory=dict)
+    unparsed: str | None = None
+
+    def names(self) -> dict[str, str]:
+        """code -> name of every code the pipeline emits, sorted."""
+        out = {spec.code: spec.name for spec in self.passes}
+        out.update(self.secondary)
+        return dict(sorted(out.items()))
+
+    def codes(self) -> tuple[str, ...]:
+        """Every code the pipeline emits, sorted."""
+        return tuple(self.names())
+
+    def check_disabled(self, disabled: Iterable[str]) -> frozenset[str]:
+        """*disabled* as a set; ValueError on a code it cannot disable."""
+        codes = frozenset(disabled)
+        known = self.names()
+        for code in sorted(codes):
+            if code == self.unparsed:
+                raise ValueError(
+                    f"{code} cannot be disabled: it reports input that "
+                    "was never analysed"
+                )
+            if code not in known:
+                hint = (
+                    f" (did you mean {code.upper()}?)"
+                    if code.upper() in known
+                    else ""
+                )
+                raise ValueError(
+                    f"{self.tool} has no diagnostic code {code!r}{hint}"
+                )
+        return codes
+
+    def run(
+        self,
+        context: C,
+        disabled: Collection[str] = frozenset(),
+        stages: Collection[str] | None = None,
+    ) -> Iterator[Diagnostic]:
+        """Every pass's findings in pipeline order, minus *disabled*.
+
+        *stages*, when given, keeps only the passes of those stages.
+        """
+        for spec in self.passes:
+            if stages is None or spec.stage in stages:
+                for diagnostic in spec.run(context):
+                    if diagnostic.code not in disabled:
+                        yield diagnostic
+
+
 @dataclass(frozen=True)
 class LintReport:
     """All diagnostics of one lint run, in deterministic order.
@@ -102,11 +204,14 @@ class LintReport:
             for non-file input); used by the renderers.
         source: the program text, when available (lets renderers quote
             the offending line).
+        pipeline: the front end that produced the report; SARIF takes
+            its driver and rule names from it.
     """
 
     diagnostics: tuple[Diagnostic, ...]
     path: str = "<string>"
     source: str | None = None
+    pipeline: Pipeline[Any] | None = field(default=None, compare=False)
 
     @classmethod
     def of(
@@ -114,10 +219,13 @@ class LintReport:
         diagnostics: Iterable[Diagnostic],
         path: str = "<string>",
         source: str | None = None,
+        pipeline: Pipeline[Any] | None = None,
     ) -> "LintReport":
         """Build a report with the canonical ordering applied."""
         ordered = tuple(sorted(diagnostics, key=Diagnostic.sort_key))
-        return cls(diagnostics=ordered, path=path, source=source)
+        return cls(
+            diagnostics=ordered, path=path, source=source, pipeline=pipeline
+        )
 
     def __iter__(self) -> Iterator[Diagnostic]:
         return iter(self.diagnostics)

@@ -1,23 +1,29 @@
 """The lint pass pipeline.
 
-:func:`lint_program` runs the registered passes over parsed rules (and
-an optional query); :func:`lint_source` starts from program text,
-converting parse failures into ``RL000`` diagnostics instead of
-exceptions; :func:`preflight` is the cheap error-level subset that
-``repro classify`` and ``repro rewrite`` run before their real work.
+:data:`LINT` lists the passes; :func:`lint_program` runs them over
+parsed rules (and an optional query); :func:`lint_source` starts from
+program text, converting parse failures into ``RL000`` diagnostics
+instead of exceptions; :func:`preflight` is the RL001 pass alone, which
+every command that reads a program runs before its real work.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 from repro.lang.errors import ParseError
 from repro.lang.parser import parse_program, parse_query
 from repro.lang.queries import ConjunctiveQuery
 from repro.lang.tgd import TGD
-from repro.lint.diagnostics import Diagnostic, LintReport, Severity
+from repro.lint.diagnostics import (
+    Diagnostic,
+    LintReport,
+    Pass,
+    Pipeline,
+    Severity,
+)
 from repro.lint.passes import (
     LintContext,
     pass_arity_consistency,
@@ -34,56 +40,30 @@ from repro.lint.passes import (
 )
 from repro.rewriting.budget import RewritingBudget
 
-LintPass = Callable[[LintContext], Iterator[Diagnostic]]
-
-
-@dataclass(frozen=True)
-class PassSpec:
-    """One registered pass: its primary code, stage and callable."""
-
-    code: str
-    name: str
-    stage: str  # "wellformed" | "recursion" | "risk"
-    run: LintPass
-    preflight: bool = False  # cheap + error-capable: runs before classify/rewrite
-
-
-#: Every pass, in pipeline order.  Codes are stable public API.
-PASS_REGISTRY: tuple[PassSpec, ...] = (
-    PassSpec("RL001", "arity-mismatch", "wellformed", pass_arity_consistency, preflight=True),
-    PassSpec("RL002", "existential-head-variable", "wellformed", pass_existential_head_variables),
-    PassSpec("RL003", "duplicate-rule", "wellformed", pass_duplicate_and_subsumed_rules),
-    PassSpec("RL005", "unused-predicate", "wellformed", pass_unused_predicates),
-    PassSpec("RL006", "underivable-predicate", "wellformed", pass_underivable_predicates),
-    PassSpec("RL007", "simplicity-violation", "wellformed", pass_simplicity),
-    PassSpec("RL010", "dangerous-position-cycle", "recursion", pass_position_graph_recursion),
-    PassSpec("RL011", "dangerous-pnode-cycle", "recursion", pass_pnode_graph_recursion),
-    PassSpec("RL020", "high-branching-relation", "risk", pass_high_branching),
-    PassSpec("RL021", "rewriting-blowup-risk", "risk", pass_rewriting_blowup),
-    PassSpec("RL022", "no-fo-guarantee", "risk", pass_no_fo_guarantee),
+#: The ``repro lint`` front end.  Codes are stable public API.
+LINT: Pipeline[LintContext] = Pipeline(
+    tool="repro-lint",
+    passes=(
+        Pass("RL001", "arity-mismatch", "wellformed", pass_arity_consistency),
+        Pass("RL002", "existential-head-variable", "wellformed", pass_existential_head_variables),
+        Pass("RL003", "duplicate-rule", "wellformed", pass_duplicate_and_subsumed_rules),
+        Pass("RL005", "unused-predicate", "wellformed", pass_unused_predicates),
+        Pass("RL006", "underivable-predicate", "wellformed", pass_underivable_predicates),
+        Pass("RL007", "simplicity-violation", "wellformed", pass_simplicity),
+        Pass("RL010", "dangerous-position-cycle", "recursion", pass_position_graph_recursion),
+        Pass("RL011", "dangerous-pnode-cycle", "recursion", pass_pnode_graph_recursion),
+        Pass("RL020", "high-branching-relation", "risk", pass_high_branching),
+        Pass("RL021", "rewriting-blowup-risk", "risk", pass_rewriting_blowup),
+        Pass("RL022", "no-fo-guarantee", "risk", pass_no_fo_guarantee),
+    ),
+    secondary={
+        "RL000": "parse-error",
+        "RL004": "subsumed-rule",
+        "RL012": "pnode-budget-exceeded",
+        "RL013": "position-graph-undefined",
+    },
+    unparsed="RL000",
 )
-
-#: Codes emitted by passes registered under a sibling code.
-SECONDARY_CODES: dict[str, str] = {
-    "RL000": "parse-error",
-    "RL004": "subsumed-rule",
-    "RL012": "pnode-budget-exceeded",
-    "RL013": "position-graph-undefined",
-}
-
-
-def all_codes() -> tuple[str, ...]:
-    """Every diagnostic code the linter can emit, sorted."""
-    return tuple(
-        sorted({spec.code for spec in PASS_REGISTRY} | set(SECONDARY_CODES))
-    )
-
-
-def code_names() -> dict[str, str]:
-    """code -> short kebab-case name, for SARIF rule metadata."""
-    out = {spec.code: spec.name for spec in PASS_REGISTRY}
-    out.update(SECONDARY_CODES)
-    return dict(sorted(out.items()))
 
 
 @dataclass(frozen=True)
@@ -93,18 +73,21 @@ class LintConfig:
     Attributes:
         budget: the rewriting budget the risk passes warn against.
         branching_threshold: RL020 fires at this many deriving rules.
-        default_depth: assumed rounds for RL021 on cyclic programs.
         wr_max_nodes: P-node graph budget for the WR check.
         stages: which pipeline stages run.
-        disabled: diagnostic codes to suppress.
+        disabled: diagnostic codes to suppress; :data:`LINT` must know
+            each one (ValueError otherwise), and RL000 cannot be
+            disabled.
     """
 
     budget: RewritingBudget = field(default_factory=RewritingBudget.default)
     branching_threshold: int = 8
-    default_depth: int = 10
     wr_max_nodes: int = 20_000
     stages: tuple[str, ...] = ("wellformed", "recursion", "risk")
     disabled: frozenset[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        LINT.check_disabled(self.disabled)
 
 
 def lint_program(
@@ -116,22 +99,13 @@ def lint_program(
 ) -> LintReport:
     """Run the lint pipeline over parsed *rules* (and *query*)."""
     config = config or LintConfig()
-    ctx = LintContext(
-        rules=tuple(rules),
-        query=query,
-        budget=config.budget,
-        branching_threshold=config.branching_threshold,
-        default_depth=config.default_depth,
-        wr_max_nodes=config.wr_max_nodes,
+    ctx = LintContext(tuple(rules), config, query)
+    return LintReport.of(
+        LINT.run(ctx, config.disabled, config.stages),
+        path=path,
+        source=source,
+        pipeline=LINT,
     )
-    diagnostics: list[Diagnostic] = []
-    for spec in PASS_REGISTRY:
-        if spec.stage not in config.stages:
-            continue
-        diagnostics.extend(
-            d for d in spec.run(ctx) if d.code not in config.disabled
-        )
-    return LintReport.of(diagnostics, path=path, source=source)
 
 
 def lint_source(
@@ -145,7 +119,7 @@ def lint_source(
         rules = parse_program(text)
     except ParseError as error:
         return LintReport.of(
-            [_parse_diagnostic(error)], path=path, source=text
+            [_parse_diagnostic(error)], path=path, source=text, pipeline=LINT
         )
     query = None
     if query_text is not None:
@@ -155,10 +129,15 @@ def lint_source(
             diagnostic = dataclasses.replace(
                 _parse_diagnostic(error, prefix="query: "), span=None
             )
-            return LintReport.of([diagnostic], path=path, source=text)
+            return LintReport.of(
+                [diagnostic], path=path, source=text, pipeline=LINT
+            )
     report = lint_program(rules, query, config, path=path, source=text)
     return LintReport.of(
-        (_strip_query_span(d) for d in report), path=path, source=text
+        (_strip_query_span(d) for d in report),
+        path=path,
+        source=text,
+        pipeline=LINT,
     )
 
 
@@ -184,26 +163,12 @@ def _parse_diagnostic(error: ParseError, prefix: str = "") -> Diagnostic:
 
 
 def preflight(
-    rules: Sequence[TGD],
-    query: ConjunctiveQuery | None = None,
-    config: LintConfig | None = None,
+    rules: Sequence[TGD], query: ConjunctiveQuery | None = None
 ) -> tuple[Diagnostic, ...]:
-    """Error-level well-formedness findings only, as fast as possible.
+    """The RL001 arity findings of *rules* (and *query*), and only those.
 
-    This is the subset ``repro classify`` and ``repro rewrite`` run
-    before doing real work: only passes marked ``preflight`` execute,
-    and only error-severity findings are returned, so a clean program
-    pays a single pass over its atoms.
+    Every command that reads a program runs this before its real work;
+    a clean program pays a single pass over its atoms.
     """
-    config = config or LintConfig()
-    ctx = LintContext(rules=tuple(rules), query=query, budget=config.budget)
-    findings: list[Diagnostic] = []
-    for spec in PASS_REGISTRY:
-        if not spec.preflight:
-            continue
-        findings.extend(
-            d
-            for d in spec.run(ctx)
-            if d.severity is Severity.ERROR and d.code not in config.disabled
-        )
-    return tuple(findings)
+    ctx = LintContext(tuple(rules), LintConfig(), query)
+    return tuple(pass_arity_consistency(ctx))

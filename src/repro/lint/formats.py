@@ -88,21 +88,17 @@ def render_json(report: LintReport) -> str:
     return json.dumps(document, indent=2, sort_keys=True)
 
 
-def render_sarif(
-    report: LintReport,
-    names: dict[str, str] | None = None,
-    tool: str = "repro-lint",
-) -> str:
+def render_sarif(report: LintReport) -> str:
     """SARIF 2.1.0 document for CI code-scanning upload.
 
-    *names* maps diagnostic codes to rule names; it defaults to the lint
-    registry.  Other producers sharing this renderer (``repro check``)
-    pass their own code catalogue and *tool* driver name.
+    The driver name and the rule names come from the pipeline that
+    produced the report (``repro-lint``, ``repro-check`` or
+    ``repro-audit``); a report built without one names its rules by
+    code under the driver ``repro``.
     """
-    if names is None:
-        from repro.lint.engine import code_names
-
-        names = code_names()
+    pipeline = report.pipeline
+    names = pipeline.names() if pipeline is not None else {}
+    tool = pipeline.tool if pipeline is not None else "repro"
     seen_codes = sorted({d.code for d in report})
     rules = [
         {
@@ -171,17 +167,12 @@ def _sarif_result(
     return result
 
 
-def render(
-    report: LintReport,
-    fmt: str,
-    names: dict[str, str] | None = None,
-    tool: str = "repro-lint",
-) -> str:
+def render(report: LintReport, fmt: str) -> str:
     """Dispatch on ``text`` / ``json`` / ``sarif``."""
     if fmt == "text":
         return render_text(report)
     if fmt == "json":
         return render_json(report)
     if fmt == "sarif":
-        return render_sarif(report, names=names, tool=tool)
+        return render_sarif(report)
     raise ValueError(f"unknown lint output format: {fmt!r}")

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
+from repro.analysis.depgraph import derivers, rule_name
 from repro.core.swr import SWRResult, is_swr
 from repro.core.wr import WRResult, is_wr
 from repro.graphs.cycles import LabeledEdge, LabeledGraph
@@ -37,7 +38,10 @@ from repro.lang.spans import Span
 from repro.lang.terms import Term, Variable
 from repro.lang.tgd import TGD
 from repro.lint.diagnostics import Diagnostic, Severity
-from repro.rewriting.budget import RewritingBudget
+
+if TYPE_CHECKING:  # imported lazily to avoid a module cycle
+    from repro.lint.engine import LintConfig
+
 
 @dataclass
 class LintContext:
@@ -49,11 +53,8 @@ class LintContext:
     """
 
     rules: tuple[TGD, ...]
+    config: LintConfig
     query: ConjunctiveQuery | None = None
-    budget: RewritingBudget = field(default_factory=RewritingBudget.default)
-    branching_threshold: int = 8
-    default_depth: int = 10
-    wr_max_nodes: int = 20_000
     _swr: SWRResult | None = field(default=None, repr=False)
     _wr: "WRResult | None | str" = field(default=None, repr=False)
 
@@ -66,25 +67,12 @@ class LintContext:
         """The WR check result, or None when its budget was exceeded."""
         if self._wr is None:
             try:
-                self._wr = is_wr(self.rules, max_nodes=self.wr_max_nodes)
+                self._wr = is_wr(
+                    self.rules, max_nodes=self.config.wr_max_nodes
+                )
             except PNodeGraphBudgetExceeded:
                 self._wr = "budget"
         return self._wr if isinstance(self._wr, WRResult) else None
-
-    def branching(self) -> dict[str, list[str]]:
-        """relation -> labels of the rules deriving it (head relation)."""
-        out: dict[str, list[str]] = {}
-        for index, rule in enumerate(self.rules, start=1):
-            label = rule.label or f"#{index}"
-            for atom in rule.head:
-                derivers = out.setdefault(atom.relation, [])
-                if label not in derivers:
-                    derivers.append(label)
-        return out
-
-
-def _rule_name(rule: TGD, index: int) -> str:
-    return rule.label or f"#{index}"
 
 
 def _first_span(*objects: object) -> Span | None:
@@ -106,7 +94,7 @@ def pass_arity_consistency(ctx: LintContext) -> Iterator[Diagnostic]:
 
     def sites() -> Iterator[tuple[Atom, str]]:
         for index, rule in enumerate(ctx.rules, start=1):
-            name = _rule_name(rule, index)
+            name = rule_name(rule, index)
             for atom in rule.body + rule.head:
                 yield atom, name
         if ctx.query is not None:
@@ -197,7 +185,7 @@ def pass_existential_head_variables(ctx: LintContext) -> Iterator[Diagnostic]:
                         f"edit away from body variable {near}; possible typo"
                     ),
                     span=_first_span(atom, rule),
-                    rule=_rule_name(rule, index),
+                    rule=rule_name(rule, index),
                     hint=(
                         f"rename {var} to {near} if a join was intended; "
                         "keep it if value invention was intended"
@@ -212,7 +200,7 @@ def pass_existential_head_variables(ctx: LintContext) -> Iterator[Diagnostic]:
                         "(value invention)"
                     ),
                     span=_first_span(atom, rule),
-                    rule=_rule_name(rule, index),
+                    rule=rule_name(rule, index),
                 )
 
 
@@ -272,8 +260,8 @@ def pass_duplicate_and_subsumed_rules(
     """RL003 (duplicate) / RL004 (subsumed): redundant rules."""
     for j, later in enumerate(ctx.rules):
         for i, earlier in enumerate(ctx.rules[:j]):
-            earlier_name = _rule_name(earlier, i + 1)
-            later_name = _rule_name(later, j + 1)
+            earlier_name = rule_name(earlier, i + 1)
+            later_name = rule_name(later, j + 1)
             forward = rule_subsumes(earlier, later)
             backward = rule_subsumes(later, earlier)
             if forward and backward:
@@ -337,11 +325,11 @@ def pass_unused_predicates(ctx: LintContext) -> Iterator[Diagnostic]:
                     severity=Severity.WARNING,
                     message=(
                         f"relation {atom.relation} is derived by rule "
-                        f"{_rule_name(rule, index)} but never used by any "
+                        f"{rule_name(rule, index)} but never used by any "
                         "rule body or by the query"
                     ),
                     span=_first_span(atom, rule),
-                    rule=_rule_name(rule, index),
+                    rule=rule_name(rule, index),
                     hint=(
                         f"delete the rule or reference {atom.relation} "
                         "somewhere"
@@ -362,7 +350,7 @@ def pass_underivable_predicates(ctx: LintContext) -> Iterator[Diagnostic]:
     def sites() -> Iterator[tuple[Atom, str]]:
         for index, rule in enumerate(ctx.rules, start=1):
             for atom in rule.body:
-                yield atom, _rule_name(rule, index)
+                yield atom, rule_name(rule, index)
         if ctx.query is not None:
             for atom in ctx.query.body:
                 yield atom, f"query {ctx.query.name}"
@@ -414,7 +402,7 @@ def pass_simplicity(ctx: LintContext) -> Iterator[Diagnostic]:
                 severity=Severity.WARNING,
                 message=f"rule is not simple: {reason}",
                 span=_first_span(atom, rule) if atom is not None else rule.span,
-                rule=_rule_name(rule, index),
+                rule=rule_name(rule, index),
                 hint=(
                     "SWR (Definition 5) only applies to simple TGDs; "
                     "the WR check still covers this rule"
@@ -449,8 +437,8 @@ def _anchor_rule(
     """Span and label of the first program rule implicated in a cycle."""
     names = set(rule_names)
     for index, rule in enumerate(ctx.rules, start=1):
-        if _rule_name(rule, index) in names:
-            return rule.span, _rule_name(rule, index)
+        if rule_name(rule, index) in names:
+            return rule.span, rule_name(rule, index)
     return None, None
 
 
@@ -517,7 +505,7 @@ def pass_pnode_graph_recursion(ctx: LintContext) -> Iterator[Diagnostic]:
             code="RL012",
             severity=Severity.INFO,
             message=(
-                f"P-node graph exceeded its {ctx.wr_max_nodes}-node "
+                f"P-node graph exceeded its {ctx.config.wr_max_nodes}-node "
                 "budget; WR membership is undecided"
             ),
             hint="raise wr_max_nodes, or bound rewrite explicitly",
@@ -558,14 +546,14 @@ def pass_pnode_graph_recursion(ctx: LintContext) -> Iterator[Diagnostic]:
 
 def pass_high_branching(ctx: LintContext) -> Iterator[Diagnostic]:
     """RL020: relations derived by many rules branch the rewriting."""
-    for relation, derivers in sorted(ctx.branching().items()):
-        if len(derivers) < ctx.branching_threshold:
+    for relation, rules in sorted(derivers(ctx.rules).items()):
+        if len(rules) < ctx.config.branching_threshold:
             continue
         yield Diagnostic(
             code="RL020",
             severity=Severity.WARNING,
             message=(
-                f"relation {relation} is derived by {len(derivers)} "
+                f"relation {relation} is derived by {len(rules)} "
                 "rules; every rewriting step on it branches that many "
                 "ways"
             ),
@@ -573,7 +561,7 @@ def pass_high_branching(ctx: LintContext) -> Iterator[Diagnostic]:
                 "consider factoring the shared structure into an "
                 "intermediate relation"
             ),
-            notes=("derived by: " + ", ".join(derivers),),
+            notes=("derived by: " + ", ".join(rules),),
         )
 
 
@@ -584,19 +572,17 @@ def pass_rewriting_blowup(ctx: LintContext) -> Iterator[Diagnostic]:
     On a cyclic derivation chain it assumes the budget's ``max_depth``
     rounds, unless SWR or WR guarantees the rewriting terminates:
     assuming the full ``max_depth`` would flag every FO-rewritable
-    recursive set, so the configured default depth is assumed instead.
+    recursive set, so the estimator's default depth is assumed instead.
     """
     if ctx.query is None:
         return
     from repro.checkers.estimator import estimate_disjunct_bound
 
-    budget = ctx.budget
+    budget = ctx.config.budget
     if ctx.swr().is_swr or (ctx.wr() is not None and ctx.wr().is_wr):
         budget = dataclasses.replace(budget, max_depth=None)
-    estimate = estimate_disjunct_bound(
-        ctx.query, ctx.rules, budget=budget, default_depth=ctx.default_depth
-    )
-    if estimate.bound <= ctx.budget.max_cqs:
+    estimate = estimate_disjunct_bound(ctx.query, ctx.rules, budget=budget)
+    if estimate.bound <= budget.max_cqs:
         return
     yield Diagnostic(
         code="RL021",
@@ -604,7 +590,7 @@ def pass_rewriting_blowup(ctx: LintContext) -> Iterator[Diagnostic]:
         message=(
             f"estimated rewriting size {estimate.render_bound()} "
             f"(branching over {estimate.depth} rounds) exceeds the "
-            f"budget's max_cqs={ctx.budget.max_cqs}; rewrite may exhaust "
+            f"budget's max_cqs={budget.max_cqs}; rewrite may exhaust "
             "its budget"
         ),
         span=ctx.query.span,

@@ -8,13 +8,21 @@ stay removed: :class:`repro.Session` is the one answering surface.
 
 import dataclasses
 import importlib
+import inspect
 import warnings
 
 import pytest
 
 import repro
 import repro.api
+import repro.audit
+import repro.audit.engine
 import repro.chase
+import repro.checkers
+import repro.checkers.passes
+import repro.lint
+import repro.lint.engine
+import repro.lint.formats
 import repro.obda
 import repro.rewriting
 from repro.api import EngineOptions
@@ -92,6 +100,38 @@ class TestDeprecatedShims:
             importlib.import_module("repro.obda.strategy")
         assert not hasattr(repro.chase, "position_dependency_graph")
         assert "position_dependency_graph" not in repro.chase.__all__
+        # The three pass registries: lint, check and audit are three
+        # values of one repro.lint.Pipeline.
+        removed = {
+            (repro.lint, repro.lint.engine): (
+                "PassSpec", "PASS_REGISTRY", "SECONDARY_CODES",
+                "all_codes", "code_names",
+            ),
+            (repro.checkers, repro.checkers.passes): (
+                "CheckSpec", "CHECK_REGISTRY", "all_check_codes",
+                "check_code_names", "render_check",
+            ),
+            (repro.audit, repro.audit.engine): (
+                "AuditSpec", "AUDIT_REGISTRY", "AUDIT_SECONDARY_CODES",
+                "AUDIT_STAGES", "AuditConfig", "all_audit_codes",
+                "audit_code_names",
+            ),
+        }
+        for modules, names in removed.items():
+            for module in modules:
+                for name in names:
+                    assert not hasattr(module, name), (module, name)
+                    assert name not in getattr(module, "__all__", ()), name
+        lint_fields = {f.name for f in dataclasses.fields(repro.lint.LintConfig)}
+        assert "default_depth" not in lint_fields
+        check_fields = {
+            f.name for f in dataclasses.fields(repro.checkers.CheckConfig)
+        }
+        assert "stages" not in check_fields
+        assert "config" not in inspect.signature(repro.lint.preflight).parameters
+        for render in (repro.lint.formats.render, repro.lint.formats.render_sarif):
+            parameters = inspect.signature(render).parameters
+            assert "names" not in parameters and "tool" not in parameters
         program = tmp_path / "p.dlp"
         program.write_text(PROGRAM)
         argv = ["rewrite", str(program), "q(X) :- teaches(X, Y)"]

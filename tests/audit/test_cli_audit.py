@@ -63,6 +63,13 @@ class TestExitCodes:
             == 0
         )
 
+    def test_disable_refuses_the_unparsable_file_code(self, tmp_path, capsys):
+        (tmp_path / "broken.py").write_text("def broken(:\n")
+        assert main(["audit", "--disable", "RL313", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "no findings" not in captured.out
+        assert "RL313 cannot be disabled" in captured.err
+
 
 class TestTextFormat:
     def test_location_names_the_finding_file(self, sleepy_file, capsys):

@@ -2,14 +2,9 @@
 
 import textwrap
 
-from repro.audit import (
-    AUDIT_REGISTRY,
-    AuditConfig,
-    all_audit_codes,
-    audit_code_names,
-    audit_files,
-    audit_paths,
-)
+import pytest
+
+from repro.audit import AUDIT, audit_files, audit_paths
 from repro.audit.model import AuditFile
 
 from repro.lint.diagnostics import Severity
@@ -28,16 +23,16 @@ def file_of(source, path="x.py"):
 
 class TestRegistry:
     def test_at_least_ten_distinct_passes(self):
-        assert len({spec.code for spec in AUDIT_REGISTRY}) >= 10
+        assert len({spec.code for spec in AUDIT.passes}) >= 10
 
     def test_codes_are_contiguous_rl3xx(self):
-        assert all_audit_codes() == tuple(
+        assert AUDIT.codes() == tuple(
             f"RL{n}" for n in range(300, 315)
         )
 
     def test_names_cover_every_code(self):
-        names = audit_code_names()
-        assert set(names) == set(all_audit_codes())
+        names = AUDIT.names()
+        assert set(names) == set(AUDIT.codes())
         assert names["RL300"] == "lock-order-cycle"
         assert names["RL313"] == "unparsable-file"
 
@@ -143,15 +138,16 @@ class TestConfig:
     def test_disabled_code_dropped(self):
         rep = audit_files(
             [file_of(SLEEPY)],
-            AuditConfig(disabled=frozenset({"RL303"})),
+            disabled=frozenset({"RL303"}),
         )
         assert not list(rep)
 
-    def test_stage_filter_skips_other_stages(self):
-        rep = audit_files(
-            [file_of(SLEEPY)], AuditConfig(stages=("locks",))
-        )
-        assert not list(rep)
+    def test_disabled_codes_are_checked(self):
+        broken = AuditFile("bad.py", "def broken(:\n")
+        with pytest.raises(ValueError, match="RL313 cannot be disabled"):
+            audit_files([broken], disabled=frozenset({"RL313"}))
+        with pytest.raises(ValueError, match="no diagnostic code 'RL999'"):
+            audit_files([broken], disabled=frozenset({"RL999"}))
 
 
 class TestMultiFileReports:

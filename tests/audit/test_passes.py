@@ -2,20 +2,19 @@
 
 import textwrap
 
-from repro.audit.engine import AuditConfig, audit_files
+from repro.audit.engine import audit_files
 from repro.audit.model import AuditFile
 
 from repro.lint.diagnostics import Severity
 
 
-def report(source, path="x.py", **config_kwargs):
+def report(source, path="x.py", **kwargs):
     file = AuditFile(path, textwrap.dedent(source))
-    config = AuditConfig(**config_kwargs) if config_kwargs else None
-    return audit_files([file], config)
+    return audit_files([file], **kwargs)
 
 
-def codes(source, **config_kwargs):
-    return [d.code for d in report(source, **config_kwargs)]
+def codes(source, **kwargs):
+    return [d.code for d in report(source, **kwargs)]
 
 
 class TestLockOrderRL300:

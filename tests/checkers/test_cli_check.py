@@ -109,6 +109,12 @@ class TestSeededExample:
         main(["check", SEEDED, "--disable", "RL106"])
         assert "RL106" not in capsys.readouterr().out
 
+    def test_disable_rejects_a_lint_code(self, capsys):
+        assert main(["check", SEEDED, "--disable", "RL006"]) == 2
+        assert "repro-check has no diagnostic code 'RL006'" in (
+            capsys.readouterr().err
+        )
+
     def test_budget_flag_silences_blowup(self, capsys):
         main(["check", SEEDED, "--max-cqs", "100000000"])
         assert "RL105" not in capsys.readouterr().out

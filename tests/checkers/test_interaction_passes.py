@@ -87,16 +87,6 @@ class TestInteractionPasses:
         assert "inseparable" in stuck.message
         assert not findings(report, "RL202")
 
-    def test_interaction_stage_can_be_deselected(self):
-        from repro.checkers import CheckConfig
-
-        report = check_project(
-            build(SPLIT_RULES_TEXT),
-            CheckConfig(stages=("workload", "coverage", "estimate")),
-        )
-        for code in ("RL200", "RL201", "RL202", "RL203"):
-            assert not findings(report, code)
-
 
 @pytest.fixture
 def project(tmp_path):

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.checkers import (
-    CHECK_REGISTRY,
+    CHECK,
     CheckConfig,
     Project,
-    all_check_codes,
-    check_code_names,
     check_project,
     parse_queries,
 )
@@ -245,30 +243,20 @@ class TestConfigAndRegistry:
         assert findings(noisy, "RL101")
         assert not findings(quiet, "RL101")
 
-    def test_stage_selection(self):
-        project = build(
-            "r1: professor(X), registry(X) -> person(X).\n"
-            "r2: teaches(X, C) -> course(C).\n",
-            queries="q(X) :- person(X).\n",
-            mappings="prof_row(X, D) ~> professor(X).\n",
-            data="prof_row(ada, cs).\n",
-        )
-        workload_only = check_project(
-            project, CheckConfig(stages=("workload",))
-        )
-        assert findings(workload_only, "RL100")
-        assert not findings(workload_only, "RL102")
+    def test_disabled_codes_are_checked(self):
+        with pytest.raises(ValueError, match="no diagnostic code 'RL006'"):
+            CheckConfig(disabled=frozenset({"RL006"}))
 
     def test_registry_codes_unique_and_catalogued(self):
-        assert len({spec.code for spec in CHECK_REGISTRY}) == len(CHECK_REGISTRY)
-        assert all_check_codes() == tuple(sorted(check_code_names()))
+        assert len({spec.code for spec in CHECK.passes}) == len(CHECK.passes)
+        assert CHECK.codes() == tuple(sorted(CHECK.names()))
         assert all(
             code.startswith("RL1") or code.startswith("RL2")
-            for code in all_check_codes()
+            for code in CHECK.codes()
         )
 
     def test_stages_are_known(self):
-        assert {spec.stage for spec in CHECK_REGISTRY} == {
+        assert {spec.stage for spec in CHECK.passes} == {
             "workload",
             "coverage",
             "estimate",
@@ -289,7 +277,7 @@ class TestConfigAndRegistry:
         assert report.path == "mem.dlp"
 
 
-@pytest.mark.parametrize("code", all_check_codes())
+@pytest.mark.parametrize("code", CHECK.codes())
 def test_every_code_has_a_kebab_name(code):
-    name = check_code_names()[code]
+    name = CHECK.names()[code]
     assert name and name == name.lower() and " " not in name

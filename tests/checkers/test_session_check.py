@@ -1,14 +1,16 @@
 """``Session.check()`` and the engine's pre-flight estimate wiring."""
 
+import json
 import warnings
 
 import pytest
 
 from repro import obs
 from repro.api import EngineOptions, Session
-from repro.checkers import CheckConfig, RewritingBlowupWarning, render_check
+from repro.checkers import CheckConfig, RewritingBlowupWarning
 from repro.data.database import Database
 from repro.lang.parser import parse_database, parse_program, parse_query
+from repro.lint import render
 from repro.obda.mappings import parse_mappings
 from repro.rewriting.budget import RewritingBudget
 from repro.rewriting.engine import FORewritingEngine
@@ -66,8 +68,17 @@ class TestSessionCheck:
     def test_report_renders_like_the_cli(self):
         with Session(ONTOLOGY, DATA, mappings=MAPPINGS) as session:
             session.prepare(QUERY)
-            out = render_check(session.check(), "text")
+            out = render(session.check(), "text")
         assert "RL100" in out and "<session>" in out
+
+    def test_sarif_names_the_check_driver_and_rules(self):
+        with Session(ONTOLOGY, DATA, mappings=MAPPINGS) as session:
+            session.prepare(QUERY)
+            doc = json.loads(render(session.check(), "sarif"))
+        driver = doc["runs"][0]["tool"]["driver"]
+        assert driver["name"] == "repro-check"
+        rules = {rule["id"]: rule["name"] for rule in driver["rules"]}
+        assert rules["RL100"] == "dead-rule"
 
     def test_dataless_mappingless_session_checks(self):
         with Session(ONTOLOGY) as session:

@@ -79,6 +79,27 @@ class TestLintCommand:
         main(["lint", write(NOT_SIMPLE), "--disable", "RL007"])
         assert "RL007" not in capsys.readouterr().out
 
+    def test_disable_rejects_lower_case_code(self, write, capsys):
+        assert main(["lint", write(CLEAN), "--disable", "rl006"]) == 2
+        captured = capsys.readouterr()
+        assert "RL006" not in captured.out
+        assert "did you mean RL006?" in captured.err
+
+    def test_disable_rejects_unknown_code(self, write, capsys):
+        assert main(["lint", write(CLEAN), "--disable", "RL999"]) == 2
+        assert "'RL999'" in capsys.readouterr().err
+
+    def test_disable_rejects_a_check_code(self, write, capsys):
+        assert main(["lint", write(CLEAN), "--disable", "RL100"]) == 2
+        assert "repro-lint has no diagnostic code 'RL100'" in (
+            capsys.readouterr().err
+        )
+
+    def test_disable_refuses_the_parse_error_code(self, write, capsys):
+        path = write("a(X -> b(X).")
+        assert main(["lint", path, "--disable", "RL000"]) == 2
+        assert "RL000 cannot be disabled" in capsys.readouterr().err
+
     def test_parse_error_is_rl000(self, write, capsys):
         code = main(["lint", write("a(X -> b(X).")])
         assert code == 1
@@ -122,6 +143,25 @@ class TestPreflightWiring:
     def test_classify_accepts_clean_program(self, write, capsys):
         assert main(["classify", write(CLEAN)]) == 0
         assert "RL001" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--via-chase"], ["--backend", "sql"]]
+    )
+    def test_answer_rejects_arity_clash(self, write, capsys, flags):
+        program = write("r1: a(X) -> b(X).  r2: a(X, Y) -> c(X).")
+        data = write("a(k).", name="data.dlp")
+        code = main(["answer", program, "q(X) :- b(X)", data, *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "RL001" in captured.err
+        assert captured.out == ""
+
+    def test_graph_rejects_arity_clash(self, write, capsys):
+        program = write("r1: a(X) -> b(X).  r2: a(X, Y) -> c(X).")
+        assert main(["graph", program, "position"]) == 2
+        captured = capsys.readouterr()
+        assert "RL001" in captured.err
+        assert "a[2]" not in captured.out
 
     def test_rewrite_accepts_warnings(self, write, capsys):
         # Warnings (not-simple) must not block rewriting.

@@ -1,8 +1,16 @@
-"""Diagnostic records, report ordering and exit-code gating."""
+"""Diagnostic records, report ordering, exit-code gating and the
+code catalogue of the three pipelines."""
 
+from pathlib import Path
+
+from repro.audit import AUDIT
+from repro.checkers import CHECK
 from repro.lang.spans import Span
 from repro.lint.diagnostics import Diagnostic, LintReport, Severity
-from repro.lint.engine import SECONDARY_CODES, all_codes, code_names
+from repro.lint.engine import LINT
+
+PIPELINES = (LINT, CHECK, AUDIT)
+DOCS = Path(__file__).resolve().parents[2] / "docs" / "lint.md"
 
 
 def _diag(code="RL001", severity=Severity.WARNING, start=None, message="m"):
@@ -114,16 +122,55 @@ class TestLintReport:
         assert len(report) == 2
         assert all(isinstance(d, Diagnostic) for d in report)
 
+    def test_pipeline_recorded_outside_equality(self):
+        report = LintReport.of([_diag()], pipeline=LINT)
+        assert report.pipeline is LINT
+        assert report == LintReport.of([_diag()])
+
 
 class TestCodeCatalogue:
+    """One catalogue test over the three pipelines."""
+
     def test_all_codes_sorted_and_stable(self):
-        codes = all_codes()
-        assert codes == tuple(sorted(codes))
+        for pipeline in PIPELINES:
+            codes = pipeline.codes()
+            assert codes == tuple(sorted(codes))
+            assert len({spec.code for spec in pipeline.passes}) == len(
+                pipeline.passes
+            )
+            assert set(pipeline.secondary) <= set(codes)
+        codes = LINT.codes()
         assert "RL001" in codes and "RL010" in codes and "RL011" in codes
-        assert set(SECONDARY_CODES) <= set(codes)
 
     def test_every_code_has_a_name(self):
-        names = code_names()
-        assert set(names) == set(all_codes())
-        for name in names.values():
-            assert name and name == name.lower()
+        for pipeline in PIPELINES:
+            names = pipeline.names()
+            assert set(names) == set(pipeline.codes())
+            for name in names.values():
+                assert name and name == name.lower() and " " not in name
+
+    def test_codes_disjoint_across_pipelines(self):
+        seen: dict[str, str] = {}
+        for pipeline in PIPELINES:
+            for code in pipeline.codes():
+                assert code not in seen, (code, seen.get(code), pipeline.tool)
+                seen[code] = pipeline.tool
+        assert len(seen) == 42
+
+    def test_every_code_documented_under_its_name(self):
+        text = DOCS.read_text()
+        for pipeline in PIPELINES:
+            for code, name in pipeline.names().items():
+                assert f"**{code} `{name}`**" in text, code
+
+    def test_driver_names(self):
+        assert [p.tool for p in PIPELINES] == [
+            "repro-lint",
+            "repro-check",
+            "repro-audit",
+        ]
+
+    def test_unparsed_codes(self):
+        assert LINT.unparsed == "RL000"
+        assert CHECK.unparsed is None
+        assert AUDIT.unparsed == "RL313"

@@ -1,5 +1,7 @@
 """Unit tests for the individual analysis passes."""
 
+import pytest
+
 from repro.lang.parser import parse_program, parse_query
 from repro.lint.diagnostics import Severity
 from repro.lint.engine import LintConfig, lint_program, lint_source, preflight
@@ -223,6 +225,14 @@ class TestEngineControls:
             rules, config=LintConfig(stages=("wellformed",))
         )
         assert "RL010" not in codes(report)
+
+    def test_disabled_codes_are_checked(self):
+        with pytest.raises(ValueError, match="no diagnostic code 'RL999'"):
+            LintConfig(disabled=frozenset({"RL999"}))
+        with pytest.raises(ValueError, match="did you mean RL006"):
+            LintConfig(disabled=frozenset({"rl006"}))
+        with pytest.raises(ValueError, match="RL000 cannot be disabled"):
+            LintConfig(disabled=frozenset({"RL000"}))
 
     def test_lint_source_parse_error_becomes_rl000(self):
         report = lint_source("a(X -> b(X).")

@@ -14,6 +14,15 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[2]
 
+#: What ruff checks, here and in CI's ruff step (the lists must agree).
+RUFF_PATHS = [
+    "src/repro/lint",
+    "src/repro/checkers",
+    "src/repro/audit",
+    "src/repro/lang/spans.py",
+    "src/repro/data/saturate.py",
+]
+
 
 def _has(module: str) -> bool:
     return importlib.util.find_spec(module) is not None
@@ -22,10 +31,7 @@ def _has(module: str) -> bool:
 @pytest.mark.skipif(not _has("ruff"), reason="ruff not installed")
 def test_ruff_clean_on_lint_subsystem():
     result = subprocess.run(
-        [
-            sys.executable, "-m", "ruff", "check",
-            "src/repro/lint", "src/repro/checkers", "src/repro/lang/spans.py",
-        ],
+        [sys.executable, "-m", "ruff", "check", *RUFF_PATHS],
         cwd=REPO,
         capture_output=True,
         text=True,
@@ -42,6 +48,16 @@ def test_mypy_strict_on_lint_subsystem():
         text=True,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_ruff_scope_matches_ci():
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    (step,) = [
+        line.split("ruff check", 1)[1].split()
+        for line in ci.splitlines()
+        if "-m ruff check" in line
+    ]
+    assert step == RUFF_PATHS
 
 
 def test_pyproject_configures_both_tools():
