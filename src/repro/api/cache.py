@@ -1,12 +1,13 @@
-"""Persistent on-disk cache of compiled query rewritings.
+"""Persistent on-disk cache of compiled artifacts.
 
 OBDA deployments compile a query once and serve it for the lifetime of
-the ontology; the compilation (UCQ rewriting) is the expensive step and
+the ontology; the compilation (the rewriting) is the expensive step and
 depends only on the (ontology, query, budget, rewriter-version)
 quadruple -- never on the data.  :class:`RewritingCache` persists that
 mapping in a single SQLite file so every later process (another CLI
 invocation, a pool worker, tomorrow's server restart) skips the
-rewriting entirely.
+rewriting entirely.  The same file holds the hybrid layer's
+materialized-core snapshots (:mod:`repro.hybrid.store`).
 
 Keying and invalidation
 -----------------------
@@ -26,13 +27,22 @@ digests (see :mod:`repro.rewriting.store`):
 * ``engine_version``  -- :data:`repro.rewriting.engine.ENGINE_VERSION`;
   bumping it invalidates every previously compiled rewriting at once.
 
-plus the *rewriting target* (``"ucq"`` or ``"datalog"``): the two
-targets compile to different artifact kinds (an exploded UCQ vs. a
-stratified rule program), stored in separate tables and addressed by
-keys that can never collide.  A session opened with ``target="auto"``
-stores entries under the *resolved* target, so the estimator-driven
-choice -- which is a pure function of (ontology, query, budget) --
-hits the same entries in every process.
+plus the artifact kind, ``target``: ``"ucq"`` (an exploded UCQ),
+``"datalog"`` (a stratified rule program) or ``"core"`` (a chased-core
+snapshot).  All kinds live in one ``artifacts`` table, whose ``kind``
+column is the key's target, so keys of different kinds never collide.
+A session opened with ``target="auto"`` stores entries under the
+*resolved* target, so the estimator-driven choice -- which is a pure
+function of (ontology, query, budget) -- hits the same entries in every
+process.  The cache never interprets a payload: the module that
+produces a kind encodes it for :meth:`RewritingCache.put` and passes
+its decoder to :meth:`RewritingCache.get`.
+
+Every row also records its *owner*: the digest of the full ontology of
+the session that wrote it.  Eviction goes by owner, so a session's
+residual rewritings and core snapshots -- keyed by the digest of the
+rule subset they were compiled from -- leave with that session's
+ontology, and with nothing else.
 
 Robustness
 ----------
@@ -46,38 +56,35 @@ cache is started in its place.
 
 from __future__ import annotations
 
-import json
 import sqlite3
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from repro import obs
-from repro.lang.parser import parse_program, parse_ucq
-from repro.lang.printer import format_program, format_ucq
+from repro.lang.printer import format_ucq
 from repro.lang.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.lang.tgd import TGD
 from repro.rewriting.budget import RewritingBudget
 from repro.rewriting.datalog_target import DatalogRewriting
 from repro.rewriting.rewriter import RewritingResult
-from repro.rewriting.store import budget_digest, ontology_digest, query_digest
+from repro.rewriting.store import (
+    budget_digest,
+    decode_rewriting,
+    encode_rewriting,
+    ontology_digest,
+    query_digest,
+)
 
-CACHE_SCHEMA_VERSION = 4
+CACHE_SCHEMA_VERSION = 5
 """On-disk layout version; a mismatch resets the cache file.
 
-Version 2 added the ``datalog_rewritings`` table (the nonrecursive-
-Datalog target's artifacts) and the target discriminator in cache keys.
-Version 3 added the ``query_text`` column to both tables: the canonical
-text of the *input* query, which makes stored entries enumerable --
-the serving layer's boot warm-up (:meth:`repro.api.Session.warm_up`)
-re-prepares every stored query of an ontology so a restarted server
-reaches steady state with zero fresh rewrites.
-Version 4 added the ``materialized_cores`` table: chased-core
-snapshots of the hybrid answering layer (:mod:`repro.hybrid.store`),
-keyed by (core rules, ABox, budget) and carrying the full ontology
-digest so :meth:`RewritingCache.evict_ontologies` retires them
-together with the ontology's rewritings.
+Version 5 keeps every artifact kind in one ``artifacts`` table with a
+``kind`` column and an ``owner`` eviction group; it replaced version
+4's three tables (``rewritings``, ``datalog_rewritings``,
+``materialized_cores``).  Opening a file of any other version drops
+every table it holds and starts empty.
 """
 
 DEFAULT_CACHE_FILENAME = "rewritings.sqlite"
@@ -95,11 +102,14 @@ def _engine_version() -> str:
 
 @dataclass(frozen=True)
 class CacheKey:
-    """The full address of one compiled rewriting.
+    """The full address of one stored artifact.
 
-    ``target`` discriminates the artifact kind (``"ucq"`` or
-    ``"datalog"``); keys of different targets never collide even
-    though both embed the same content digests.
+    ``target`` is the artifact kind (``"ucq"``, ``"datalog"`` or
+    ``"core"``); keys of different kinds never collide even though
+    they embed the same content digests.  A core snapshot's key
+    (:func:`repro.hybrid.store.core_key`) holds the core rules' digest,
+    the ABox digest in place of a query's, the chase step budget and
+    the snapshot version.
     """
 
     ontology_digest: str
@@ -128,7 +138,7 @@ class CacheKey:
 
     @property
     def combined(self) -> str:
-        """The single string primary key used in the SQLite tables."""
+        """The single string primary key of the ``artifacts`` table."""
         return "/".join(
             (
                 self.engine_version,
@@ -151,13 +161,13 @@ class CacheStats:
 
 
 class RewritingCache:
-    """SQLite-backed persistent map ``CacheKey -> RewritingResult``.
+    """SQLite-backed persistent map ``CacheKey -> payload``.
 
-    One cache file serves any number of ontologies, budgets and engine
-    versions concurrently (the key embeds all of them), from any number
-    of threads or processes (SQLite's file locking plus a generous busy
-    timeout).  Construction never raises on a broken file -- see the
-    module docstring.
+    One cache file serves any number of ontologies, budgets, engine
+    versions and artifact kinds concurrently (the key embeds all of
+    them), from any number of threads or processes (SQLite's file
+    locking plus a generous busy timeout).  Construction never raises
+    on a broken file -- see the module docstring.
     """
 
     def __init__(
@@ -207,12 +217,15 @@ class RewritingCache:
             "SELECT value FROM meta WHERE key = 'schema_version'"
         ).fetchone()
         if row is not None and row[0] != str(CACHE_SCHEMA_VERSION):
-            connection.executescript(
-                "DROP TABLE IF EXISTS rewritings; "
-                "DROP TABLE IF EXISTS datalog_rewritings; "
-                "DROP TABLE IF EXISTS materialized_cores; "
-                "DELETE FROM meta;"
-            )
+            # Another layout: drop every table it holds, whatever its
+            # version named them.
+            tables = connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table' "
+                "AND name != 'meta' AND name NOT LIKE 'sqlite_%'"
+            ).fetchall()
+            for (table,) in tables:
+                connection.execute(f'DROP TABLE IF EXISTS "{table}"')
+            connection.execute("DELETE FROM meta")
             row = None
         if row is None:
             connection.execute(
@@ -222,55 +235,19 @@ class RewritingCache:
             )
         connection.execute(
             """
-            CREATE TABLE IF NOT EXISTS rewritings (
-                cache_key       TEXT PRIMARY KEY,
-                ontology_digest TEXT NOT NULL,
-                query_digest    TEXT NOT NULL,
-                budget_digest   TEXT NOT NULL,
-                engine_version  TEXT NOT NULL,
-                complete        INTEGER NOT NULL,
-                depth_reached   INTEGER NOT NULL,
-                generated       INTEGER NOT NULL,
-                explored        INTEGER NOT NULL,
-                per_depth       TEXT NOT NULL,
-                ucq             TEXT NOT NULL,
-                query_text      TEXT NOT NULL DEFAULT '',
-                created_at      TEXT NOT NULL DEFAULT (datetime('now'))
+            CREATE TABLE IF NOT EXISTS artifacts (
+                cache_key  TEXT PRIMARY KEY,
+                kind       TEXT NOT NULL,
+                owner      TEXT NOT NULL,
+                payload    TEXT NOT NULL,
+                query_text TEXT NOT NULL DEFAULT '',
+                created_at TEXT NOT NULL DEFAULT (datetime('now'))
             )
             """
         )
         connection.execute(
-            "CREATE INDEX IF NOT EXISTS ix_rewritings_ontology "
-            "ON rewritings (ontology_digest)"
-        )
-        connection.execute(
-            """
-            CREATE TABLE IF NOT EXISTS datalog_rewritings (
-                cache_key       TEXT PRIMARY KEY,
-                ontology_digest TEXT NOT NULL,
-                payload         TEXT NOT NULL,
-                query_text      TEXT NOT NULL DEFAULT '',
-                created_at      TEXT NOT NULL DEFAULT (datetime('now'))
-            )
-            """
-        )
-        connection.execute(
-            "CREATE INDEX IF NOT EXISTS ix_datalog_rewritings_ontology "
-            "ON datalog_rewritings (ontology_digest)"
-        )
-        connection.execute(
-            """
-            CREATE TABLE IF NOT EXISTS materialized_cores (
-                cache_key       TEXT PRIMARY KEY,
-                ontology_digest TEXT NOT NULL,
-                payload         TEXT NOT NULL,
-                created_at      TEXT NOT NULL DEFAULT (datetime('now'))
-            )
-            """
-        )
-        connection.execute(
-            "CREATE INDEX IF NOT EXISTS ix_materialized_cores_ontology "
-            "ON materialized_cores (ontology_digest)"
+            "CREATE INDEX IF NOT EXISTS ix_artifacts_owner "
+            "ON artifacts (owner)"
         )
         connection.commit()
         return connection
@@ -321,134 +298,30 @@ class RewritingCache:
     # Lookup / store                                                      #
     # ----------------------------------------------------------------- #
 
-    def get(self, key: CacheKey) -> RewritingResult | None:
-        """The stored rewriting under *key*, or None.  Never raises."""
-        return self._read(
-            "rewritings",
-            "complete, depth_reached, generated, explored, per_depth, ucq",
-            key.combined,
-            _decode_result,
-        )
-
-    def put(
-        self,
-        key: CacheKey,
-        result: RewritingResult,
-        query_text: str = "",
-    ) -> None:
-        """Persist *result* under *key*.  Never raises.
-
-        *query_text* is the canonical text of the input query; storing
-        it makes the entry reachable by :meth:`stored_queries` (warm-up
-        enumeration).  Empty is allowed -- the entry still serves
-        lookups, it just cannot be re-prepared by digest alone.
-        """
-        self._write(
-            "rewritings",
-            {
-                "cache_key": key.combined,
-                "ontology_digest": key.ontology_digest,
-                "query_digest": key.query_digest,
-                "budget_digest": key.budget_digest,
-                "engine_version": key.engine_version,
-                "complete": int(result.complete),
-                "depth_reached": result.depth_reached,
-                "generated": result.generated,
-                "explored": result.explored,
-                "per_depth": json.dumps(list(result.per_depth)),
-                "ucq": format_ucq(result.ucq),
-                "query_text": query_text,
-            },
-        )
-
-    def get_datalog(self, key: CacheKey) -> DatalogRewriting | None:
-        """The stored Datalog-target rewriting under *key*, or None.
-        Never raises."""
-        return self._read(
-            "datalog_rewritings",
-            "payload",
-            key.combined,
-            lambda row: _decode_datalog(row[0]),
-        )
-
-    def put_datalog(
-        self,
-        key: CacheKey,
-        result: DatalogRewriting,
-        query_text: str = "",
-    ) -> None:
-        """Persist the Datalog-target *result* under *key*.  Never
-        raises."""
-        self._write(
-            "datalog_rewritings",
-            {
-                "cache_key": key.combined,
-                "ontology_digest": key.ontology_digest,
-                "payload": _encode_datalog(result),
-                "query_text": query_text,
-            },
-        )
-
-    def get_core(
-        self, cache_key: str, decode: Callable[[str], _T | None]
+    def get(
+        self, key: CacheKey, decode: Callable[[str], _T | None]
     ) -> _T | None:
-        """The stored materialized-core snapshot, decoded, or None.
+        """The artifact stored under *key*, decoded, or None.
 
-        Keys come from :func:`repro.hybrid.store.core_key`; *decode*
-        turns the opaque JSON produced by ``encode_core`` back into a
-        core and returns None for a payload it rejects.  Never raises.
-        """
-        return self._read(
-            "materialized_cores",
-            "payload",
-            cache_key,
-            lambda row: decode(str(row[0])),
-        )
-
-    def put_core(
-        self, cache_key: str, ontology_digest: str, payload: str
-    ) -> None:
-        """Persist a materialized-core snapshot.  Never raises.
-
-        *ontology_digest* is the **full** ontology's digest -- not the
-        core subset's -- so :meth:`evict_ontologies` retires core
-        snapshots together with the ontology's rewritings.
-        """
-        self._write(
-            "materialized_cores",
-            {
-                "cache_key": cache_key,
-                "ontology_digest": ontology_digest,
-                "payload": payload,
-            },
-        )
-
-    def _read(
-        self,
-        table: str,
-        columns: str,
-        cache_key: str,
-        decode: Callable[[Any], _T | None],
-    ) -> _T | None:
-        """The one lookup path behind every artifact kind.
-
-        A row that fails to decode (torn write, hand-edited file, a
-        payload the decoder rejects) counts as an error and a miss and
-        is deleted, so the caller recomputes and stores it afresh.
+        *decode* is the kind's codec: it turns the payload back into
+        the artifact.  A row it rejects (returns None or raises: a torn
+        write, a hand-edited file, a stale layout) counts as an error
+        and a miss and is deleted, so the caller recomputes and stores
+        it afresh.  Never raises.
         """
         with self._lock:
             row = None
             if self._connection is not None:
                 try:
                     row = self._connection.execute(
-                        f"SELECT {columns} FROM {table} WHERE cache_key = ?",
-                        (cache_key,),
+                        "SELECT payload FROM artifacts WHERE cache_key = ?",
+                        (key.combined,),
                     ).fetchone()
                 except sqlite3.DatabaseError:
                     self._quarantine()
             if row is not None:
                 try:
-                    value = decode(row)
+                    value = decode(str(row[0]))
                 except Exception:
                     value = None
                 if value is not None:
@@ -456,38 +329,63 @@ class RewritingCache:
                     obs.count("api.cache.hits")
                     return value
                 self._record_error("decode")
-                self._delete(table, cache_key)
+                self._execute(
+                    "DELETE FROM artifacts WHERE cache_key = ?",
+                    (key.combined,),
+                )
             self._misses += 1
             obs.count("api.cache.misses")
             return None
 
-    def _write(self, table: str, row: dict[str, Any]) -> None:
-        """The one store path: ``INSERT OR REPLACE`` *row* into *table*."""
+    def put(
+        self,
+        key: CacheKey,
+        payload: str,
+        *,
+        owner: str | None = None,
+        query_text: str = "",
+    ) -> None:
+        """Persist the encoded artifact *payload* under *key*.  Never
+        raises.
+
+        *owner* is the row's eviction group: the digest of the full
+        ontology of the session writing it (default: the key's own
+        ontology digest).  *query_text* is the canonical text of the
+        input query; storing it makes the entry reachable by
+        :meth:`stored_queries` (warm-up enumeration).
+        """
         with self._lock:
-            if self._connection is None:
-                return
-            try:
-                self._connection.execute(
-                    f"INSERT OR REPLACE INTO {table} ({', '.join(row)}) "
-                    f"VALUES ({', '.join('?' for _ in row)})",
-                    tuple(row.values()),
-                )
-                self._connection.commit()
+            written = self._execute(
+                "INSERT OR REPLACE INTO artifacts "
+                "(cache_key, kind, owner, payload, query_text) "
+                "VALUES (?, ?, ?, ?, ?)",
+                (
+                    key.combined,
+                    key.target,
+                    key.ontology_digest if owner is None else owner,
+                    payload,
+                    query_text,
+                ),
+            )
+            if written is not None:
                 self._writes += 1
                 obs.count("api.cache.writes")
-            except sqlite3.DatabaseError:
-                self._quarantine()
 
-    def _delete(self, table: str, cache_key: str) -> None:
+    def _execute(self, sql: str, params: Sequence[str] = ()) -> int | None:
+        """Run and commit one write; the caller holds ``self._lock``.
+
+        Returns the rows it changed, or None when the cache is
+        unavailable or the write failed (the file is then quarantined).
+        """
         if self._connection is None:
-            return
+            return None
         try:
-            self._connection.execute(
-                f"DELETE FROM {table} WHERE cache_key = ?", (cache_key,)
-            )
+            changed = self._connection.execute(sql, params).rowcount
             self._connection.commit()
+            return changed
         except sqlite3.DatabaseError:
             self._quarantine()
+            return None
 
     def _record_error(self, kind: str) -> None:
         self._errors += 1
@@ -503,63 +401,41 @@ class RewritingCache:
         with self._lock:
             return CacheStats(self._hits, self._misses, self._writes, self._errors)
 
-    def __len__(self) -> int:
+    def _query(self, sql: str, params: Sequence[str] = ()) -> list[tuple]:
+        """All rows of one read, or none on a closed or broken cache."""
         with self._lock:
             if self._connection is None:
-                return 0
+                return []
             try:
-                row = self._connection.execute(
-                    "SELECT (SELECT COUNT(*) FROM rewritings) + "
-                    "(SELECT COUNT(*) FROM datalog_rewritings) + "
-                    "(SELECT COUNT(*) FROM materialized_cores)"
-                ).fetchone()
-                return int(row[0])
+                return self._connection.execute(sql, params).fetchall()
             except sqlite3.DatabaseError:
                 self._quarantine()
-                return 0
+                return []
 
-    def ontologies(self) -> Iterator[tuple[str, int]]:
-        """(ontology digest, entry count) pairs currently stored."""
-        with self._lock:
-            if self._connection is None:
-                return iter(())
-            try:
-                rows = self._connection.execute(
-                    "SELECT ontology_digest, COUNT(*) FROM ("
-                    "SELECT ontology_digest FROM rewritings "
-                    "UNION ALL "
-                    "SELECT ontology_digest FROM datalog_rewritings "
-                    "UNION ALL "
-                    "SELECT ontology_digest FROM materialized_cores) "
-                    "GROUP BY ontology_digest ORDER BY ontology_digest"
-                ).fetchall()
-            except sqlite3.DatabaseError:
-                self._quarantine()
-                return iter(())
-        return iter([(str(d), int(n)) for d, n in rows])
+    def __len__(self) -> int:
+        return sum(self.counts().values())
 
     def counts(self) -> dict[str, int]:
-        """Per-table entry counts: ``{"ucq": n, "datalog": m, "cores": k}``.
+        """Per-kind entry counts: ``{"ucq": n, "datalog": m, "cores": k}``.
 
         Never raises; a closed or broken cache reports zeros.
         """
-        with self._lock:
-            if self._connection is None:
-                return {"ucq": 0, "datalog": 0, "cores": 0}
-            try:
-                row = self._connection.execute(
-                    "SELECT (SELECT COUNT(*) FROM rewritings), "
-                    "(SELECT COUNT(*) FROM datalog_rewritings), "
-                    "(SELECT COUNT(*) FROM materialized_cores)"
-                ).fetchone()
-                return {
-                    "ucq": int(row[0]),
-                    "datalog": int(row[1]),
-                    "cores": int(row[2]),
-                }
-            except sqlite3.DatabaseError:
-                self._quarantine()
-                return {"ucq": 0, "datalog": 0, "cores": 0}
+        counts = dict(
+            self._query("SELECT kind, COUNT(*) FROM artifacts GROUP BY kind")
+        )
+        return {
+            "ucq": counts.get("ucq", 0),
+            "datalog": counts.get("datalog", 0),
+            "cores": counts.get("core", 0),
+        }
+
+    def ontologies(self) -> Iterator[tuple[str, int]]:
+        """(owner ontology digest, entry count) pairs currently stored."""
+        rows = self._query(
+            "SELECT owner, COUNT(*) FROM artifacts "
+            "GROUP BY owner ORDER BY owner"
+        )
+        return iter([(str(owner), int(n)) for owner, n in rows])
 
     def stored_queries(
         self,
@@ -567,84 +443,56 @@ class RewritingCache:
         budget_digest: str | None = None,
         engine_version: str | None = None,
     ) -> list[tuple[str, str]]:
-        """(query text, target) pairs of enumerable stored entries.
+        """(query text, target) pairs of enumerable stored rewritings.
 
         The warm-up path: a restarting server lists what previous
         processes compiled for its ontology and re-prepares each entry,
-        so steady state is reached with zero fresh rewrites.  Entries
-        written before schema v3 (empty ``query_text``) are skipped --
-        they still serve digest lookups, they just cannot be enumerated.
-        Filters narrow by ontology digest and -- via the structured key
-        prefix -- budget digest and engine version.  Never raises.
+        so steady state is reached with zero fresh rewrites.  Filters
+        narrow by the digests and version in the *key* -- the rules a
+        rewriting was compiled from, never the row's owner: a residual
+        rewriting belongs to its session but was compiled from a rule
+        subset, and re-preparing it over the full ontology would be a
+        different (possibly unbounded) compilation.  Rows stored
+        without query text are skipped.  Never raises.
         """
-        with self._lock:
-            if self._connection is None:
-                return []
-            results: list[tuple[str, str]] = []
-            try:
-                for table, target in (
-                    ("rewritings", "ucq"),
-                    ("datalog_rewritings", "datalog"),
-                ):
-                    sql = (
-                        f"SELECT cache_key, query_text FROM {table} "
-                        "WHERE query_text != ''"
-                    )
-                    params: list[str] = []
-                    if ontology_digest is not None:
-                        sql += " AND ontology_digest = ?"
-                        params.append(ontology_digest)
-                    for row in self._connection.execute(sql, params):
-                        # combined key: version/target/ontology/budget/query
-                        parts = str(row[0]).split("/")
-                        if len(parts) != 5:
-                            continue
-                        if engine_version is not None and parts[0] != engine_version:
-                            continue
-                        if budget_digest is not None and parts[3] != budget_digest:
-                            continue
-                        results.append((str(row[1]), target))
-            except sqlite3.DatabaseError:
-                self._quarantine()
-                return []
-        return sorted(set(results))
+        wanted = (engine_version, None, ontology_digest, budget_digest)
+        results = set()
+        for cache_key, query_text in self._query(
+            "SELECT cache_key, query_text FROM artifacts "
+            "WHERE kind != 'core' AND query_text != ''"
+        ):
+            # combined key: version/target/ontology/budget/query
+            parts = str(cache_key).split("/")
+            if len(parts) == 5 and all(
+                want is None or want == part
+                for want, part in zip(wanted, parts)
+            ):
+                results.add((str(query_text), parts[1]))
+        return sorted(results)
 
     def evict_ontologies(self, keep: set[str] | frozenset[str]) -> int:
-        """Drop entries whose ontology digest is not in *keep*.
+        """Drop entries whose owner is not in *keep*.
 
         Stale entries are unreachable anyway (the digest is part of the
         key); this reclaims their disk space.  Returns rows deleted.
         """
+        placeholders = ",".join("?" for _ in keep) or "''"
         with self._lock:
-            if self._connection is None:
-                return 0
-            try:
-                before = len(self)
-                placeholders = ",".join("?" for _ in keep) or "''"
-                for table in (
-                    "rewritings",
-                    "datalog_rewritings",
-                    "materialized_cores",
-                ):
-                    self._connection.execute(
-                        f"DELETE FROM {table} WHERE ontology_digest "
-                        f"NOT IN ({placeholders})",
-                        tuple(sorted(keep)),
-                    )
-                self._connection.commit()
-                return before - len(self)
-            except sqlite3.DatabaseError:
-                self._quarantine()
-                return 0
+            deleted = self._execute(
+                f"DELETE FROM artifacts WHERE owner NOT IN ({placeholders})",
+                tuple(sorted(keep)),
+            )
+        return deleted or 0
 
 
 class EngineTier:
-    """Adapter binding a :class:`RewritingCache` to one engine's context.
+    """Binds a :class:`RewritingCache` to one engine's compilations.
 
-    Implements the :class:`repro.rewriting.engine.PersistentTier`
-    protocol: the ontology/budget digests are fixed at construction
-    (they are per-session), the query digest is computed per call, and
-    the engine version is read at call time.
+    Implements :class:`repro.rewriting.engine.PersistentTier`: the
+    compiled rules' and budget's digests are fixed at construction, the
+    query digest is computed and the engine version read per call, the
+    payloads are :mod:`repro.rewriting.store`'s codec, and every row is
+    owned by *owner*, the writing session's full-ontology digest.
     """
 
     def __init__(
@@ -652,96 +500,36 @@ class EngineTier:
         cache: RewritingCache,
         rules: Sequence[TGD],
         budget: RewritingBudget,
+        owner: str,
     ) -> None:
         self._cache = cache
         self._ontology_digest = ontology_digest(rules)
         self._budget_digest = budget_digest(budget)
+        self._owner = owner
 
-    def _key(
-        self, ucq: UnionOfConjunctiveQueries, target: str = "ucq"
-    ) -> CacheKey:
+    def _key(self, ucq: UnionOfConjunctiveQueries, target: str) -> CacheKey:
         return CacheKey(
-            ontology_digest=self._ontology_digest,
-            query_digest=query_digest(ucq),
-            budget_digest=self._budget_digest,
-            engine_version=_engine_version(),
-            target=target,
+            self._ontology_digest,
+            query_digest(ucq),
+            self._budget_digest,
+            _engine_version(),
+            target,
         )
 
-    def get(self, ucq: UnionOfConjunctiveQueries) -> RewritingResult | None:
-        return self._cache.get(self._key(ucq))
+    def get(
+        self, ucq: UnionOfConjunctiveQueries, target: str
+    ) -> RewritingResult | DatalogRewriting | None:
+        return self._cache.get(self._key(ucq, target), decode_rewriting)
 
-    def put(self, ucq: UnionOfConjunctiveQueries, result: RewritingResult) -> None:
-        self._cache.put(self._key(ucq), result, query_text=format_ucq(ucq))
-
-    def get_datalog(
-        self, ucq: UnionOfConjunctiveQueries
-    ) -> DatalogRewriting | None:
-        return self._cache.get_datalog(self._key(ucq, target="datalog"))
-
-    def put_datalog(
-        self, ucq: UnionOfConjunctiveQueries, result: DatalogRewriting
+    def put(
+        self,
+        ucq: UnionOfConjunctiveQueries,
+        target: str,
+        result: RewritingResult | DatalogRewriting,
     ) -> None:
-        self._cache.put_datalog(
-            self._key(ucq, target="datalog"), result, query_text=format_ucq(ucq)
+        self._cache.put(
+            self._key(ucq, target),
+            encode_rewriting(result),
+            owner=self._owner,
+            query_text=format_ucq(ucq),
         )
-
-
-def _decode_result(row: Any) -> RewritingResult:
-    complete, depth_reached, generated, explored, per_depth, ucq_text = row
-    return RewritingResult(
-        ucq=parse_ucq(ucq_text),
-        complete=bool(complete),
-        depth_reached=int(depth_reached),
-        generated=int(generated),
-        explored=int(explored),
-        per_depth=tuple(json.loads(per_depth)),
-        # Derivation lineage is not persisted; disk-served results
-        # answer queries identically but cannot explain disjuncts.
-        lineage={},
-    )
-
-
-def _encode_datalog(result: DatalogRewriting) -> str:
-    """Serialise a Datalog-target rewriting to a JSON payload.
-
-    The rules round-trip through the textual program syntax (every
-    aux/goal rule is a full TGD, so :func:`parse_program` accepts it);
-    rule labels are not preserved, which is harmless -- they play no
-    role in evaluation, SQL compilation or equality of answers.
-    """
-    return json.dumps(
-        {
-            "goal": result.goal,
-            "arity": result.arity,
-            "complete": result.complete,
-            "depth_reached": result.depth_reached,
-            "generated": result.generated,
-            "fallback_disjuncts": result.fallback_disjuncts,
-            "aux_rules": format_program(result.aux_rules),
-            "goal_rules": format_program(result.goal_rules),
-        }
-    )
-
-
-def _parse_rules(text: str) -> tuple[TGD, ...]:
-    # parse_program labels unlabelled rules R1, R2, ...; the emitter
-    # leaves rules unlabelled, so strip the synthetic labels to make
-    # disk-served programs print byte-identically to fresh ones.
-    from repro.lang.tgd import TGD
-
-    return tuple(TGD(r.body, r.head) for r in parse_program(text))
-
-
-def _decode_datalog(payload: str) -> DatalogRewriting:
-    data = json.loads(payload)
-    return DatalogRewriting(
-        goal=str(data["goal"]),
-        arity=int(data["arity"]),
-        aux_rules=_parse_rules(data["aux_rules"]),
-        goal_rules=_parse_rules(data["goal_rules"]),
-        complete=bool(data["complete"]),
-        depth_reached=int(data["depth_reached"]),
-        generated=int(data["generated"]),
-        fallback_disjuncts=int(data["fallback_disjuncts"]),
-    )

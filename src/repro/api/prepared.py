@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, cast
 
 from repro.data.database import Database
 from repro.data.sql import datalog_to_sql, ucq_to_sql
@@ -107,8 +107,7 @@ class PreparedQuery:
         "_query",
         "_digest",
         "_target",
-        "_result",
-        "_datalog",
+        "_compiled",
         "_pruned",
         "_sql",
         "_lock",
@@ -133,8 +132,7 @@ class PreparedQuery:
                 f"expected one of {TARGETS}"
             )
         self._target = target
-        self._result: RewritingResult | None = None
-        self._datalog: DatalogRewriting | None = None
+        self._compiled: dict[str, RewritingResult | DatalogRewriting] = {}
         self._pruned: "PruneResult | None" = None
         self._sql: str | None = None
         self._lock = threading.Lock()
@@ -173,20 +171,24 @@ class PreparedQuery:
     # Compiled artifacts                                                  #
     # ----------------------------------------------------------------- #
 
+    def _artifact(self, target: str) -> RewritingResult | DatalogRewriting:
+        """The *target* artifact, compiled on first access.
+
+        The engine single-flights concurrent compilations of the same
+        canonical query, so threads racing past the memo check here do
+        no duplicate work.
+        """
+        artifact = self._compiled.get(target)
+        if artifact is None:
+            artifact = self._session.engine._rewrite(self._query, target)
+            with self._lock:
+                artifact = self._compiled.setdefault(target, artifact)
+        return artifact
+
     @property
     def result(self) -> RewritingResult:
         """The full rewriting result (compiles on first access)."""
-        result = self._result
-        if result is None:
-            # The engine single-flights concurrent compilations of the
-            # same canonical query, so racing threads here do no
-            # duplicate work.
-            result = self._session.engine._rewrite(self._query)
-            with self._lock:
-                if self._result is None:
-                    self._result = result
-                result = self._result
-        return result
+        return cast(RewritingResult, self._artifact("ucq"))
 
     @property
     def datalog(self) -> DatalogRewriting:
@@ -196,14 +198,13 @@ class PreparedQuery:
         ucq-target handle simply compiles (and caches) the other
         artifact kind.
         """
-        rewriting = self._datalog
-        if rewriting is None:
-            rewriting = self._session.engine._rewrite_datalog(self._query)
-            with self._lock:
-                if self._datalog is None:
-                    self._datalog = rewriting
-                rewriting = self._datalog
-        return rewriting
+        return cast(DatalogRewriting, self._artifact("datalog"))
+
+    @property
+    def rewriting(self) -> RewritingResult | DatalogRewriting:
+        """The artifact of :attr:`target_selected`: :attr:`result` or
+        :attr:`datalog` (compiles on first access)."""
+        return self._artifact(self.target_selected)
 
     @property
     def ucq(self) -> UnionOfConjunctiveQueries:
@@ -364,6 +365,5 @@ class PreparedQuery:
         )
 
     def __repr__(self) -> str:
-        compiled = self._result is not None or self._datalog is not None
-        state = "compiled" if compiled else "pending"
+        state = "compiled" if self._compiled else "pending"
         return f"PreparedQuery({str(self._query)!r}, {state})"

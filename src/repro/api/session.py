@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence, cast
 
 from repro import obs
 from repro.api.cache import CacheStats, EngineTier, RewritingCache
@@ -162,9 +162,16 @@ class Session:
         self, rules: tuple[TGD, ...], **options: Any
     ) -> FORewritingEngine:
         """A rewriting engine over *rules*, on the session's budget and
-        persistent cache."""
+        persistent cache.
+
+        Its cache rows are keyed by the digest of *rules* -- the
+        residual of a split as much as the whole ontology -- and owned
+        by the session's ontology, so they are evicted with it.
+        """
         tier = (
-            EngineTier(self._cache, rules, self._options.budget)
+            EngineTier(
+                self._cache, rules, self._options.budget, self.ontology_digest
+            )
             if self._cache is not None
             else None
         )
@@ -734,10 +741,10 @@ class Session:
             # empty: the certain answers are empty.
             ucq = rewriting.ucq if pruned is None else pruned.ucq
         elif state.residual_engine is not None:
-            source, rewriting = "core", state.residual_engine._rewrite(
-                prepared.query
+            residual = cast(
+                "RewritingResult", state.residual_engine._rewrite(prepared.query)
             )
-            ucq = rewriting.ucq
+            source, rewriting, ucq = "core", residual, residual.ucq
         else:
             source, rewriting, ucq = "core", None, prepared.query
         if rewriting is not None and not rewriting.complete:
@@ -854,17 +861,19 @@ class Session:
         """Re-prepare every persisted rewriting of this ontology.
 
         Enumerates the persistent tier's stored queries for this
-        session's (ontology, budget, engine version) context -- both
-        the UCQ and Datalog tables -- and prepares each under its
-        stored target, so every compilation is a disk hit and steady
-        state is reached with zero fresh rewrites.  This is the serving
-        layer's boot path: a restarted server warms its in-memory cache
-        from what previous processes compiled.
+        session's (ontology, budget, engine version) context -- of
+        both targets -- and prepares each under its stored target, so
+        every compilation is a disk hit and steady state is reached
+        with zero fresh rewrites.  This is the serving layer's boot
+        path: a restarted server warms its in-memory cache from what
+        previous processes compiled.  A split's residual rewritings are
+        compiled from a rule subset, so they are not this ontology's
+        and are not warmed; the first split answer loads them.
 
-        Returns the number of entries warmed.  Entries written by
-        schema versions before 3 (no stored query text) are skipped;
-        undecodable entries are counted on ``session.warmup.errors``
-        and skipped.  No-op (0) without a persistent cache.
+        Returns the number of entries warmed.  Entries stored without
+        query text are skipped; undecodable entries are counted on
+        ``session.warmup.errors`` and skipped.  No-op (0) without a
+        persistent cache.
         """
         if self._cache is None:
             return 0
@@ -882,13 +891,8 @@ class Session:
         with obs.span("session.warm_up", stored=len(stored)) as span:
             for query_text, target in stored:
                 try:
-                    prepared = self.prepare(
-                        parse_ucq(query_text), target=target
-                    )
-                    if prepared.target_selected == "datalog":
-                        prepared.datalog  # noqa: B018 - forces compilation
-                    else:
-                        prepared.result  # noqa: B018 - forces compilation
+                    prepared = self.prepare(parse_ucq(query_text), target=target)
+                    prepared.rewriting  # noqa: B018 - forces compilation
                     warmed += 1
                 except Exception:  # noqa: BLE001 - warm-up must not boot-loop
                     obs.count("session.warmup.errors")

@@ -483,6 +483,7 @@ def _default_query(rules):
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.api import Session
     from repro.obs import TreeSink
+    from repro.rewriting.datalog_target import DatalogRewriting
 
     tree = TreeSink()
     complete = True
@@ -510,9 +511,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             ) as session:
                 prepared = session.prepare(query)
                 selected = prepared.target_selected
-                rewriting = (
-                    prepared.datalog if selected == "datalog" else prepared.result
-                )
+                rewriting = prepared.rewriting
                 complete = rewriting.complete
                 trace_span.set(
                     query=str(query), complete=complete, target=selected
@@ -526,20 +525,17 @@ def cmd_trace(args: argparse.Namespace) -> int:
                         else ""
                     )
                 )
-                if selected == "datalog":
-                    summary.append(
-                        f"rewriting: {rewriting.size} rule(s) "
+                shape = f"{rewriting.size} disjunct(s)"
+                if isinstance(rewriting, DatalogRewriting):
+                    shape = (
+                        f"{rewriting.size} rule(s) "
                         f"({len(rewriting.predicates)} aux predicate(s), "
-                        f"{rewriting.fallback_disjuncts} fallback "
-                        f"disjunct(s)), depth {rewriting.depth_reached}, "
-                        f"complete={rewriting.complete}"
+                        f"{rewriting.fallback_disjuncts} fallback disjunct(s))"
                     )
-                else:
-                    summary.append(
-                        f"rewriting: {rewriting.size} disjunct(s), "
-                        f"depth {rewriting.depth_reached}, "
-                        f"complete={rewriting.complete}"
-                    )
+                summary.append(
+                    f"rewriting: {shape}, depth {rewriting.depth_reached}, "
+                    f"complete={rewriting.complete}"
+                )
                 summary.append(f"sql:       {len(prepared.sql)} chars")
                 if database is not None:
                     answers = prepared.answer(require_complete=False)

@@ -113,13 +113,38 @@ class MaterializedCore:
         self.base: Database = (
             base.copy() if isinstance(base, Database) else Database(base)
         )
-        self.instance: Database = Database()
+        self._rebuild()
+
+    @classmethod
+    def restore(
+        cls,
+        rules: Sequence[TGD],
+        base: Database,
+        instance: Database,
+        *,
+        max_steps: int,
+        threshold: float,
+    ) -> "MaterializedCore":
+        """A core over *instance*, already the closure of *base*.
+
+        No chase runs.  Provenance starts empty: the caller
+        (:func:`repro.hybrid.store.decode_core`) records the firings.
+        """
+        core = cls.__new__(cls)
+        core.rules = tuple(rules)
+        core.max_steps = max_steps
+        core.threshold = threshold
+        core.base = base
+        core._reset(instance)
+        return core
+
+    def _reset(self, instance: Database) -> None:
+        """Adopt *instance* with empty provenance."""
+        self.instance = instance
         self._nulls = NullFactory()
         self._firings: list[Firing] = []
         self._supports: dict[Atom, set[int]] = {}
         self._uses: dict[Atom, set[int]] = {}
-        self.rebuilds = 0
-        self._rebuild()
 
     # -- introspection -------------------------------------------------
 
@@ -140,12 +165,7 @@ class MaterializedCore:
 
     def _rebuild(self) -> None:
         """Chase the base from scratch, resetting all provenance."""
-        self.instance = self.base.copy()
-        self._nulls = NullFactory()
-        self._firings = []
-        self._supports = {}
-        self._uses = {}
-        self.rebuilds += 1
+        self._reset(self.base.copy())
         with obs.span(
             "hybrid.rebuild", rules=len(self.rules), facts=len(self.base)
         ):

@@ -7,12 +7,11 @@ This module turns a core into a JSON payload and back, so the
 persistent :class:`repro.api.cache.RewritingCache` can hand a warm
 core to the next process the way it already hands out rewritings.
 
-Snapshots are keyed by ``(engine version, core-rules digest, ABox
+Snapshots are keyed by ``(snapshot version, core-rules digest, ABox
 digest, max_steps)`` — any change to the rules or the data produces a
-different key — while each row also carries the *full* ontology digest
-so ``evict_ontologies`` retires core snapshots together with the
-rewritings of a replaced ontology (the eviction-discipline bugfix this
-PR pins with a regression test).
+different key — while each row is owned by the *full* ontology's
+digest, so ``evict_ontologies`` retires core snapshots together with
+the rewritings of a replaced ontology.
 
 Term encoding reuses the SQL backend's tagged-text codec
 (``s:``/``i:``/``n:``), so null labels survive the round trip and the
@@ -24,18 +23,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro import obs
+from repro.api.cache import CacheKey, RewritingCache
 from repro.data.database import Database
 from repro.data.sql import _decode, _encode
 from repro.hybrid.maintain import Firing, MaterializedCore
 from repro.lang.atoms import Atom
 from repro.lang.tgd import TGD
 from repro.rewriting.store import ontology_digest
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.api.cache import RewritingCache
 
 #: Bump when the snapshot layout changes; stale payloads are ignored
 #: (the core is rebuilt and re-stored), never misread.
@@ -57,15 +54,14 @@ def abox_digest(database: Database) -> str:
 
 def core_key(
     rules: Sequence[TGD], data_digest: str, max_steps: int
-) -> str:
+) -> CacheKey:
     """Cache key for one (core rules, ABox, budget) combination."""
-    return "/".join(
-        [
-            f"v{SNAPSHOT_VERSION}",
-            ontology_digest(tuple(rules)),
-            data_digest,
-            str(max_steps),
-        ]
+    return CacheKey(
+        ontology_digest=ontology_digest(tuple(rules)),
+        query_digest=data_digest,
+        budget_digest=str(max_steps),
+        engine_version=f"v{SNAPSHOT_VERSION}",
+        target="core",
     )
 
 
@@ -129,15 +125,13 @@ def decode_core(
             Atom(relation, [_decode(text) for text in terms])
             for relation, terms in data["facts"]
         ]
-        base = Database(facts[i] for i in data["base"])
-        core = MaterializedCore(
-            rules, Database(), max_steps=max_steps, threshold=threshold
+        core = MaterializedCore.restore(
+            rules,
+            Database(facts[i] for i in data["base"]),
+            Database(facts),
+            max_steps=max_steps,
+            threshold=threshold,
         )
-        core.base = base
-        core.instance = Database(facts)
-        core._firings = []
-        core._supports = {}
-        core._uses = {}
         for rule_index, body_idx, produced_idx, supported_idx in (
             data["firings"]
         ):
@@ -164,7 +158,7 @@ def decode_core(
 
 
 def load_or_build(
-    cache: "RewritingCache | None",
+    cache: RewritingCache | None,
     full_digest: str,
     rules: Sequence[TGD],
     base: Database,
@@ -180,7 +174,7 @@ def load_or_build(
     """
     if cache is not None:
         key = core_key(rules, abox_digest(base), max_steps)
-        core = cache.get_core(
+        core = cache.get(
             key,
             lambda payload: decode_core(
                 payload, rules, max_steps=max_steps, threshold=threshold
@@ -194,5 +188,5 @@ def load_or_build(
         rules, base, max_steps=max_steps, threshold=threshold
     )
     if cache is not None:
-        cache.put_core(key, full_digest, encode_core(core))
+        cache.put(key, encode_core(core), owner=full_digest)
     return core

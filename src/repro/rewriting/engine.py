@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 import warnings
-from typing import Callable, NamedTuple, Protocol, Sequence, TypeVar
+from typing import NamedTuple, Protocol, Sequence, cast
 
 from repro import obs
 from repro.data.sql import ucq_to_sql
@@ -56,7 +56,8 @@ AUTO_DATALOG_THRESHOLD = 512
 """Estimated UCQ disjunct count above which ``target="auto"`` switches
 to the nonrecursive-Datalog target."""
 
-_Compiled = TypeVar("_Compiled", RewritingResult, DatalogRewriting)
+Compiled = RewritingResult | DatalogRewriting
+"""A compiled artifact: the UCQ target's or the Datalog target's."""
 
 
 class CacheInfo(NamedTuple):
@@ -76,44 +77,35 @@ class PersistentTier(Protocol):
     """Second-level rewriting cache the engine consults on memory miss.
 
     Implemented by :class:`repro.api.cache.EngineTier`; any object with
-    the same four methods works.  Every method must be safe to call from
+    the same two methods works.  *target* is the concrete artifact kind
+    (``ucq`` or ``datalog``).  Both methods must be safe to call from
     multiple threads and must *never raise* -- a broken persistent tier
     degrades to recomputation, it does not break answering.
     """
 
-    def get(self, ucq: UnionOfConjunctiveQueries) -> RewritingResult | None:
-        """The stored rewriting of *ucq*, or None."""
+    def get(self, ucq: UnionOfConjunctiveQueries, target: str) -> Compiled | None:
+        """The stored *target* rewriting of *ucq*, or None."""
         ...
 
-    def put(self, ucq: UnionOfConjunctiveQueries, result: RewritingResult) -> None:
-        """Persist the rewriting of *ucq*."""
-        ...
-
-    def get_datalog(
-        self, ucq: UnionOfConjunctiveQueries
-    ) -> DatalogRewriting | None:
-        """The stored Datalog-target rewriting of *ucq*, or None."""
-        ...
-
-    def put_datalog(
-        self, ucq: UnionOfConjunctiveQueries, result: DatalogRewriting
+    def put(
+        self, ucq: UnionOfConjunctiveQueries, target: str, result: Compiled
     ) -> None:
-        """Persist the Datalog-target rewriting of *ucq*."""
+        """Persist the *target* rewriting of *ucq*."""
         ...
 
 
 class FORewritingEngine:
     """Compiles UCQs over a TGD ontology into their FO rewritings.
 
-    Rewritings are cached per query (keyed by the UCQ's canonical
-    form, so alpha-renamed or atom-reordered variants of a query share
-    one entry), and answering the same query over many databases pays
-    the rewriting cost once -- the usage pattern OBDA is designed
-    around.  :class:`repro.api.Session` evaluates the rewritings; the
-    engine only compiles them.  An optional *persistent* second tier
-    (attached by :class:`repro.api.Session` when it has a cache
-    directory) is consulted on in-memory miss before any rewriting
-    runs.  Cache effectiveness is observable via :meth:`cache_info`
+    Rewritings are memoized per (target, query), the query keyed by
+    its canonical form, so alpha-renamed or atom-reordered variants of
+    a query share one entry; answering the same query over many
+    databases pays the rewriting cost once -- the usage pattern OBDA
+    is designed around.  :class:`repro.api.Session` evaluates the
+    rewritings; the engine only compiles them.  An optional
+    *persistent* second tier (attached by :class:`repro.api.Session`
+    when it has a cache directory) is consulted on in-memory miss
+    before any rewriting runs.  Cache effectiveness is observable via :meth:`cache_info`
     and the ``engine.cache_hits`` / ``engine.cache_misses`` /
     ``engine.disk_hits`` counters of :mod:`repro.obs`.
 
@@ -141,16 +133,16 @@ class FORewritingEngine:
         self._persistent = persistent
         self._preflight_estimate = preflight_estimate
         self._target = target
-        self._cache: dict[UnionOfConjunctiveQueries, RewritingResult] = {}
-        self._datalog_cache: dict[UnionOfConjunctiveQueries, DatalogRewriting] = {}
+        # Both keyed by (concrete target, canonical UCQ): the two
+        # targets' artifacts share one memo but never an entry.
+        self._memo: dict[tuple[str, UnionOfConjunctiveQueries], Compiled] = {}
+        self._inflight: dict[
+            tuple[str, UnionOfConjunctiveQueries], threading.Event
+        ] = {}
         self._target_choice: dict[UnionOfConjunctiveQueries, str] = {}
         self._hits = 0
         self._misses = 0
         self._lock = threading.Lock()
-        self._inflight: dict[UnionOfConjunctiveQueries, threading.Event] = {}
-        self._datalog_inflight: dict[
-            UnionOfConjunctiveQueries, threading.Event
-        ] = {}
 
     @property
     def rules(self) -> tuple[TGD, ...]:
@@ -168,25 +160,21 @@ class FORewritingEngine:
         return self._target
 
     def cache_info(self) -> CacheInfo:
-        """Hits, misses and current size of the in-memory caches.
+        """Hits, misses and current size of the in-memory memo.
 
         Both targets share the hit/miss accounting; ``size`` counts
-        entries of the UCQ and Datalog tiers together.
+        entries of both targets together.
         """
         with self._lock:
-            return CacheInfo(
-                self._hits,
-                self._misses,
-                len(self._cache) + len(self._datalog_cache),
-            )
+            return CacheInfo(self._hits, self._misses, len(self._memo))
 
     def cache_sizes(self) -> dict[str, int]:
-        """Per-target in-memory cache entry counts."""
+        """Per-target in-memory memo entry counts."""
+        sizes = dict.fromkeys(("ucq", "datalog"), 0)
         with self._lock:
-            return {
-                "ucq": len(self._cache),
-                "datalog": len(self._datalog_cache),
-            }
+            for target, _ in self._memo:
+                sizes[target] += 1
+        return sizes
 
     def resolve_target(
         self,
@@ -251,113 +239,73 @@ class FORewritingEngine:
     # ----------------------------------------------------------------- #
 
     def _rewrite(
-        self, query: ConjunctiveQuery | UnionOfConjunctiveQueries
-    ) -> RewritingResult:
-        """The (cached) rewriting of *query* w.r.t. the engine's rules.
-
-        Lookup order: in-memory cache, persistent tier (if attached),
-        fresh rewriting run.  :class:`repro.api.PreparedQuery` calls
-        this directly.
-        """
-        return self._single_flight(
-            UnionOfConjunctiveQueries.of(query),
-            self._cache,
-            self._inflight,
-            self._compile,
-        )
-
-    def _rewrite_datalog(
-        self, query: ConjunctiveQuery | UnionOfConjunctiveQueries
-    ) -> DatalogRewriting:
-        """The (cached) Datalog-target rewriting of *query*.
-
-        Same tiered lookup and single-flighting as :meth:`_rewrite`,
-        over a separate cache (the two targets' artifacts never mix).
-        """
-        return self._single_flight(
-            UnionOfConjunctiveQueries.of(query),
-            self._datalog_cache,
-            self._datalog_inflight,
-            self._compile_datalog,
-        )
-
-    def _single_flight(
         self,
-        ucq: UnionOfConjunctiveQueries,
-        cache: dict[UnionOfConjunctiveQueries, _Compiled],
-        inflight: dict[UnionOfConjunctiveQueries, threading.Event],
-        compile_fn: Callable[[UnionOfConjunctiveQueries], _Compiled],
-    ) -> _Compiled:
-        """*cache*'s entry for *ucq*, compiled by one thread at most.
+        query: ConjunctiveQuery | UnionOfConjunctiveQueries,
+        target: str = "ucq",
+    ) -> Compiled:
+        """The (memoized) *target* rewriting of *query*.
 
-        The first thread to miss registers an event in *inflight*,
-        counts the miss and runs *compile_fn*; concurrent lookups of
-        the same query wait for that event and retry (counted as hits:
-        they did no work).  The waiters are also woken when
-        *compile_fn* raises; their retry then finds no entry and one of
-        them compiles, so a failure never strands them.
+        *target* is concrete: ``ucq`` returns a :class:`RewritingResult`,
+        ``datalog`` a :class:`DatalogRewriting`.  Lookup order:
+        in-memory memo, persistent tier (if attached), fresh rewriting
+        run.  :class:`repro.api.PreparedQuery` calls this directly.
+
+        Compilation is single-flighted per (target, query): the first
+        thread to miss registers an in-flight event, counts the miss
+        and compiles; concurrent lookups of the same key wait for that
+        event and retry (counted as hits: they did no work).  The
+        waiters are also woken when the compilation raises; their retry
+        then finds no entry and one of them compiles, so a failure
+        never strands them.
         """
+        ucq = UnionOfConjunctiveQueries.of(query)
+        key = (target, ucq)
         while True:
             with self._lock:
-                result = cache.get(ucq)
+                result = self._memo.get(key)
                 if result is not None:
                     self._hits += 1
                     obs.count("engine.cache_hits")
                     return result
-                waiter = inflight.get(ucq)
+                waiter = self._inflight.get(key)
                 if waiter is None:
-                    inflight[ucq] = threading.Event()
+                    self._inflight[key] = threading.Event()
                     self._misses += 1
                     break
             waiter.wait()
         obs.count("engine.cache_misses")
         try:
-            compiled = compile_fn(ucq)
+            compiled = self._compile(ucq, target)
         except BaseException:
             with self._lock:
-                inflight.pop(ucq).set()
+                self._inflight.pop(key).set()
             raise
         with self._lock:
-            cache[ucq] = compiled
-            inflight.pop(ucq).set()
+            self._memo[key] = compiled
+            self._inflight.pop(key).set()
         return compiled
 
-    def _compile(self, ucq: UnionOfConjunctiveQueries) -> RewritingResult:
+    def _compile(self, ucq: UnionOfConjunctiveQueries, target: str) -> Compiled:
         """Persistent-tier lookup, falling back to a rewriting run."""
         if self._persistent is not None:
-            stored = self._persistent.get(ucq)
+            stored = self._persistent.get(ucq, target)
             if stored is not None:
                 obs.count("engine.disk_hits")
                 return stored
             obs.count("engine.disk_misses")
-        with obs.span("engine.rewrite", cached=False) as span:
+        with obs.span("engine.rewrite", cached=False, target=target) as span:
             rules = relevant_rules(ucq, self._rules).relevant
             span.set(relevant_rules=len(rules))
-            if self._preflight_estimate:
-                self._preflight(ucq, rules)
-            result = rewrite(ucq, rules, self._budget)
+            result: Compiled
+            if target == "datalog":
+                result = rewrite_datalog(ucq, rules, self._budget)
+            else:
+                if self._preflight_estimate:
+                    self._preflight(ucq, rules)
+                result = rewrite(ucq, rules, self._budget)
             span.set(complete=result.complete, size=result.size)
         if self._persistent is not None:
-            self._persistent.put(ucq, result)
-        return result
-
-    def _compile_datalog(
-        self, ucq: UnionOfConjunctiveQueries
-    ) -> DatalogRewriting:
-        """Persistent-tier lookup, falling back to a Datalog rewriting."""
-        if self._persistent is not None:
-            stored = self._persistent.get_datalog(ucq)
-            if stored is not None:
-                obs.count("engine.disk_hits")
-                return stored
-            obs.count("engine.disk_misses")
-        with obs.span("engine.rewrite", cached=False, target="datalog") as span:
-            rules = relevant_rules(ucq, self._rules).relevant
-            span.set(relevant_rules=len(rules))
-            result = rewrite_datalog(ucq, rules, self._budget)
-            span.set(complete=result.complete, size=result.size)
-        if self._persistent is not None:
-            self._persistent.put_datalog(ucq, result)
+            self._persistent.put(ucq, target, result)
         return result
 
     def _preflight(
@@ -395,9 +343,7 @@ class FORewritingEngine:
             )
 
     @staticmethod
-    def _check_complete(
-        result: RewritingResult | DatalogRewriting, require_complete: bool
-    ) -> None:
+    def _check_complete(result: Compiled, require_complete: bool) -> None:
         if require_complete and not result.complete:
             raise RewritingBudgetExceeded(
                 "rewriting incomplete within budget; pass "
@@ -410,4 +356,4 @@ class FORewritingEngine:
         self, query: ConjunctiveQuery | UnionOfConjunctiveQueries
     ) -> str:
         """The SQL text of the rewriting (the "equivalent SQL query")."""
-        return ucq_to_sql(self._rewrite(query).ucq)
+        return ucq_to_sql(cast(RewritingResult, self._rewrite(query)).ucq)

@@ -12,7 +12,8 @@ evicted session is only *closed* -- its definition stays registered
 and the next request lazily reopens it, warm from the shared
 persistent cache.  Removing a tenant, by contrast, is permanent: the
 session is closed, the definition dropped, and the persistent tier's
-entries for that ontology reclaimed via
+entries owned by that ontology -- every row its sessions wrote, split
+residuals and core snapshots included -- reclaimed via
 :meth:`~repro.api.RewritingCache.evict_ontologies` (unless another
 registered tenant still uses the same ontology).
 """

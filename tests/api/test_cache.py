@@ -11,7 +11,7 @@ import sqlite3
 import pytest
 
 from repro import obs
-from repro.api import CacheKey, RewritingCache, Session
+from repro.api import CACHE_SCHEMA_VERSION, CacheKey, RewritingCache, Session
 from repro.api.cache import DEFAULT_CACHE_FILENAME
 from repro.lang.parser import parse_program, parse_query
 from repro.rewriting.budget import RewritingBudget
@@ -122,7 +122,10 @@ class TestRobustness:
         _compile(rules, tmp_path)
         path = tmp_path / DEFAULT_CACHE_FILENAME
         with sqlite3.connect(path) as connection:
-            connection.execute("UPDATE rewritings SET ucq = 'not a ) ucq'")
+            connection.execute(
+                "UPDATE artifacts "
+                "SET payload = json_set(payload, '$.ucq', 'not a ) ucq')"
+            )
             connection.commit()
         ucq, trace = _compile(rules, tmp_path)
         assert trace.counter("api.cache.errors") == 1
@@ -149,17 +152,59 @@ class TestRobustness:
         with RewritingCache(tmp_path) as cache:
             assert len(cache) == 0  # dropped, not misread
 
+    def test_v4_file_upgrades_to_one_empty_table(self, rules, tmp_path):
+        # The v4 layout: one table per artifact kind, a row in each.
+        path = tmp_path / DEFAULT_CACHE_FILENAME
+        with sqlite3.connect(path) as connection:
+            connection.executescript(
+                """
+                CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+                INSERT INTO meta VALUES ('schema_version', '4');
+                CREATE TABLE rewritings (
+                    cache_key TEXT PRIMARY KEY, ontology_digest TEXT,
+                    ucq TEXT, query_text TEXT);
+                CREATE TABLE datalog_rewritings (
+                    cache_key TEXT PRIMARY KEY, ontology_digest TEXT,
+                    payload TEXT, query_text TEXT);
+                CREATE TABLE materialized_cores (
+                    cache_key TEXT PRIMARY KEY, ontology_digest TEXT,
+                    payload TEXT);
+                INSERT INTO rewritings VALUES ('k', 'o', 'q(X) :- r(X, Y)', '');
+                INSERT INTO datalog_rewritings VALUES ('k', 'o', '{}', '');
+                INSERT INTO materialized_cores VALUES ('k', 'o', '{}');
+                """
+            )
+        with RewritingCache(tmp_path) as cache:
+            assert len(cache) == 0
+        with sqlite3.connect(path) as connection:
+            tables = {
+                name
+                for (name,) in connection.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'table'"
+                )
+            }
+            version = connection.execute(
+                "SELECT value FROM meta WHERE key = 'schema_version'"
+            ).fetchone()
+        assert tables == {"meta", "artifacts"}
+        assert version == (str(CACHE_SCHEMA_VERSION),)
+        _, cold = _compile(rules, tmp_path)
+        assert cold.counter("api.cache.writes") == 1
+        _, warm = _compile(rules, tmp_path)
+        assert warm.counter("engine.disk_hits") == 1
+
     def test_get_put_roundtrip_and_stats(self, rules, tmp_path):
         query = parse_query(QUERY)
         budget = RewritingBudget.default()
         from repro.rewriting.rewriter import rewrite
+        from repro.rewriting.store import decode_rewriting, encode_rewriting
 
         result = rewrite(query, rules, budget)
         key = CacheKey.of(rules, query, budget)
         with RewritingCache(tmp_path) as cache:
-            assert cache.get(key) is None
-            cache.put(key, result)
-            stored = cache.get(key)
+            assert cache.get(key, decode_rewriting) is None
+            cache.put(key, encode_rewriting(result))
+            stored = cache.get(key, decode_rewriting)
             assert stored is not None
             assert stored.ucq == result.ucq
             assert stored.complete == result.complete

@@ -2,8 +2,8 @@
 
 The ``target`` field joined :class:`CacheKey` with the Datalog target:
 UCQ and Datalog artifacts for the same (ontology, query, budget) live
-under distinct keys in distinct tables, a warm cache serves both
-targets with zero fresh rewrites, and ``target="auto"`` resolves to
+under distinct keys of one table, a warm cache serves both targets
+with zero fresh rewrites, and ``target="auto"`` resolves to
 the same concrete target in every interpreter process.
 """
 
@@ -19,6 +19,7 @@ from repro.api import CacheKey, EngineOptions, RewritingCache, Session
 from repro.lang.parser import parse_program, parse_query
 from repro.rewriting.budget import RewritingBudget
 from repro.rewriting.datalog_target import rewrite_datalog
+from repro.rewriting.store import decode_rewriting, encode_rewriting
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -56,17 +57,18 @@ class TestKeying:
         rewriting = rewrite_datalog(query, rules, budget)
         key = CacheKey.of(rules, query, budget, target="datalog")
         with RewritingCache(tmp_path) as cache:
-            assert cache.get_datalog(key) is None
-            cache.put_datalog(key, rewriting)
-            served = cache.get_datalog(key)
-            # The UCQ table must not see the entry under the ucq key.
+            assert cache.get(key, decode_rewriting) is None
+            cache.put(key, encode_rewriting(rewriting))
+            served = cache.get(key, decode_rewriting)
+            # The entry must not be served under the ucq key.
             ucq_key = CacheKey.of(rules, query, budget)
-            assert cache.get(ucq_key) is None
+            assert cache.get(ucq_key, decode_rewriting) is None
         assert served is not None
         assert str(served) == str(rewriting)
         assert served.to_sql() == rewriting.to_sql()
 
     def test_len_and_eviction_cover_both_tables(self, rules, tmp_path):
+        # Both targets' rows live in the one artifacts table.
         budget = RewritingBudget.default()
         query = parse_query(QUERY)
         with Session(rules, cache_dir=tmp_path) as session:

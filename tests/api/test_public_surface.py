@@ -15,6 +15,7 @@ import pytest
 
 import repro
 import repro.api
+import repro.api.cache
 import repro.audit
 import repro.audit.engine
 import repro.chase
@@ -122,6 +123,21 @@ class TestDeprecatedShims:
                 for name in names:
                     assert not hasattr(module, name), (module, name)
                     assert name not in getattr(module, "__all__", ()), name
+        # The per-kind compile-and-persist copies: one engine memo and
+        # compile method, one cache table with one get and one put.
+        for name in ("_decode_result", "_encode_datalog", "_decode_datalog",
+                     "_parse_rules"):
+            assert not hasattr(repro.api.cache, name), name
+        for name in ("get_datalog", "put_datalog", "get_core", "put_core",
+                     "_read", "_write", "_delete"):
+            assert not hasattr(repro.api.RewritingCache, name), name
+        for name in ("get_datalog", "put_datalog"):
+            assert not hasattr(repro.api.cache.EngineTier, name), name
+        for name in ("_rewrite_datalog", "_compile_datalog", "_single_flight"):
+            assert not hasattr(repro.FORewritingEngine, name), name
+        engine = repro.FORewritingEngine(rules)
+        for name in ("_cache", "_datalog_cache", "_datalog_inflight"):
+            assert not hasattr(engine, name), name
         lint_fields = {f.name for f in dataclasses.fields(repro.lint.LintConfig)}
         assert "default_depth" not in lint_fields
         check_fields = {

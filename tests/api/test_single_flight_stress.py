@@ -65,7 +65,7 @@ class TestEngineSingleFlight:
             with Session(rules) as session:
                 engine = session.engine
                 if target == "datalog":
-                    _stampede(THREADS, lambda: engine._rewrite_datalog(ucq))
+                    _stampede(THREADS, lambda: engine._rewrite(ucq, "datalog"))
                 else:
                     _stampede(THREADS, lambda: engine._rewrite(ucq))
         # Exactly one miss (the winner compiles); the losers wait on
@@ -81,7 +81,7 @@ class TestEngineSingleFlight:
 
                 def mixed():
                     engine._rewrite(ucq)
-                    engine._rewrite_datalog(ucq)
+                    engine._rewrite(ucq, "datalog")
 
                 _stampede(THREADS, mixed)
         # One compilation per (query, target): 2 misses total, every
@@ -102,16 +102,11 @@ class TestEngineSingleFlight:
         raised = []
         with Session(rules, options=strict) as session:
             engine = session.engine
-            lookup = (
-                engine._rewrite_datalog
-                if target == "datalog"
-                else engine._rewrite
-            )
 
             def runner():
                 barrier.wait()
                 with pytest.raises(RewritingBudgetExceeded):
-                    lookup(ucq)
+                    engine._rewrite(ucq, target)
                 raised.append(True)
 
             pool = [

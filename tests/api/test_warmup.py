@@ -62,14 +62,14 @@ class TestWarmUp:
             assert session.warm_up() == 0
 
     def test_stored_queries_survive_empty_text_rows(self, rules, tmp_path):
-        # Pre-v3 rows (no query text) are served for lookups but are
-        # not enumerable; warm-up must skip them, not crash.
+        # Rows without query text are served for lookups but are not
+        # enumerable; warm-up must skip them, not crash.
         with Session(rules, cache_dir=tmp_path) as cold:
             cold.prepare(Q1).result
         import sqlite3
 
         with sqlite3.connect(tmp_path / "rewritings.sqlite") as connection:
-            connection.execute("UPDATE rewritings SET query_text = ''")
+            connection.execute("UPDATE artifacts SET query_text = ''")
         with Session(rules, cache_dir=tmp_path) as warm:
             assert warm.warm_up() == 0
 

@@ -235,6 +235,31 @@ def test_core_snapshot_round_trips_through_the_persistent_cache(tmp_path):
     assert "hybrid.core_cache.misses" not in counters
 
 
+def test_warm_core_restores_without_chasing(tmp_path):
+    options = EngineOptions(hybrid="materialize")
+    with Session(
+        TERMINATING,
+        database(TERMINATING_DATA),
+        cache_dir=tmp_path,
+        options=options,
+    ) as session:
+        session.hybrid_decision()
+    with obs.capture() as trace:
+        with Session(
+            TERMINATING,
+            database(TERMINATING_DATA),
+            cache_dir=tmp_path,
+            options=options,
+        ) as session:
+            session.hybrid_decision()
+            core = session._hybrid.core
+    assert trace.counter("hybrid.core_cache.hits") == 1
+    # The snapshot is the closure: restoring it runs no chase at all.
+    assert trace.spans("hybrid.rebuild") == []
+    assert core.check_consistency() == []
+    assert not hasattr(core, "rebuilds")
+
+
 def test_corrupt_core_snapshot_is_an_error_and_a_miss(tmp_path):
     import sqlite3
 
@@ -251,7 +276,7 @@ def test_corrupt_core_snapshot_is_an_error_and_a_miss(tmp_path):
         session.hybrid_decision()
     with sqlite3.connect(tmp_path / DEFAULT_CACHE_FILENAME) as connection:
         connection.execute(
-            "UPDATE materialized_cores SET payload = ?",
+            "UPDATE artifacts SET payload = ? WHERE kind = 'core'",
             ('{"version": 1, "facts": "garbage"}',),
         )
     with Session(

@@ -16,6 +16,7 @@ from repro.data.evaluation import evaluate_ucq
 from repro.lang.parser import parse_database, parse_query
 from repro.rewriting.budget import RewritingBudget
 from repro.rewriting.rewriter import rewrite
+from repro.rewriting.store import decode_rewriting, encode_rewriting
 from repro.workloads.ontologies import (
     university_data,
     university_ontology,
@@ -34,27 +35,29 @@ class TestStoreBasics:
         query = parse_query("q(X) :- d(X)")
         result = rewrite(query, hierarchy_rules, BUDGET)
         with RewritingCache(tmp_path) as cache:
-            cache.put(_key(hierarchy_rules, query), result)
+            cache.put(_key(hierarchy_rules, query), encode_rewriting(result))
             # Lookup with a renamed variant of the same query.
             renamed = parse_query("q(U) :- d(U)")
-            entry = cache.get(_key(hierarchy_rules, renamed))
+            entry = cache.get(_key(hierarchy_rules, renamed), decode_rewriting)
         assert entry is not None
         assert entry.ucq == result.ucq
 
     def test_missing_query_returns_none(self, tmp_path, hierarchy_rules):
         with RewritingCache(tmp_path) as cache:
             missing = _key(hierarchy_rules, parse_query("q(X) :- r(X)"))
-            assert cache.get(missing) is None
+            assert cache.get(missing, decode_rewriting) is None
 
     def test_put_replaces(self, tmp_path, hierarchy_rules):
         query = parse_query("q(X) :- d(X)")
         result = rewrite(query, hierarchy_rules, BUDGET)
         key = _key(hierarchy_rules, query)
         with RewritingCache(tmp_path) as cache:
-            cache.put(key, dataclasses.replace(result, complete=False))
-            cache.put(key, dataclasses.replace(result, complete=True))
+            incomplete = dataclasses.replace(result, complete=False)
+            complete = dataclasses.replace(result, complete=True)
+            cache.put(key, encode_rewriting(incomplete))
+            cache.put(key, encode_rewriting(complete))
             assert len(cache) == 1
-            assert cache.get(key).complete
+            assert cache.get(key, decode_rewriting).complete
 
 
 class TestPersistence:
@@ -65,7 +68,9 @@ class TestPersistence:
         with RewritingCache(tmp_path) as loaded:
             assert len(loaded) == 2
             for query, original in zip(queries, compiled):
-                restored = loaded.get(_key(hierarchy_rules, query))
+                restored = loaded.get(
+                    _key(hierarchy_rules, query), decode_rewriting
+                )
                 assert restored is not None
                 assert restored.ucq == original.ucq
                 assert restored.complete == original.complete

@@ -100,6 +100,43 @@ class TestEviction:
         with RewritingCache(tmp_path) as cache:
             assert len(cache) == 1
 
+    def test_remove_keeps_other_tenants_split_residuals(
+        self, rules_b, tmp_path
+    ):
+        # A SPLIT tenant stores its residual rewriting under the
+        # residual rules' digest; the row still belongs to the tenant's
+        # ontology, so removing an unrelated tenant must not evict it.
+        from repro import obs
+        from repro.rewriting.budget import RewritingBudget
+        from repro.workloads.interaction import split_workload
+
+        rules, query, data = split_workload()
+        # The residual rewriting has 3 disjuncts; the cap only bounds
+        # the full ontology's unbounded one, should anything compile it.
+        options = EngineOptions(
+            hybrid="split", budget=RewritingBudget(max_cqs=200, strict=False)
+        )
+        with TenantRegistry(cache_dir=tmp_path, options=options) as registry:
+            registry.register("a", rules, data)
+            expected = registry.session("a").answer(query)
+            registry.register("b", rules_b)
+            assert registry.remove("b") == 0
+        with RewritingCache(tmp_path) as cache:
+            assert cache.counts() == {"ucq": 1, "datalog": 0, "cores": 1}
+        with obs.capture() as trace:
+            with TenantRegistry(
+                cache_dir=tmp_path, options=options
+            ) as restarted:
+                restarted.register("a", rules, data)
+                with obs.capture() as warm:
+                    restarted.warm_all()
+                assert restarted.session("a").answer(query) == expected
+        # The residual comes from disk, and warm-up never re-prepares
+        # it over the full ontology, whose rewriting is unbounded.
+        assert warm.spans("engine.rewrite") == []
+        assert trace.spans("engine.rewrite") == []
+        assert trace.counter("engine.disk_hits") == 1
+
 
 class TestWarmAll:
     def test_boot_warmup_reaches_steady_state(self, rules_a, tmp_path):
