@@ -3,30 +3,37 @@
 A :class:`MaterializedCore` owns the restricted-chase closure of a
 chase-safe rule set (the separable core from
 :mod:`repro.analysis.separability`) over a base ABox, together with
-enough *provenance* to maintain that closure under base-fact inserts
-and deletes without re-chasing from scratch:
+the provenance that DRed (delete and re-derive) reads to maintain that
+closure under base-fact inserts and deletes without re-chasing from
+scratch:
 
-* every trigger firing is recorded as a :class:`Firing` — the
-  instantiated body facts it consumed and the head facts it produced;
-* each derived fact keeps the set of still-valid firings supporting it
-  (a fact with fresh nulls has exactly one producer; null-free heads
-  may accumulate several);
-* each fact keeps the firings *using* it in a body, so deletions can
-  invalidate downstream derivations.
+* every live trigger firing is a :class:`Firing` -- the instantiated
+  body facts it consumed and the head facts it produced -- keyed by a
+  running id;
+* each derived fact maps to the one firing that supports it: a firing
+  supports only the head facts it added, so a fact present in the
+  instance has at most one support;
+* each fact maps to the ids of the live firings *using* it in a body,
+  so a deletion finds the derivations it invalidates.
 
-The build, insert propagation and DRed re-derivation all run on the
-shared semi-naive loop :func:`repro.data.saturate.saturate`, with
-:meth:`MaterializedCore._record_firing` as the per-trigger step and the
-restricted head-satisfaction check deciding which triggers fire.
+A firing dies, and leaves every map, as soon as one of its body facts
+leaves the instance; a fact's entries go with the fact.  Provenance is
+thus bounded by the instance: a run of inserts and deletes that brings
+the base back brings the provenance back to the same size.
+
+The build, insert propagation and the forward half of re-derivation
+all run on the shared semi-naive loop :func:`repro.data.saturate.saturate`,
+with :meth:`MaterializedCore._record_firing` as the per-trigger step and
+the restricted head-satisfaction check deciding which triggers fire.
 
 **Inserts** propagate semi-naively: only triggers whose body touches a
 delta fact are enumerated, and the restricted head-satisfaction check
-suppresses everything already entailed.  **Deletes** follow the DRed
-(delete/re-derive) discipline: over-delete every fact whose support
-drains, then re-check only the rules whose heads produce an affected
-relation — a trigger suppressed before the deletion can only have
-become live if its satisfying head image was destroyed, so no other
-rule needs re-enumeration.
+suppresses everything already entailed.  **Deletes** follow DRed:
+over-delete every fact whose support drains, then re-derive goal-
+directedly -- only the triggers whose head could have mapped onto an
+over-deleted fact are re-checked (the backward step), and what they add
+propagates semi-naively (the forward step); see
+:meth:`MaterializedCore._rederive`.
 
 When a requested delta (or a deletion cascade) exceeds a configurable
 fraction of the instance, incremental maintenance is abandoned for a
@@ -38,12 +45,13 @@ starting over.  Counters: ``hybrid.delta_applied`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro import obs
 from repro.chase.chase import DEFAULT_MAX_STEPS, _head_satisfied
 from repro.chase.nulls import NullFactory
 from repro.data.database import Database
+from repro.data.evaluation import Binding, JoinPlan, all_homomorphisms
 from repro.data.saturate import Fire, Saturation, instantiate, saturate
 from repro.lang.atoms import Atom
 from repro.lang.errors import ChaseBudgetExceeded
@@ -59,18 +67,17 @@ MIN_DELTA_FLOOR = 8
 DEFAULT_THRESHOLD = 0.5
 
 
-@dataclass
+@dataclass(slots=True)
 class Firing:
-    """One recorded trigger firing of the provenance chase.
+    """One live trigger firing of the provenance chase.
 
-    ``valid`` flips to False when any body fact is deleted; the facts
-    in ``produced`` then lose this firing from their support set.
+    ``produced`` is the whole instantiated head; the firing supports
+    only those of its facts that it added to the instance.
     """
 
     rule_index: int
     body_facts: tuple[Atom, ...]
     produced: tuple[Atom, ...]
-    valid: bool = True
 
 
 @dataclass(frozen=True)
@@ -128,7 +135,8 @@ class MaterializedCore:
         """A core over *instance*, already the closure of *base*.
 
         No chase runs.  Provenance starts empty: the caller
-        (:func:`repro.hybrid.store.decode_core`) records the firings.
+        (:func:`repro.hybrid.store.decode_core`) records the firings
+        with :meth:`restore_firing`.
         """
         core = cls.__new__(cls)
         core.rules = tuple(rules)
@@ -142,9 +150,10 @@ class MaterializedCore:
         """Adopt *instance* with empty provenance."""
         self.instance = instance
         self._nulls = NullFactory()
-        self._firings: list[Firing] = []
-        self._supports: dict[Atom, set[int]] = {}
-        self._uses: dict[Atom, set[int]] = {}
+        self._firings: dict[int, Firing] = {}
+        self._next_id = 0
+        self._supports: dict[Atom, int] = {}
+        self._uses: dict[Atom, list[int]] = {}
 
     # -- introspection -------------------------------------------------
 
@@ -156,10 +165,27 @@ class MaterializedCore:
         """Facts in the instance beyond the base ABox."""
         return len(self.instance) - len(self.base)
 
-    def firing_count(self, *, valid_only: bool = True) -> int:
-        if not valid_only:
-            return len(self._firings)
-        return sum(1 for firing in self._firings if firing.valid)
+    def firing_count(self) -> int:
+        """Live firings: those whose body facts are all present."""
+        return len(self._firings)
+
+    def live_firings(self) -> Iterator[tuple[Firing, tuple[Atom, ...]]]:
+        """Each live firing with the head facts it supports."""
+        for firing_id, firing in self._firings.items():
+            yield firing, tuple(
+                fact
+                for fact in firing.produced
+                if self._supports.get(fact) == firing_id
+            )
+
+    def restore_firing(self, firing: Firing, supported: Iterable[Atom]) -> None:
+        """Record a live firing read back from a snapshot.
+
+        Raises ValueError when its rule index names no rule.
+        """
+        if not 0 <= firing.rule_index < len(self.rules):
+            raise ValueError(f"no rule at index {firing.rule_index}")
+        self._add_firing(firing, supported)
 
     # -- full rebuild --------------------------------------------------
 
@@ -192,49 +218,68 @@ class MaterializedCore:
             max_steps=self.max_steps if max_steps is None else max_steps,
         )
         if not run.fixpoint:
-            raise ChaseBudgetExceeded(
-                f"materialized core exceeded {self.max_steps} steps"
-            )
+            raise self._over_budget()
         return run
+
+    def _over_budget(self) -> ChaseBudgetExceeded:
+        return ChaseBudgetExceeded(
+            f"materialized core exceeded {self.max_steps} steps"
+        )
 
     # -- firing with provenance ----------------------------------------
 
     def _record_firing(
-        self, rule_index: int, rule: TGD, hom: dict[Variable, Term]
+        self, rule_index: int, rule: TGD, hom: Binding
     ) -> list[Atom]:
         """Fire one trigger, recording body/head provenance.
 
-        Returns the facts genuinely added to the instance (facts that
-        were already present gain an extra support instead).
+        Returns the facts genuinely added to the instance.
         """
         assignment: dict[Variable, Term] = dict(hom)
         for var in rule.existential_head_variables():
             assignment[var] = self._nulls.fresh()
-        body_facts = tuple(
-            instantiate(atom, assignment) for atom in rule.body
+        firing = Firing(
+            rule_index,
+            tuple(instantiate(atom, assignment) for atom in rule.body),
+            tuple(instantiate(atom, assignment) for atom in rule.head),
         )
-        produced = tuple(
-            instantiate(atom, assignment) for atom in rule.head
-        )
-        firing_id = len(self._firings)
-        self._firings.append(
-            Firing(rule_index=rule_index, body_facts=body_facts,
-                   produced=produced)
-        )
-        for fact in body_facts:
-            self._uses.setdefault(fact, set()).add(firing_id)
-        added: list[Atom] = []
-        for fact in produced:
-            # Support only facts this firing actually created: support
-            # edges then always point from older facts to a strictly
-            # newer one, so the valid-firing graph stays acyclic and
-            # facts can never keep each other alive after their real
-            # derivation is retracted.  A pre-existing head atom that
-            # loses its own support is over-deleted and re-derived.
-            if self.instance.add(fact):
-                self._supports.setdefault(fact, set()).add(firing_id)
-                added.append(fact)
+        # Support only facts this firing actually created: support
+        # edges then always point from older facts to a strictly
+        # newer one, so the live-firing graph stays acyclic and
+        # facts can never keep each other alive after their real
+        # derivation is retracted.  A pre-existing head atom that
+        # loses its own support is over-deleted and re-derived.
+        added = [fact for fact in firing.produced if self.instance.add(fact)]
+        self._add_firing(firing, added)
         return added
+
+    def _add_firing(self, firing: Firing, supported: Iterable[Atom]) -> None:
+        firing_id = self._next_id
+        self._next_id += 1
+        self._firings[firing_id] = firing
+        for fact in firing.body_facts:
+            users = self._uses.setdefault(fact, [])
+            # A fact the body holds twice lists the firing once.
+            if not users or users[-1] != firing_id:
+                users.append(firing_id)
+        for fact in supported:
+            self._supports[fact] = firing_id
+
+    def _kill(self, firing_id: int, unsupported: list[Atom]) -> None:
+        """Forget a firing whose body lost a fact; append the non-base
+        facts it supported to *unsupported*."""
+        firing = self._firings.pop(firing_id)
+        for fact in firing.body_facts:
+            users = self._uses.get(fact)
+            if users is not None and firing_id in users:
+                users.remove(firing_id)
+                if not users:
+                    del self._uses[fact]
+        for fact in firing.produced:
+            if self._supports.get(fact) == firing_id:
+                del self._supports[fact]
+                if fact not in self.base:
+                    unsupported.append(fact)
 
     # -- inserts (semi-naive) ------------------------------------------
 
@@ -269,7 +314,7 @@ class MaterializedCore:
             self._rebuild()
             obs.count("hybrid.full_rechase")
             return MaintenanceResult((), (), full_rechase=True)
-        with obs.span("hybrid.delete", delta=len(requested)):
+        with obs.span("hybrid.delete", delta=len(requested)) as span:
             removed = self._over_delete(requested)
             if removed is None:
                 # The cascade blew past the budget mid-flight; the
@@ -278,6 +323,7 @@ class MaterializedCore:
                 obs.count("hybrid.full_rechase")
                 return MaintenanceResult((), (), full_rechase=True)
             added, rounds, firings = self._rederive(removed)
+            span.set(removed=len(removed), rederived=len(added))
         obs.count("hybrid.delta_applied")
         obs.count("hybrid.delta_facts", len(requested))
         still_removed = tuple(
@@ -294,8 +340,10 @@ class MaterializedCore:
     def _over_delete(self, requested: Sequence[Atom]) -> list[Atom] | None:
         """DRed overestimate: drain supports transitively.
 
-        Returns the facts actually retracted from the instance, or
-        None when the cascade exceeded the fallback budget.
+        Every firing using a retracted fact dies, and the facts it
+        supported follow unless they are base.  Returns the facts
+        actually retracted from the instance, or None when the cascade
+        exceeded the fallback budget.
         """
         budget = max(
             MIN_DELTA_FLOOR, int(self.threshold * max(1, len(self.instance)))
@@ -311,59 +359,96 @@ class MaterializedCore:
             removed.append(fact)
             if len(removed) > budget:
                 return None
-            for firing_id in self._uses.get(fact, ()):
-                firing = self._firings[firing_id]
-                if not firing.valid:
-                    continue
-                firing.valid = False
-                for produced in firing.produced:
-                    supports = self._supports.get(produced)
-                    if supports is not None:
-                        supports.discard(firing_id)
-                    if not self._supported(produced):
-                        worklist.append(produced)
+            for firing_id in self._uses.pop(fact, ()):
+                self._kill(firing_id, worklist)
         return removed
 
     def _supported(self, fact: Atom) -> bool:
-        """A fact stays iff it is base or some valid firing produces it."""
-        if fact in self.base:
-            return True
-        supports = self._supports.get(fact)
-        return bool(supports)
+        """A fact stays iff it is base or some live firing supports it."""
+        return fact in self.base or fact in self._supports
 
     def _rederive(
         self, removed: Sequence[Atom]
     ) -> tuple[list[Atom], int, int]:
-        """Re-chase from the rules whose heads touch a retracted relation.
+        """Re-fire the triggers the over-delete left active, then
+        propagate what they add.
 
-        A trigger suppressed before the deletion can only have become
-        live if its satisfying head image lost a fact — i.e. some head
-        relation of its rule is among the removed relations.  Existing
-        triggers over the shrunken instance are a subset of the old
-        ones, so only those rules are chased over the whole instance;
-        the consequences of what they add propagate through every rule.
+        Before the delete the instance was a restricted-chase fixpoint,
+        and the over-delete only shrank it, so every trigger over what
+        is left was a trigger before.  One that is active now had its
+        head satisfied then and has lost every head image it had; one of
+        those images held an over-deleted fact.  The *backward* step
+        therefore finds all of them from the removed facts alone (see
+        :meth:`_candidates`) and fires each that is still active when
+        its turn comes.  The *forward* step runs the semi-naive loop
+        with what they added as its delta, exactly like an insert.
+        Backward and forward firings share the operation's
+        ``max_steps``.
         """
-        affected = {fact.relation for fact in removed}
-        indices = [
-            index
-            for index, rule in enumerate(self.rules)
-            if any(atom.relation in affected for atom in rule.head)
-        ]
-        first = self._chase(
-            [self.rules[index] for index in indices],
-            lambda i, rule, hom: self._record_firing(indices[i], rule, hom),
-        )
-        rest = self._chase(
+        candidates = self._candidates(removed)
+        obs.count("hybrid.rederive.triggers", len(candidates))
+        added: list[Atom] = []
+        steps = 0
+        for rule_index, hom in candidates:
+            rule = self.rules[rule_index]
+            if _head_satisfied(rule, hom, self.instance):
+                continue
+            if steps == self.max_steps:
+                raise self._over_budget()
+            steps += 1
+            added.extend(self._record_firing(rule_index, rule, hom))
+        forward = self._chase(
             self.rules,
             self._record_firing,
-            delta=first.added,
-            max_steps=self.max_steps - first.steps,
+            delta=added,
+            max_steps=self.max_steps - steps,
         )
         return (
-            first.added + rest.added,
-            first.rounds + rest.rounds,
-            first.steps + rest.steps,
+            added + forward.added,
+            (1 if candidates else 0) + forward.rounds,
+            steps + forward.steps,
         )
+
+    def _candidates(
+        self, removed: Sequence[Atom]
+    ) -> list[tuple[int, Binding]]:
+        """The triggers whose head could have mapped onto a removed fact.
+
+        For each head atom of the removed fact's relation, the atom's
+        frontier variables are bound to the fact's terms at their places
+        (a null binds like a constant), a constant or repeated-variable
+        clash rejects the fact, and existential places stay unbound; the
+        body homomorphisms under that binding come from one join plan
+        per head atom with those variables pre-bound.  Each trigger is
+        listed once, as (rule index, body homomorphism).
+        """
+        by_relation: dict[str, list[Atom]] = {}
+        for fact in removed:
+            by_relation.setdefault(fact.relation, []).append(fact)
+        seen: set[tuple[int, tuple[Term, ...]]] = set()
+        candidates: list[tuple[int, Binding]] = []
+        for rule_index, rule in enumerate(self.rules):
+            frontier = rule.distinguished_variables()
+            for atom in rule.head:
+                facts = by_relation.get(atom.relation)
+                if not facts:
+                    continue
+                bound = [var for var in frontier if var in atom.terms]
+                plan = JoinPlan(rule.body, self.instance, bound)
+                body = plan.reader(rule.body_variables())
+                for fact in facts:
+                    values = _match(atom, fact)
+                    if values is None:
+                        continue
+                    slots = plan.slots([values[var] for var in bound])
+                    for _ in plan.run(self.instance, slots):
+                        key = (rule_index, body(slots))
+                        if key not in seen:
+                            seen.add(key)
+                            candidates.append(
+                                (rule_index, plan.binding(slots))
+                            )
+        return candidates
 
     # -- shared --------------------------------------------------------
 
@@ -380,12 +465,23 @@ class MaterializedCore:
         for fact in self.instance.facts():
             if not self._supported(fact):
                 problems.append(f"unsupported instance fact: {fact}")
-        for fact, supports in self._supports.items():
-            for firing_id in supports:
-                if not self._firings[firing_id].valid:
-                    problems.append(
-                        f"invalid firing {firing_id} supports {fact}"
-                    )
+        for fact in self._supports.keys() | self._uses.keys():
+            if fact not in self.instance:
+                problems.append(f"provenance entry for absent fact: {fact}")
+        ids = set(self._supports.values()).union(*self._uses.values())
+        for firing_id in ids - self._firings.keys():
+            problems.append(f"provenance names dead firing {firing_id}")
+        for firing_id, firing in self._firings.items():
+            for fact in firing.body_facts:
+                if firing_id not in self._uses.get(fact, ()):
+                    problems.append(f"firing {firing_id} outlived {fact}")
+        # With every fact supported, a model of the rules is a universal
+        # one; the null-free comparison below cannot see a missing fact
+        # with a null.
+        for rule in self.rules:
+            for hom in all_homomorphisms(rule.body, self.instance):
+                if not _head_satisfied(rule, hom, self.instance):
+                    problems.append(f"active trigger of {rule}: {hom}")
         reference = self.rechase_reference()
         if _certain_shape(reference) != _certain_shape(self.instance):
             problems.append("instance differs from re-chase reference")
@@ -398,6 +494,21 @@ class MaterializedCore:
         return restricted_chase(
             self.rules, self.base, max_steps=self.max_steps, strict=True
         ).instance
+
+
+def _match(atom: Atom, fact: Atom) -> Binding | None:
+    """The values *fact* gives *atom*'s variables, or None when a
+    constant or a repeated variable of *atom* clashes with *fact*."""
+    if len(atom.terms) != len(fact.terms):
+        return None
+    values: Binding = {}
+    for term, value in zip(atom.terms, fact.terms):
+        if isinstance(term, Variable):
+            if values.setdefault(term, value) != value:
+                return None
+        elif term != value:
+            return None
+    return values
 
 
 def _certain_shape(database: Database) -> set[Atom]:

@@ -2,7 +2,7 @@
 
 A :class:`repro.hybrid.maintain.MaterializedCore` is expensive to
 build (a full restricted chase) but cheap to serialize: its state is
-the base facts, the closed instance, and the valid firing provenance.
+the base facts, the closed instance, and the live firing provenance.
 This module turns a core into a JSON payload and back, so the
 persistent :class:`repro.api.cache.RewritingCache` can hand a warm
 core to the next process the way it already hands out rewritings.
@@ -66,34 +66,22 @@ def core_key(
 
 
 def encode_core(core: MaterializedCore) -> str:
-    """Serialize a core's state (valid provenance only) to JSON."""
+    """Serialize a core's state (its live provenance) to JSON."""
     facts = list(core.instance.facts())
     index = {fact: i for i, fact in enumerate(facts)}
     encoded_facts = [
         [fact.relation, [_encode(term) for term in fact.terms]]
         for fact in facts
     ]
-    firings = []
-    for firing_id, firing in enumerate(core._firings):
-        if not firing.valid:
-            continue
-        supported = [
-            index[fact]
-            for fact in firing.produced
-            if firing_id in core._supports.get(fact, ())
+    firings = [
+        [
+            firing.rule_index,
+            [index[fact] for fact in firing.body_facts],
+            [index[fact] for fact in firing.produced if fact in index],
+            [index[fact] for fact in supported],
         ]
-        firings.append(
-            [
-                firing.rule_index,
-                [index[fact] for fact in firing.body_facts],
-                [
-                    index[fact]
-                    for fact in firing.produced
-                    if fact in index
-                ],
-                supported,
-            ]
-        )
+        for firing, supported in core.live_firings()
+    ]
     payload = {
         "version": SNAPSHOT_VERSION,
         "facts": encoded_facts,
@@ -135,22 +123,14 @@ def decode_core(
         for rule_index, body_idx, produced_idx, supported_idx in (
             data["firings"]
         ):
-            if not 0 <= rule_index < len(core.rules):
-                return None
-            firing_id = len(core._firings)
-            body_facts = tuple(facts[i] for i in body_idx)
-            produced = tuple(facts[i] for i in produced_idx)
-            core._firings.append(
+            core.restore_firing(
                 Firing(
-                    rule_index=rule_index,
-                    body_facts=body_facts,
-                    produced=produced,
-                )
+                    rule_index,
+                    tuple(facts[i] for i in body_idx),
+                    tuple(facts[i] for i in produced_idx),
+                ),
+                [facts[i] for i in supported_idx],
             )
-            for fact in body_facts:
-                core._uses.setdefault(fact, set()).add(firing_id)
-            for i in supported_idx:
-                core._supports.setdefault(facts[i], set()).add(firing_id)
         core._nulls._count = int(data["nulls"])
         return core
     except (KeyError, TypeError, ValueError, IndexError):

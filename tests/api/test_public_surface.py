@@ -21,6 +21,7 @@ import repro.audit.engine
 import repro.chase
 import repro.checkers
 import repro.checkers.passes
+import repro.hybrid.maintain
 import repro.lint
 import repro.lint.engine
 import repro.lint.formats
@@ -148,6 +149,13 @@ class TestDeprecatedShims:
         for render in (repro.lint.formats.render, repro.lint.formats.render_sarif):
             parameters = inspect.signature(render).parameters
             assert "names" not in parameters and "tool" not in parameters
+        # The core deletes a dead firing instead of flagging it invalid.
+        firing_fields = {
+            f.name for f in dataclasses.fields(repro.hybrid.maintain.Firing)
+        }
+        assert "valid" not in firing_fields
+        count = repro.hybrid.maintain.MaterializedCore.firing_count
+        assert "valid_only" not in inspect.signature(count).parameters
         program = tmp_path / "p.dlp"
         program.write_text(PROGRAM)
         argv = ["rewrite", str(program), "q(X) :- teaches(X, Y)"]

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import obs
+from repro.data.evaluation import evaluate_cq
 from repro.hybrid import MaterializedCore
 from repro.hybrid.maintain import MIN_DELTA_FLOOR, _certain_shape
 from repro.lang.atoms import Atom
@@ -12,6 +15,11 @@ from repro.lang.errors import ChaseBudgetExceeded
 from repro.lang.parser import parse_program
 from repro.lang.terms import Constant, Null
 from repro.obs import InMemorySink
+from repro.workloads.ontologies import (
+    university_data,
+    university_ontology,
+    university_queries,
+)
 
 HIERARCHY = parse_program(
     """
@@ -37,6 +45,17 @@ CYCLE = parse_program(
     """
     C1: a(X) -> b(X).
     C2: b(X) -> a(X).
+    """
+)
+
+# s(_) has two derivations that share the null: deleting c(k) retracts
+# the first, and the second must fire with its frontier bound to it.
+NULL_FRONTIER = parse_program(
+    """
+    N1: a(X) -> r(X, Y).
+    N2: r(X, Y), c(X) -> s(Y).
+    N3: r(X, Y), b(X) -> t(Y).
+    N4: t(Y) -> s(Y).
     """
 )
 
@@ -119,6 +138,18 @@ def test_existential_consequences_are_invented_and_retracted():
     assert core.check_consistency() == []
 
 
+def test_delete_rederives_a_fact_whose_frontier_holds_a_null():
+    core = MaterializedCore(
+        NULL_FRONTIER, [fact("a", "k"), fact("b", "k"), fact("c", "k")]
+    )
+    (derived,) = [f for f in core.instance.facts() if f.relation == "s"]
+    assert isinstance(derived.terms[0], Null)
+    result = core.apply_delete([fact("c", "k")])
+    assert derived in core.instance
+    assert set(result.removed) == {fact("c", "k")}
+    assert core.check_consistency() == []
+
+
 def test_large_insert_falls_back_to_full_rechase():
     sink = InMemorySink()
     core = MaterializedCore(
@@ -186,3 +217,88 @@ def test_mixed_mutation_sequence_stays_consistent():
     shape = _certain_shape(core.instance)
     assert fact("verified", "c") in shape
     assert fact("person", "a") not in shape
+
+
+# --------------------------------------------------------------------- #
+# The university ontology: recursion (U6/U8) and existential heads       #
+# --------------------------------------------------------------------- #
+
+
+def university_fact(rng: random.Random, size: int, fresh: str) -> Atom:
+    """A random base fact over ``university_data(size)``'s constants, or
+    about the fresh person *fresh*."""
+    professor = f"person{rng.randrange(size // 2)}"
+    grad = f"person{rng.randrange(size // 2, (3 * size) // 4)}"
+    course = f"course{rng.randrange(max(1, size // 2))}"
+    dept = f"dept{rng.randrange(max(1, size // 5))}"
+    return rng.choice(
+        [
+            fact("teaches", professor, course),
+            fact("worksFor", professor, dept),
+            fact("hasAdvisor", grad, professor),
+            fact("gradStudent", fresh),
+            fact("takes", fresh, course),
+            fact("fullProfessor", fresh),
+            fact("department", fresh),
+        ]
+    )
+
+
+def provenance_sizes(core: MaterializedCore) -> tuple[int, int, int]:
+    return core.firing_count(), len(core._supports), len(core._uses)
+
+
+def test_provenance_returns_to_its_size_after_insert_delete_pairs():
+    rules = university_ontology()
+    core = MaterializedCore(rules, university_data(200))
+    built = provenance_sizes(core)
+    rng = random.Random(7)
+    pairs = 0
+    while pairs < 200:
+        new = university_fact(rng, 200, f"fresh{pairs}")
+        if new in core.base:
+            continue
+        core.apply_insert([new])
+        core.apply_delete([new])
+        pairs += 1
+    assert provenance_sizes(core) == built
+    assert core.check_consistency() == []
+    reference = core.rechase_reference()
+    for name, query in university_queries():
+        assert evaluate_cq(query, core.instance, certain=True) == evaluate_cq(
+            query, reference, certain=True
+        ), name
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_recursive_ontology_tapes_stay_consistent(seed):
+    rng = random.Random(seed)
+    core = MaterializedCore(university_ontology(), university_data(40, seed))
+    for step in range(12):
+        if rng.random() < 0.5:
+            batch = [
+                university_fact(rng, 40, f"fresh{step}_{i}")
+                for i in range(rng.randint(1, 4))
+            ]
+            core.apply_insert(batch)
+        else:
+            facts = sorted(core.base.facts(), key=str)
+            core.apply_delete(rng.sample(facts, rng.randint(1, 4)))
+        assert core.check_consistency() == [], f"seed {seed}, step {step}"
+
+
+def test_one_fact_delete_checks_few_triggers():
+    core = MaterializedCore(university_ontology(), university_data(200))
+    for relation in ("teaches", "worksFor", "hasAdvisor", "takes", "gradStudent"):
+        victim = min(
+            (f for f in core.base.facts() if f.relation == relation), key=str
+        )
+        sink = InMemorySink()
+        with obs.use(sink, inherit=False):
+            result = core.apply_delete([victim])
+        assert not result.full_rechase
+        assert sink.counters()["hybrid.rederive.triggers"] <= 50, relation
+        attrs = sink.span("hybrid.delete")["attrs"]
+        assert attrs["removed"] >= 1
+        assert attrs["rederived"] == len(result.added)
+    assert core.check_consistency() == []

@@ -19,6 +19,7 @@ from repro.lang.atoms import Atom
 from repro.lang.parser import parse_program
 from repro.lang.terms import Constant
 from repro.obs import InMemorySink
+from repro.workloads.ontologies import university_data, university_ontology
 
 RULES = parse_program(
     """
@@ -45,6 +46,26 @@ def test_roundtrip_preserves_state():
     assert set(restored.instance.facts()) == set(core.instance.facts())
     assert set(restored.base.facts()) == set(core.base.facts())
     assert restored.firing_count() == core.firing_count()
+    assert restored.check_consistency() == []
+
+
+def test_snapshot_after_deletes_restores_live_provenance():
+    rules = university_ontology()
+    core = MaterializedCore(rules, university_data(40))
+    victims = sorted(
+        (f for f in core.base.facts() if f.relation in ("teaches", "takes")),
+        key=str,
+    )[:6]
+    core.apply_delete(victims)
+    restored = decode_core(
+        encode_core(core), rules, max_steps=core.max_steps, threshold=0.5
+    )
+    assert restored is not None
+    assert restored.firing_count() == core.firing_count()
+    assert set(restored.instance.facts()) == set(core.instance.facts())
+    assert restored.check_consistency() == []
+    # The restored provenance drives the next delete's cascade.
+    restored.apply_delete([min(restored.base.facts(), key=str)])
     assert restored.check_consistency() == []
 
 
