@@ -50,9 +50,6 @@ class EngineOptions:
             MATERIALIZE per workload), or one of ``"rewrite"`` /
             ``"split"`` / ``"materialize"`` to pin the regime (see
             :mod:`repro.hybrid`).
-        hybrid_threshold: delta fraction of the materialized instance
-            above which incremental maintenance falls back to a full
-            re-chase (in ``(0, 1]``).
     """
 
     budget: RewritingBudget = field(default_factory=RewritingBudget.default)
@@ -60,7 +57,6 @@ class EngineOptions:
     preflight_estimate: bool = False
     target: str = "ucq"
     hybrid: str = "off"
-    hybrid_threshold: float = 0.5
 
     def __post_init__(self) -> None:
         from repro.rewriting.engine import TARGETS
@@ -74,11 +70,6 @@ class EngineOptions:
             raise ValueError(
                 f"unknown hybrid mode {self.hybrid!r}; "
                 f"expected one of {_HYBRID_MODES}"
-            )
-        if not 0.0 < self.hybrid_threshold <= 1.0:
-            raise ValueError(
-                "hybrid_threshold must be in (0, 1], got "
-                f"{self.hybrid_threshold!r}"
             )
         if not isinstance(self.budget, RewritingBudget):
             raise TypeError(
@@ -129,5 +120,4 @@ class EngineOptions:
             budget=budget,
             target=getattr(args, "target", "ucq"),
             hybrid=getattr(args, "hybrid", "off"),
-            hybrid_threshold=getattr(args, "hybrid_threshold", 0.5),
         )

@@ -76,8 +76,9 @@ class _HybridState:
 
     ``core`` is None for a REWRITE decision (nothing materialized);
     ``residual_engine`` is set only for SPLIT; ``mirror`` is the lazy
-    SQLite mirror of the core's instance, dropped when a maintenance
-    operation falls back to a full re-chase.
+    SQLite mirror of the core's instance, kept current by applying each
+    maintenance operation's exact delta.  A core whose maintenance
+    raised is dropped whole, mirror included (see ``Session._mutate``).
     """
 
     __slots__ = ("decision", "core", "residual_engine", "mirror")
@@ -581,7 +582,6 @@ class Session:
                     rules,
                     abox,
                     max_steps=HYBRID_CHASE_MAX_STEPS,
-                    threshold=self._options.hybrid_threshold,
                 )
                 residual_engine = None
                 if decision.choice is HybridChoice.SPLIT:
@@ -601,10 +601,12 @@ class Session:
         Accepts parsed atoms or database text (``"a(c). r(c, d)."``).
         The virtual ABox, the SQL backend, static pruning, and — when a
         hybrid core is materialized — the chase closure are all brought
-        up to date; the core uses a semi-naive delta chase unless the
-        delta exceeds ``options.hybrid_threshold`` of the instance.
-        Returns the core's :class:`MaintenanceResult`, or None when no
-        core is materialized.
+        up to date; the core runs a semi-naive delta chase, whatever the
+        size of the delta.  Returns the core's
+        :class:`MaintenanceResult`, or None when no core is
+        materialized.  When maintaining the core raises, the ABox change
+        stands, the core is dropped, and the next answer re-plans from
+        the current ABox.
         """
         return self._mutate(facts, delete=False)
 
@@ -616,7 +618,8 @@ class Session:
         The materialized core (when present) retracts consequences via
         DRed-style overestimate-then-rederive instead of re-chasing.
         Returns the core's :class:`MaintenanceResult`, or None when no
-        core is materialized.
+        core is materialized.  A failure drops the core, as for
+        :meth:`insert`.
         """
         return self._mutate(facts, delete=True)
 
@@ -657,17 +660,24 @@ class Session:
             result: "MaintenanceResult | None" = None
             state = self._hybrid if self._hybrid_ready else None
             if state is not None and state.core is not None:
-                result = (
-                    state.core.apply_delete(changed)
-                    if delete
-                    else state.core.apply_insert(changed)
-                )
-                if result.full_rechase and state.mirror is not None:
-                    # The core was rebuilt wholesale: drop its mirror,
-                    # so the next SQL answer reloads it.
-                    state.mirror.close()
-                    state.mirror = None
-                self._apply_delta(state.mirror, result.added, result.removed)
+                try:
+                    result = (
+                        state.core.apply_delete(changed)
+                        if delete
+                        else state.core.apply_insert(changed)
+                    )
+                    self._apply_delta(
+                        state.mirror, result.added, result.removed
+                    )
+                except BaseException:
+                    # The core (or its mirror) is part-way maintained:
+                    # drop both, so the next answer re-plans from the
+                    # current ABox.
+                    if state.mirror is not None:
+                        state.mirror.close()
+                    self._hybrid = None
+                    self._hybrid_ready = False
+                    raise
             return result
 
     @staticmethod

@@ -12,11 +12,15 @@ from repro.lang.terms import Null
 
 
 class NullFactory:
-    """Produces ``n1, n2, ...`` labeled nulls, one run at a time."""
+    """Produces ``n1, n2, ...`` labeled nulls, one run at a time.
 
-    def __init__(self, prefix: str = "n") -> None:
+    *created* resumes a run that had already handed out that many
+    nulls: the next label is ``n{created + 1}``.
+    """
+
+    def __init__(self, prefix: str = "n", created: int = 0) -> None:
         self._prefix = prefix
-        self._count = 0
+        self._count = created
 
     def fresh(self) -> Null:
         """The next unused null of this factory."""

@@ -154,15 +154,6 @@ def _add_engine_options(
         "(split) and full materialization with incremental "
         "maintenance (default: off)",
     )
-    group.add_argument(
-        "--hybrid-threshold",
-        type=float,
-        default=0.5,
-        metavar="FRACTION",
-        help="delta size (as a fraction of the materialized instance) "
-        "past which maintenance falls back to a full re-chase "
-        "(default: 0.5)",
-    )
     if target:
         group.add_argument(
             "--target",

@@ -20,11 +20,7 @@ plus ``Session.insert`` / ``Session.delete``); ``repro classify
 """
 
 from repro.hybrid.cost import HybridChoice, HybridDecision, decide
-from repro.hybrid.maintain import (
-    DEFAULT_THRESHOLD,
-    MaintenanceResult,
-    MaterializedCore,
-)
+from repro.hybrid.maintain import MaintenanceResult, MaterializedCore
 from repro.hybrid.store import (
     abox_digest,
     core_key,
@@ -34,7 +30,6 @@ from repro.hybrid.store import (
 )
 
 __all__ = [
-    "DEFAULT_THRESHOLD",
     "HybridChoice",
     "HybridDecision",
     "MaintenanceResult",

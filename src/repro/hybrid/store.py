@@ -87,7 +87,7 @@ def encode_core(core: MaterializedCore) -> str:
         "facts": encoded_facts,
         "base": sorted(index[fact] for fact in core.base.facts()),
         "firings": firings,
-        "nulls": core._nulls.created,
+        "nulls": core.nulls_issued,
     }
     return json.dumps(payload, separators=(",", ":"))
 
@@ -97,7 +97,6 @@ def decode_core(
     rules: Sequence[TGD],
     *,
     max_steps: int,
-    threshold: float,
 ) -> MaterializedCore | None:
     """Restore a core from :func:`encode_core` output.
 
@@ -118,7 +117,7 @@ def decode_core(
             Database(facts[i] for i in data["base"]),
             Database(facts),
             max_steps=max_steps,
-            threshold=threshold,
+            nulls_issued=int(data["nulls"]),
         )
         for rule_index, body_idx, produced_idx, supported_idx in (
             data["firings"]
@@ -131,7 +130,6 @@ def decode_core(
                 ),
                 [facts[i] for i in supported_idx],
             )
-        core._nulls._count = int(data["nulls"])
         return core
     except (KeyError, TypeError, ValueError, IndexError):
         return None
@@ -144,7 +142,6 @@ def load_or_build(
     base: Database,
     *,
     max_steps: int,
-    threshold: float,
 ) -> MaterializedCore:
     """Fetch a warm core from *cache* or chase and store a fresh one.
 
@@ -155,18 +152,13 @@ def load_or_build(
     if cache is not None:
         key = core_key(rules, abox_digest(base), max_steps)
         core = cache.get(
-            key,
-            lambda payload: decode_core(
-                payload, rules, max_steps=max_steps, threshold=threshold
-            ),
+            key, lambda payload: decode_core(payload, rules, max_steps=max_steps)
         )
         if core is not None:
             obs.count("hybrid.core_cache.hits")
             return core
     obs.count("hybrid.core_cache.misses")
-    core = MaterializedCore(
-        rules, base, max_steps=max_steps, threshold=threshold
-    )
+    core = MaterializedCore(rules, base, max_steps=max_steps)
     if cache is not None:
         cache.put(key, encode_core(core), owner=full_digest)
     return core

@@ -73,7 +73,6 @@ def _maintenance_summary(maintained: Any) -> dict[str, Any]:
         "maintained": True,
         "added": len(maintained.added),
         "removed": len(maintained.removed),
-        "full_rechase": maintained.full_rechase,
         "rounds": maintained.rounds,
         "firings": maintained.firings,
     }
@@ -318,9 +317,10 @@ class ReproServer:
         tenant = str(payload.get("tenant", "default"))
         insert_text = str(payload["insert"]) if "insert" in payload else None
         delete_text = str(payload["delete"]) if "delete" in payload else None
-        # Mutations go through the same admission gate as queries: a
-        # re-chase fallback can be as expensive as any rewriting, and
-        # sharing the gate keeps the capacity accounting truthful.
+        # Mutations go through the same admission gate as queries:
+        # maintaining the core under a large batch can cost as much as
+        # any rewriting, and sharing the gate keeps the capacity
+        # accounting truthful.
         return await self._admit(
             request, self._execute_mutate, tenant, insert_text, delete_text
         )

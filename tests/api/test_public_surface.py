@@ -164,6 +164,32 @@ class TestDeprecatedShims:
         assert exit_info.value.code == 2
         assert "--minimize-workers" in capsys.readouterr().err
 
+    def test_rechase_fallback_stays_removed(self, tmp_path, capsys):
+        # The core maintains every delta incrementally: no threshold,
+        # no full re-chase, no result that means "reload wholesale".
+        fields = [field.name for field in dataclasses.fields(EngineOptions)]
+        assert fields == [
+            "budget", "prune_empty", "preflight_estimate", "target", "hybrid",
+        ]
+        with pytest.raises(TypeError):
+            EngineOptions(hybrid_threshold=0.5)
+        rules = parse_program(PROGRAM)
+        with pytest.raises(TypeError):
+            repro.hybrid.MaterializedCore(rules, [], threshold=0.5)
+        assert not hasattr(repro.hybrid, "DEFAULT_THRESHOLD")
+        assert "DEFAULT_THRESHOLD" not in repro.hybrid.__all__
+        assert not hasattr(repro.hybrid.maintain, "MIN_DELTA_FLOOR")
+        result_fields = {
+            f.name for f in dataclasses.fields(repro.hybrid.MaintenanceResult)
+        }
+        assert "full_rechase" not in result_fields
+        program = tmp_path / "p.dlp"
+        program.write_text(PROGRAM)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", str(program), "--hybrid-threshold", "0.5"])
+        assert exit_info.value.code == 2
+        assert "--hybrid-threshold" in capsys.readouterr().err
+
     def test_session_itself_never_warns(self):
         rules = parse_program(PROGRAM)
         data = Database(parse_database(DATA))

@@ -9,7 +9,7 @@ import pytest
 from repro import obs
 from repro.data.evaluation import evaluate_cq
 from repro.hybrid import MaterializedCore
-from repro.hybrid.maintain import MIN_DELTA_FLOOR, _certain_shape
+from repro.hybrid.maintain import _certain_shape
 from repro.lang.atoms import Atom
 from repro.lang.errors import ChaseBudgetExceeded
 from repro.lang.parser import parse_program
@@ -74,7 +74,6 @@ def test_build_saturates_to_the_chase_closure():
 def test_insert_propagates_semi_naively():
     core = MaterializedCore(HIERARCHY, [fact("lvl0", "a")])
     result = core.apply_insert([fact("lvl0", "b")])
-    assert not result.full_rechase
     assert fact("lvl2", "b") in core.instance
     assert set(result.added) >= {
         fact("lvl0", "b"), fact("lvl1", "b"), fact("lvl2", "b")
@@ -100,7 +99,6 @@ def test_delete_retracts_downstream_derivations():
         HIERARCHY, [fact("lvl0", "a"), fact("lvl0", "b")]
     )
     result = core.apply_delete([fact("lvl0", "a")])
-    assert not result.full_rechase
     assert fact("lvl2", "a") not in core.instance
     assert fact("lvl2", "b") in core.instance
     assert set(result.removed) == {
@@ -150,22 +148,6 @@ def test_delete_rederives_a_fact_whose_frontier_holds_a_null():
     assert core.check_consistency() == []
 
 
-def test_large_insert_falls_back_to_full_rechase():
-    sink = InMemorySink()
-    core = MaterializedCore(
-        HIERARCHY, [fact("lvl0", "seed")], threshold=0.5
-    )
-    batch = [fact("lvl0", f"n{i}") for i in range(MIN_DELTA_FLOOR + 2)]
-    with obs.use(sink, inherit=False):
-        result = core.apply_insert(batch)
-    assert result.full_rechase
-    assert sink.counters().get("hybrid.full_rechase") == 1
-    assert "hybrid.delta_applied" not in sink.counters()
-    # The rebuild still lands the complete closure.
-    assert all(fact("lvl2", f"n{i}") in core.instance for i in range(5))
-    assert core.check_consistency() == []
-
-
 def test_small_deltas_never_trigger_rechase():
     sink = InMemorySink()
     core = MaterializedCore(HIERARCHY, [fact("lvl0", "seed")])
@@ -175,7 +157,7 @@ def test_small_deltas_never_trigger_rechase():
         for i in range(5):
             core.apply_delete([fact("lvl0", f"n{i}")])
     counters = sink.counters()
-    assert counters.get("hybrid.full_rechase") is None
+    assert sink.spans("hybrid.rebuild") == []
     assert counters["hybrid.delta_applied"] == 10
     assert _certain_shape(core.instance) == _certain_shape(
         core.rechase_reference()
@@ -189,13 +171,6 @@ def test_chase_budget_is_enforced():
             [fact("lvl0", f"n{i}") for i in range(10)],
             max_steps=3,
         )
-
-
-def test_threshold_validation():
-    with pytest.raises(ValueError):
-        MaterializedCore(HIERARCHY, [], threshold=0.0)
-    with pytest.raises(ValueError):
-        MaterializedCore(HIERARCHY, [], threshold=1.5)
 
 
 def test_mixed_mutation_sequence_stays_consistent():
@@ -296,7 +271,6 @@ def test_one_fact_delete_checks_few_triggers():
         sink = InMemorySink()
         with obs.use(sink, inherit=False):
             result = core.apply_delete([victim])
-        assert not result.full_rechase
         assert sink.counters()["hybrid.rederive.triggers"] <= 50, relation
         attrs = sink.span("hybrid.delete")["attrs"]
         assert attrs["removed"] >= 1

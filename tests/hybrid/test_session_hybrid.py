@@ -8,14 +8,21 @@ the persistent cache must round-trip core snapshots across sessions.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import obs
 from repro.api import EngineOptions, Session
 from repro.hybrid.cost import HybridChoice
-from repro.hybrid.maintain import MIN_DELTA_FLOOR
+from repro.lang.errors import ChaseBudgetExceeded
 from repro.lang.parser import parse_database, parse_program
 from repro.obs import InMemorySink
+from repro.workloads.ontologies import (
+    university_data,
+    university_ontology,
+    university_queries,
+)
 
 # Terminating (weakly acyclic) with an existential: every hybrid mode
 # is feasible and must agree with plain rewriting.
@@ -110,7 +117,7 @@ def test_materialize_tracks_mutations_against_chase_oracle(backend):
         session.answer(TERMINATING_QUERIES[0])
         maintained = session.insert("assoc_prof(carl). professor(dee).")
         assert maintained is not None
-        assert not maintained.full_rechase
+        assert maintained.added
         maintained = session.delete("professor(ada).")
         assert maintained is not None
         for query in TERMINATING_QUERIES:
@@ -145,7 +152,7 @@ def test_split_matches_pure_rewriting_across_mutations():
             maintained = getattr(hybrid, op)(text)
             getattr(reference, op)(text)
             assert maintained is not None
-            assert not maintained.full_rechase
+            assert maintained.added or maintained.removed
             for backend in ("memory", "sql"):
                 for query in SEPARABLE_QUERIES:
                     assert hybrid.answer(query, backend=backend) == (
@@ -153,27 +160,73 @@ def test_split_matches_pure_rewriting_across_mutations():
                     ), f"after {op} {text!r}: query={query} backend={backend}"
 
 
-def test_large_delta_falls_back_to_full_rechase():
-    sink = InMemorySink()
-    options = EngineOptions(hybrid="materialize", hybrid_threshold=0.5)
-    with Session(
-        TERMINATING, database("professor(seed)."), options=options
-    ) as session:
-        session.answer("q(X) :- professor(X)")  # build the core
-        batch = ". ".join(
-            f"professor(n{i})" for i in range(MIN_DELTA_FLOOR + 2)
+def test_large_deltas_are_maintained_incrementally():
+    # One batch deletes 90% of the base, the next re-inserts half of
+    # it: both are maintained in place, never rebuilt, and the mirror
+    # follows their exact deltas.
+    rules = university_ontology()
+    options = EngineOptions(hybrid="materialize")
+    with Session(rules, university_data(200), options=options) as session:
+        for _, query in university_queries():
+            session.answer(query, backend="sql")  # build core and mirror
+        core = session._hybrid.core
+        facts = sorted(session.abox().facts(), key=str)
+        deleted = random.Random(1).sample(facts, len(facts) * 9 // 10)
+        batches = (
+            ("delete", deleted),
+            ("insert", deleted[: len(deleted) // 2]),
         )
-        with obs.use(sink, inherit=False):
-            maintained = session.insert(batch + ".")
-        assert maintained is not None
-        assert maintained.full_rechase
-        assert sink.counters().get("hybrid.full_rechase") == 1
-        # The rebuilt closure still answers correctly on both backends.
+        for op, batch in batches:
+            with obs.capture() as trace:
+                maintained = getattr(session, op)(batch)
+                with Session(rules, session.abox().copy()) as oracle:
+                    for name, query in university_queries():
+                        expected = oracle.answer(query)
+                        for backend in ("memory", "sql"):
+                            assert (
+                                session.answer(query, backend=backend)
+                                == expected
+                            ), f"after {op}: {name} on {backend}"
+            assert trace.spans("hybrid.rebuild") == [], op
+            assert session._hybrid.core is core
+            assert maintained is not None
+            delta = maintained.added if op == "insert" else maintained.removed
+            assert delta, op
+            assert core.check_consistency() == [], op
+
+
+def test_core_whose_maintenance_raised_is_dropped():
+    # Deleting person(ada) needs three firings to re-derive what
+    # employee(ada) still entails (see tests/data/test_saturate.py); a
+    # one-step budget stops it half-way, after the ABox changed.
+    rules = parse_program(
+        """
+        E1: person(X) -> worksAt(X, Y).
+        E2: worksAt(X, Y) -> org(Y).
+        E3: employee(X) -> person(X).
+        E4: org(Y) -> worksAt(Z, Y).
+        """
+    )
+    data = "person(ada). employee(ada). worksAt(bob, lab)."
+    query = "q(X) :- worksAt(X, Y)"
+    options = EngineOptions(hybrid="materialize")
+    with Session(rules, database(data), options=options) as session:
         for backend in ("memory", "sql"):
-            answers = session.answer(
-                "q(X) :- teaches(X, Y)", backend=backend
-            )
-            assert len(answers) == MIN_DELTA_FLOOR + 3
+            session.answer(query, backend=backend)  # build core and mirror
+        session._hybrid.core.max_steps = 1
+        with pytest.raises(ChaseBudgetExceeded):
+            session.delete("person(ada).")
+        steps = ((None, {"ada", "bob"}), ("employee(cy).", {"ada", "bob", "cy"}))
+        for insert, names in steps:
+            if insert is not None:
+                session.insert(insert)
+            with Session(rules, session.abox().copy()) as oracle:
+                expected = oracle.answer(query)
+            assert {row[0].value for row in expected} == names
+            for backend in ("memory", "sql"):
+                assert session.answer(query, backend=backend) == expected, (
+                    f"backend={backend} after insert={insert!r}"
+                )
 
 
 def test_mutations_do_not_leak_into_the_caller_database():
@@ -300,8 +353,6 @@ def test_corrupt_core_snapshot_is_an_error_and_a_miss(tmp_path):
 def test_invalid_hybrid_options_are_rejected():
     with pytest.raises(ValueError):
         EngineOptions(hybrid="sometimes")
-    with pytest.raises(ValueError):
-        EngineOptions(hybrid_threshold=0.0)
 
 
 def test_auto_splits_the_split_workload_before_any_prepare():

@@ -39,9 +39,7 @@ def base() -> Database:
 
 def test_roundtrip_preserves_state():
     core = MaterializedCore(RULES, base())
-    restored = decode_core(
-        encode_core(core), RULES, max_steps=core.max_steps, threshold=0.5
-    )
+    restored = decode_core(encode_core(core), RULES, max_steps=core.max_steps)
     assert restored is not None
     assert set(restored.instance.facts()) == set(core.instance.facts())
     assert set(restored.base.facts()) == set(core.base.facts())
@@ -57,9 +55,7 @@ def test_snapshot_after_deletes_restores_live_provenance():
         key=str,
     )[:6]
     core.apply_delete(victims)
-    restored = decode_core(
-        encode_core(core), rules, max_steps=core.max_steps, threshold=0.5
-    )
+    restored = decode_core(encode_core(core), rules, max_steps=core.max_steps)
     assert restored is not None
     assert restored.firing_count() == core.firing_count()
     assert set(restored.instance.facts()) == set(core.instance.facts())
@@ -71,9 +67,7 @@ def test_snapshot_after_deletes_restores_live_provenance():
 
 def test_restored_core_maintains_correctly():
     core = MaterializedCore(RULES, base())
-    restored = decode_core(
-        encode_core(core), RULES, max_steps=core.max_steps, threshold=0.5
-    )
+    restored = decode_core(encode_core(core), RULES, max_steps=core.max_steps)
     assert restored is not None
     restored.apply_insert([fact("emp", "c")])
     restored.apply_delete([fact("emp", "a")])
@@ -84,9 +78,7 @@ def test_restored_core_maintains_correctly():
 
 def test_restored_null_factory_resumes_past_issued_labels():
     core = MaterializedCore(RULES, base())
-    restored = decode_core(
-        encode_core(core), RULES, max_steps=core.max_steps, threshold=0.5
-    )
+    restored = decode_core(encode_core(core), RULES, max_steps=core.max_steps)
     assert restored is not None
     before = set(restored.instance.facts())
     restored.apply_insert([fact("emp", "fresh")])
@@ -99,7 +91,7 @@ def test_restored_null_factory_resumes_past_issued_labels():
 def test_decode_rejects_malformed_payloads():
     core = MaterializedCore(RULES, base())
     good = encode_core(core)
-    kwargs = {"max_steps": core.max_steps, "threshold": 0.5}
+    kwargs = {"max_steps": core.max_steps}
     assert decode_core("not json", RULES, **kwargs) is None
     assert decode_core("{}", RULES, **kwargs) is None
     stale = json.loads(good)
@@ -132,7 +124,7 @@ def test_core_key_varies_with_every_component():
 
 def test_load_or_build_round_trips_through_the_cache(tmp_path):
     sink = InMemorySink()
-    kwargs = {"max_steps": 1000, "threshold": 0.5}
+    kwargs = {"max_steps": 1000}
     with RewritingCache(tmp_path) as cache:
         with obs.use(sink, inherit=False):
             first = load_or_build(cache, "digest-full", RULES, base(), **kwargs)
@@ -153,8 +145,6 @@ def test_load_or_build_without_cache_always_builds(monkeypatch):
     monkeypatch.setattr(store, "abox_digest", no_digest)
     sink = InMemorySink()
     with obs.use(sink, inherit=False):
-        core = load_or_build(
-            None, "digest-full", RULES, base(), max_steps=1000, threshold=0.5
-        )
+        core = load_or_build(None, "digest-full", RULES, base(), max_steps=1000)
     assert sink.counters()["hybrid.core_cache.misses"] == 1
     assert core.check_consistency() == []

@@ -98,8 +98,9 @@ class TestMutateRoute:
                 {"insert": "professor(carl).", "delete": "professor(ada)."},
             )
             assert status == 200
+            keys = {"maintained", "added", "removed", "rounds", "firings"}
+            assert set(payload["insert"]) == set(payload["delete"]) == keys
             assert payload["insert"]["maintained"] is True
-            assert payload["insert"]["full_rechase"] is False
             assert payload["insert"]["added"] >= 1
             assert payload["delete"]["maintained"] is True
             assert payload["delete"]["removed"] >= 1
@@ -108,6 +109,28 @@ class TestMutateRoute:
             )
             assert status == 200
             assert len(after["answers"]) == 2
+
+    def test_failed_maintenance_is_400_and_the_core_is_rebuilt(self):
+        server = _server(options=EngineOptions(hybrid="materialize"))
+        with BackgroundServer(server) as (host, port):
+            status, _, _ = _request(
+                host, port, "POST", "/v1/query", {"query": QUERY}
+            )
+            assert status == 200
+            session = server.registry.session("default")
+            # assoc_prof(carl) needs two firings: R2, then R1.
+            session._hybrid.core.max_steps = 1
+            status, _, payload = _request(
+                host, port, "POST", "/v1/mutate", {"insert": "assoc_prof(carl)."}
+            )
+            assert status == 400
+            assert "exceeded" in payload["error"]
+            # The ABox change stands; the next answer rebuilds the core.
+            status, _, after = _request(
+                host, port, "POST", "/v1/query", {"query": QUERY}
+            )
+            assert status == 200
+            assert after["answers"] == [['"ada"'], ['"bob"'], ['"carl"']]
 
     def test_malformed_payloads_are_400(self):
         server = _server()
