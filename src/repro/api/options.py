@@ -1,10 +1,10 @@
 """One frozen bundle for every engine-tuning option of a session.
 
 Before this module the options steering a :class:`~repro.api.Session`'s
-rewriting engine -- budget, rewriting target, pruning and pre-flight
-switches, hybrid regime -- were threaded positionally
-through ``Session.__init__``, the batch pool's worker initializer and
-every CLI subcommand, each spelling the defaults again.
+rewriting engine -- budget, rewriting target, hybrid regime -- were
+threaded positionally through ``Session.__init__``, the batch pool's
+worker initializer and every CLI subcommand, each spelling the
+defaults again.
 :class:`EngineOptions` collects them in a single immutable value:
 
 * one definition of the defaults, shared by API, pool workers and CLI;
@@ -38,11 +38,6 @@ class EngineOptions:
     Attributes:
         budget: rewriting budget every compilation runs under
             (default: :meth:`RewritingBudget.default`).
-        prune_empty: drop statically-empty disjuncts from compiled
-            rewritings before evaluation (see
-            :mod:`repro.checkers.pruning`).
-        preflight_estimate: run the static rewriting-size estimator
-            before each cold compilation and warn on projected blowup.
         target: rewriting target -- ``"ucq"``, ``"datalog"`` or
             ``"auto"`` (see :data:`repro.rewriting.engine.TARGETS`).
         hybrid: hybrid answering mode -- ``"off"`` (default; pure
@@ -53,8 +48,6 @@ class EngineOptions:
     """
 
     budget: RewritingBudget = field(default_factory=RewritingBudget.default)
-    prune_empty: bool = False
-    preflight_estimate: bool = False
     target: str = "ucq"
     hybrid: str = "off"
 

@@ -27,7 +27,6 @@ from repro.rewriting.store import query_digest
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis import SeparabilityReport, TerminationCertificate
     from repro.api.session import Session
-    from repro.checkers.pruning import PruneResult
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -47,16 +46,15 @@ class AnswerPlan:
             explicitly), ``"abox"`` or ``"core"``.
         backend: ``"memory"``, or ``"sql"`` for the instance's mirror.
         target: ``"ucq"`` or ``"datalog"``.
-        size: disjuncts of the evaluated UCQ before pruning, or rules
-            of the Datalog program.
+        size: disjuncts of the evaluated UCQ, or rules of the Datalog
+            program.
         certificate, partition: the ontology's termination-lattice
             certificate and separability partition, whenever a hybrid
             regime analysed the session (None otherwise).
         rewriting, ucq, database, state: what ``_execute`` evaluates --
             the compiled artifact (None for a chase plan), the UCQ
-            after pruning (None for Datalog, or when pruning left no
-            disjunct), the passed database and the hybrid state whose
-            core serves the plan.
+            evaluated (None for Datalog), the passed database and the
+            hybrid state whose core serves the plan.
     """
 
     kind: str
@@ -108,7 +106,6 @@ class PreparedQuery:
         "_digest",
         "_target",
         "_compiled",
-        "_pruned",
         "_sql",
         "_lock",
     )
@@ -133,7 +130,6 @@ class PreparedQuery:
             )
         self._target = target
         self._compiled: dict[str, RewritingResult | DatalogRewriting] = {}
-        self._pruned: "PruneResult | None" = None
         self._sql: str | None = None
         self._lock = threading.Lock()
 
@@ -212,65 +208,26 @@ class PreparedQuery:
         return self.result.ucq
 
     @property
-    def pruned(self) -> "PruneResult | None":
-        """The rewriting after the session's static pruning (cached).
-
-        None when the session's options leave ``prune_empty`` off (or
-        the session has neither mappings nor data to prune against),
-        and always None for the Datalog target -- its intermediate
-        predicates are populated by the program itself, so per-disjunct
-        static pruning does not apply; the unpruned artifact is then
-        what every backend evaluates.
-        """
-        if self.target_selected == "datalog":
-            return None
-        supported = self._session.pruning_relations()
-        if supported is None:
-            return None
-        with self._lock:
-            pruned = self._pruned
-        if pruned is None:
-            from repro.checkers.pruning import prune_statically_empty
-
-            pruned = prune_statically_empty(self.ucq, supported)
-            with self._lock:
-                if self._pruned is None:
-                    self._pruned = pruned
-                pruned = self._pruned
-        return pruned
-
-    @property
     def sql(self) -> str:
-        """The SQL text the (pruned) rewriting compiles to (cached).
+        """The SQL text the rewriting compiles to (cached).
 
         For the Datalog target this is the ``WITH``-CTE form (one CTE
         per intermediate predicate); for the UCQ target the classical
-        ``UNION`` of per-disjunct ``SELECT`` blocks.
+        ``UNION`` of per-disjunct ``SELECT`` blocks.  It depends on the
+        ontology alone, so a mutation of the session's data leaves it
+        as it is.
         """
         with self._lock:
             sql = self._sql
         if sql is None:
             if self.target_selected == "datalog":
                 sql = datalog_to_sql(self.datalog)
-                with self._lock:
-                    if self._sql is None:
-                        self._sql = sql
-                return self._sql
-            pruned = self.pruned
-            if pruned is None:
-                sql = ucq_to_sql(self.ucq)
-            elif pruned.ucq is None:
-                # Every disjunct is statically empty: an arity-correct
-                # SELECT that yields no rows.
-                columns = ", ".join(
-                    f"NULL AS a{i}" for i in range(self._query.arity)
-                ) or "1 AS a0"
-                sql = f"SELECT {columns} WHERE 1 = 0"
             else:
-                sql = ucq_to_sql(pruned.ucq)
+                sql = ucq_to_sql(self.ucq)
             with self._lock:
                 if self._sql is None:
                     self._sql = sql
+                sql = self._sql
         return sql
 
     def plan(
@@ -320,26 +277,8 @@ class PreparedQuery:
                 fallback_disjuncts=rewriting.fallback_disjuncts,
             )
         else:
-            kept = len(plan.ucq) if plan.ucq is not None else 0
-            summary.update(
-                disjuncts=rewriting.size,
-                pruned_disjuncts=rewriting.size - kept,
-                effective_disjuncts=kept,
-            )
+            summary.update(disjuncts=rewriting.size)
         return summary
-
-    def _invalidate_data_caches(self) -> None:
-        """Drop artifacts derived from the session's *data*.
-
-        Called by :meth:`Session.insert` / :meth:`Session.delete`: the
-        rewriting itself depends only on the ontology and survives, but
-        the static pruning (and the SQL compiled from the pruned UCQ)
-        was computed against the old ABox vocabulary — a disjunct that
-        was statically empty may now match.
-        """
-        with self._lock:
-            self._pruned = None
-            self._sql = None
 
     # ----------------------------------------------------------------- #
     # Execution                                                           #

@@ -112,9 +112,8 @@ class Session:
             processes) may share one directory -- see
             :mod:`repro.api.cache` for the invalidation rules.
         options: every engine-tuning knob -- budget, rewriting target,
-            pruning, pre-flight estimation, hybrid regime -- in
-            one frozen :class:`~repro.api.EngineOptions` value (default:
-            ``EngineOptions()``).
+            hybrid regime -- in one frozen :class:`~repro.api.EngineOptions`
+            value (default: ``EngineOptions()``).
 
     ``backend="sql"`` answers run on a
     :class:`~repro.data.sql.SQLiteBackend` *mirror*: a SQLite copy of
@@ -143,14 +142,10 @@ class Session:
             else None
         )
         self._engine = self._new_engine(
-            self._ontology,
-            preflight_estimate=self._options.preflight_estimate,
-            target=self._options.target,
+            self._ontology, target=self._options.target
         )
         self._lock = threading.RLock()
         self._prepared: dict[str, PreparedQuery] = {}
-        self._pruning: frozenset[str] | None = None
-        self._pruning_ready = False
         self._abox: Database | None = None
         self._sql_backend: SQLiteBackend | None = None
         self._classification: ClassificationReport | None = None
@@ -230,33 +225,6 @@ class Session:
             if self._classification is None:
                 self._classification = classify(self._ontology)
             return self._classification
-
-    @property
-    def prune_empty(self) -> bool:
-        """Whether statically-empty disjuncts are pruned at evaluation."""
-        return self._options.prune_empty
-
-    def pruning_relations(self) -> frozenset[str] | None:
-        """The relations pruning keeps (the ABox's possible vocabulary).
-
-        None when pruning is off or the session has neither mappings
-        nor data (nothing is statically known about the ABox, so every
-        disjunct must be kept).
-        """
-        if not self._options.prune_empty:
-            return None
-        with self._lock:
-            if not self._pruning_ready:
-                if self._mappings is None and self._source is None:
-                    self._pruning = None
-                else:
-                    from repro.checkers.pruning import supported_relations
-
-                    self._pruning = supported_relations(
-                        self._mappings, self._source
-                    )
-                self._pruning_ready = True
-            return self._pruning
 
     def check(
         self,
@@ -599,10 +567,10 @@ class Session:
         """Add ABox facts; incrementally maintain derived state.
 
         Accepts parsed atoms or database text (``"a(c). r(c, d)."``).
-        The virtual ABox, the SQL backend, static pruning, and — when a
-        hybrid core is materialized — the chase closure are all brought
-        up to date; the core runs a semi-naive delta chase, whatever the
-        size of the delta.  Returns the core's
+        The virtual ABox, the SQL backend and — when a hybrid core is
+        materialized — the chase closure are all brought up to date;
+        the core runs a semi-naive delta chase, whatever the size of
+        the delta.  Returns the core's
         :class:`MaintenanceResult`, or None when no core is
         materialized.  When maintaining the core raises, the ABox change
         stands, the core is dropped, and the next answer re-plans from
@@ -648,13 +616,6 @@ class Session:
             else:
                 changed = [fact for fact in atoms if abox.add(fact)]
                 obs.count("session.inserts", len(changed))
-            # Data-derived compilation state is stale now: the pruning
-            # vocabulary (and SQL compiled from pruned UCQs) must be
-            # recomputed against the new ABox.
-            self._pruning = None
-            self._pruning_ready = False
-            for prepared in self._prepared.values():
-                prepared._invalidate_data_caches()
             added, removed = ((), changed) if delete else (changed, ())
             self._apply_delta(self._sql_backend, added, removed)
             result: "MaintenanceResult | None" = None
@@ -703,7 +664,7 @@ class Session:
     ) -> AnswerPlan:
         """The one planning step behind every answer.
 
-        Decides *what* to evaluate (the Datalog program, the pruned UCQ
+        Decides *what* to evaluate (the Datalog program, the UCQ
         rewriting, the residual rewriting for SPLIT or the query itself
         for MATERIALIZE), *where* (a passed database, the virtual ABox
         or the hybrid core's instance, in memory or on its mirror) and
@@ -729,27 +690,10 @@ class Session:
         rewriting: RewritingResult | DatalogRewriting | None
         ucq: UnionOfConjunctiveQueries | None = None
         if target == "datalog":
-            # Static pruning does not apply: the program's intermediate
-            # predicates are populated during evaluation, not stored.
             rewriting = prepared.datalog
         elif state is None:
             rewriting = prepared.result
-            pruned = prepared.pruned if database is None else None
-            if database is not None and self._options.prune_empty:
-                # An explicitly passed database bypasses the mappings,
-                # so the session-level supported set does not apply;
-                # prune against *that* database's own relations.
-                from repro.checkers.pruning import (
-                    prune_statically_empty,
-                    supported_relations,
-                )
-
-                pruned = prune_statically_empty(
-                    rewriting.ucq, supported_relations(None, database)
-                )
-            # A pruned UCQ of None means every disjunct is statically
-            # empty: the certain answers are empty.
-            ucq = rewriting.ucq if pruned is None else pruned.ucq
+            ucq = rewriting.ucq
         elif state.residual_engine is not None:
             residual = cast(
                 "RewritingResult", state.residual_engine._rewrite(prepared.query)
@@ -789,8 +733,6 @@ class Session:
             FORewritingEngine._check_complete(plan.rewriting, require_complete)
         program = plan.rewriting if plan.target == "datalog" else None
         ucq = plan.ucq
-        if program is None and ucq is None:
-            return frozenset()
         state: _HybridState | None = plan.state
         core = state.core if state is not None else None
         on_sql = plan.backend == "sql"
@@ -803,8 +745,6 @@ class Session:
         if state is not None:
             attrs["hybrid"] = state.decision.choice.value
         if on_sql:
-            # The instance's mirror, loaded only once some disjunct
-            # survives pruning.
             mirror = self._mirror(state)
             if program is not None:
                 # The CTE SQL references base relations only through

@@ -11,28 +11,20 @@ codes match ``repro lint`` exactly.
 
 Entry points: :func:`load_project` + :func:`check_project` (the CLI's
 ``repro check``), :meth:`repro.api.Session.check` (the API surface),
-:func:`estimate_disjunct_bound` (the engine pre-flight) and
-:func:`prune_statically_empty` (the
-``Session(..., options=EngineOptions(prune_empty=True))`` optimisation).
+:func:`estimate_disjunct_bound` (the static size estimate behind RL105
+and ``target="auto"``) and :func:`supported_relations` (the relations
+the virtual ABox can hold facts over, behind RL102 and RL106).
 """
 
-from repro.checkers.estimator import (
-    BlowupEstimate,
-    RewritingBlowupWarning,
-    estimate_disjunct_bound,
-)
+from repro.checkers.estimator import BlowupEstimate, estimate_disjunct_bound
 from repro.checkers.passes import (
     CHECK,
     CheckConfig,
     CheckContext,
     check_project,
-)
-from repro.checkers.project import Project, load_project, parse_queries
-from repro.checkers.pruning import (
-    PruneResult,
-    prune_statically_empty,
     supported_relations,
 )
+from repro.checkers.project import Project, load_project, parse_queries
 
 __all__ = [
     "BlowupEstimate",
@@ -40,12 +32,9 @@ __all__ = [
     "CheckConfig",
     "CheckContext",
     "Project",
-    "PruneResult",
-    "RewritingBlowupWarning",
     "check_project",
     "estimate_disjunct_bound",
     "load_project",
     "parse_queries",
-    "prune_statically_empty",
     "supported_relations",
 ]

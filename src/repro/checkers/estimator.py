@@ -13,10 +13,10 @@ predictable from the rule graph.
 :func:`estimate_disjunct_bound` turns that into a concrete (crude but
 sound-as-an-upper-bound) disjunct-count estimate together with the
 *offending rule chain* -- the derivation path realising the depth --
-so a blowup warning can name the rules to restructure.  It is the one
+so a blowup report can name the rules to restructure.  It is the one
 static blowup estimator: it backs the ``RL105`` check pass, lint's
-``RL021`` warning and the optional engine pre-flight
-(``FORewritingEngine(preflight_estimate=True)``).
+``RL021`` warning and the per-query choice of ``target="auto"``
+(:meth:`repro.rewriting.engine.FORewritingEngine.resolve_target`).
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ from repro.rewriting.budget import RewritingBudget
 
 #: Cap on the estimate so the arithmetic stays exact but bounded.
 ESTIMATE_CAP = 10**18
-
-
-class RewritingBlowupWarning(UserWarning):
-    """Pre-flight estimate says the rewriting will exceed its budget."""
 
 
 @dataclass(frozen=True)

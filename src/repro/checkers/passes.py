@@ -27,7 +27,7 @@ lint subsystem (:mod:`repro.lint`); the code catalogue lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.analysis.depgraph import derivers, rule_name
 from repro.analysis.passes import (
@@ -38,7 +38,7 @@ from repro.analysis.passes import (
 )
 from repro.checkers.estimator import estimate_disjunct_bound
 from repro.checkers.project import Project
-from repro.checkers.pruning import supported_relations
+from repro.data.database import Database
 from repro.graphs.analysis import reachable
 from repro.graphs.position_graph import build_position_graph
 from repro.lang.atoms import Position
@@ -50,6 +50,7 @@ from repro.lint.diagnostics import (
     Pipeline,
     Severity,
 )
+from repro.obda.mappings import MappingAssertion
 from repro.rewriting.budget import RewritingBudget
 from repro.rewriting.relevance import relevant_rules
 
@@ -71,6 +72,43 @@ class CheckConfig:
 
     def __post_init__(self) -> None:
         CHECK.check_disabled(self.disabled)
+
+
+def supported_relations(
+    mappings: Sequence[MappingAssertion] | None,
+    source: Database | None,
+) -> frozenset[str]:
+    """Relations the virtual ABox can hold facts over.
+
+    Mirrors :meth:`repro.api.Session.abox`: with mappings, the ABox is
+    the mappings' output (targets of assertions whose source relations
+    all exist non-empty, when the source is known); without mappings the
+    source database *is* the ABox, so its non-empty relations count.
+    An atom over any other relation matches nothing, which is what
+    RL102 and RL106 report.
+    """
+    nonempty: frozenset[str] | None = None
+    if source is not None:
+        nonempty = frozenset(
+            relation
+            for relation in source.relations()
+            if source.count(relation) > 0
+        )
+    if mappings is not None:
+        out: set[str] = set()
+        for mapping in mappings:
+            if nonempty is not None and any(
+                atom.relation not in nonempty
+                for atom in mapping.source_body
+            ):
+                continue
+            out.add(mapping.target.relation)
+        return frozenset(out)
+    if nonempty is not None:
+        return nonempty
+    raise ValueError(
+        "supported_relations needs mappings and/or a source database"
+    )
 
 
 @dataclass
@@ -355,8 +393,9 @@ def pass_statically_empty(ctx: CheckContext) -> Iterator[Diagnostic]:
 
     Unlike RL102 these relations *are* rewritten away by rules, so the
     query still has answers -- but every rewritten disjunct that keeps
-    an atom over them evaluates to nothing.  They are exactly what
-    ``Session(..., options=EngineOptions(prune_empty=True))`` prunes.
+    an atom over them evaluates to nothing.  The in-memory evaluator
+    skips such a disjunct as soon as it sees the empty relation; on SQL
+    it still costs one ``SELECT`` block.
     """
     supported = ctx.supported()
     if supported is None:
@@ -382,8 +421,8 @@ def pass_statically_empty(ctx: CheckContext) -> Iterator[Diagnostic]:
             ),
             notes=(f"derived by: {rules}",),
             hint=(
-                "Session(..., options=EngineOptions(prune_empty=True)) "
-                "drops such disjuncts"
+                "map the relation or load its facts if these disjuncts "
+                "should match"
             ),
         )
 

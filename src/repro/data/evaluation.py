@@ -52,7 +52,9 @@ Two answer policies are provided:
 Answers need no more than one witness each: evaluation runs the plan up
 to the last step that binds an answer variable, skips a partial match
 whose answer is already known, and asks the remaining steps only for
-the first completion.
+the first completion.  A disjunct with an atom over a relation that
+holds no rows has no answer, so it is skipped before its plan compiles;
+that holds on any instance, mutated or not.
 """
 
 from __future__ import annotations
@@ -362,8 +364,12 @@ def _collect(
     """Add the answers of *query* missing from *answers* to it.
 
     The plan runs up to the last step binding an answer variable; the
-    remaining steps only need one completion per new answer.
+    remaining steps only need one completion per new answer.  An atom
+    over a relation with no rows has no match, so such a query is
+    skipped before a plan is compiled.
     """
+    if any(database.count(atom.relation) == 0 for atom in query.body):
+        return
     plan = JoinPlan(query.body, database)
     if plan.steps is None:
         return

@@ -15,11 +15,9 @@ FO-rewritability (Definition 1).  Answer queries through
 from __future__ import annotations
 
 import threading
-import warnings
-from typing import NamedTuple, Protocol, Sequence, cast
+from typing import NamedTuple, Protocol, Sequence
 
 from repro import obs
-from repro.data.sql import ucq_to_sql
 from repro.lang.errors import RewritingBudgetExceeded
 from repro.lang.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.lang.tgd import TGD
@@ -120,7 +118,6 @@ class FORewritingEngine:
         rules: Sequence[TGD],
         budget: RewritingBudget | None = None,
         persistent: PersistentTier | None = None,
-        preflight_estimate: bool = False,
         target: str = "ucq",
     ):
         if target not in TARGETS:
@@ -131,7 +128,6 @@ class FORewritingEngine:
         self._rules = tuple(rules)
         self._budget = budget or RewritingBudget.default()
         self._persistent = persistent
-        self._preflight_estimate = preflight_estimate
         self._target = target
         # Both keyed by (concrete target, canonical UCQ): the two
         # targets' artifacts share one memo but never an entry.
@@ -300,47 +296,11 @@ class FORewritingEngine:
             if target == "datalog":
                 result = rewrite_datalog(ucq, rules, self._budget)
             else:
-                if self._preflight_estimate:
-                    self._preflight(ucq, rules)
                 result = rewrite(ucq, rules, self._budget)
             span.set(complete=result.complete, size=result.size)
         if self._persistent is not None:
             self._persistent.put(ucq, target, result)
         return result
-
-    def _preflight(
-        self, ucq: UnionOfConjunctiveQueries, rules: Sequence[TGD]
-    ) -> None:
-        """Warn before rewriting when the static size estimate blows up.
-
-        The estimate is the AG(P) fan-out bound of
-        :func:`repro.checkers.estimator.estimate_disjunct_bound`; it
-        costs one pass over the (relevance-filtered) rules, so the
-        pre-flight stays cheap relative to the rewriting it guards.
-        """
-        from repro.checkers.estimator import (
-            RewritingBlowupWarning,
-            estimate_disjunct_bound,
-        )
-
-        estimate = estimate_disjunct_bound(ucq, rules, budget=self._budget)
-        obs.event(
-            "engine.preflight_estimate",
-            bound=estimate.bound,
-            per_round=estimate.per_round,
-            depth=estimate.depth,
-            cyclic=estimate.cyclic,
-        )
-        if estimate.bound > self._budget.max_cqs:
-            chain = " -> ".join(estimate.chain) or "<none>"
-            warnings.warn(
-                RewritingBlowupWarning(
-                    f"estimated rewriting size {estimate.render_bound()} "
-                    f"exceeds the budget's max_cqs={self._budget.max_cqs}; "
-                    f"offending rule chain: {chain}"
-                ),
-                stacklevel=2,
-            )
 
     @staticmethod
     def _check_complete(result: Compiled, require_complete: bool) -> None:
@@ -351,9 +311,3 @@ class FORewritingEngine:
                 partial_cqs=result.generated,
                 depth_reached=result.depth_reached,
             )
-
-    def sql_for(
-        self, query: ConjunctiveQuery | UnionOfConjunctiveQueries
-    ) -> str:
-        """The SQL text of the rewriting (the "equivalent SQL query")."""
-        return ucq_to_sql(cast(RewritingResult, self._rewrite(query)).ucq)

@@ -60,6 +60,19 @@ from repro.serve.tenants import TenantRegistry
 _QUERY_BACKENDS = ("memory", "sql")
 
 
+class _MutationFailed(ReproError):
+    """An operation of a ``/v1/mutate`` request raised.
+
+    ``body`` is the 400 response: the error, the operation that
+    ``failed``, the summary of each operation that completed before it
+    and the tenant's ``data_size`` after the failure.
+    """
+
+    def __init__(self, error: ReproError, body: dict[str, Any]) -> None:
+        super().__init__(str(error))
+        self.body = {"error": str(error), **body}
+
+
 def _maintenance_summary(maintained: Any) -> dict[str, Any]:
     """JSON shape of a :class:`~repro.hybrid.MaintenanceResult`.
 
@@ -216,7 +229,8 @@ class ReproServer:
                 400, {"error": str(error)}, keep_alive=request.keep_alive
             )
         except Exception as error:  # noqa: BLE001 - a request never kills the server
-            obs.count("serve.errors")
+            # An admitted worker's failure is counted on serve.errors
+            # when its ticket is released.
             obs.event("serve.internal_error", error=str(error))
             return encode_response(
                 500,
@@ -334,8 +348,9 @@ class ReproServer:
         """Run ``work(*args)`` on the executor under admission control.
 
         429 with ``Retry-After`` when every slot is held, 504 when the
-        deadline passes first, 400 for a :class:`ReproError`, and
-        otherwise 200 with *work*'s result.
+        deadline passes first, 400 for a :class:`ReproError` (a failed
+        mutation's body says what applied), and otherwise 200 with
+        *work*'s result.
         """
         ticket = self.admission.try_admit()
         if ticket is None:
@@ -385,6 +400,10 @@ class ReproServer:
                 },
                 keep_alive=request.keep_alive,
             )
+        except _MutationFailed as error:
+            return encode_response(
+                400, error.body, keep_alive=request.keep_alive
+            )
         except ReproError as error:
             return encode_response(
                 400, {"error": str(error)}, keep_alive=request.keep_alive
@@ -402,13 +421,26 @@ class ReproServer:
         session: Session = self.registry.session(tenant)
         obs.count("serve.mutations")
         summary: dict[str, Any] = {"tenant": tenant}
+        operations = (
+            ("insert", session.insert, insert_text),
+            ("delete", session.delete, delete_text),
+        )
         with obs.span("serve.mutate", tenant=tenant):
-            if insert_text is not None:
-                maintained = session.insert(insert_text)
-                summary["insert"] = _maintenance_summary(maintained)
-            if delete_text is not None:
-                maintained = session.delete(delete_text)
-                summary["delete"] = _maintenance_summary(maintained)
+            for name, apply, text in operations:
+                if text is None:
+                    continue
+                try:
+                    maintained = apply(text)
+                except ReproError as error:
+                    raise _MutationFailed(
+                        error,
+                        {
+                            **summary,
+                            "failed": name,
+                            "data_size": len(session.abox()),
+                        },
+                    ) from error
+                summary[name] = _maintenance_summary(maintained)
         summary["data_size"] = len(session.abox())
         summary["seconds"] = round(time.perf_counter() - started, 6)
         return summary

@@ -168,9 +168,7 @@ class TestDeprecatedShims:
         # The core maintains every delta incrementally: no threshold,
         # no full re-chase, no result that means "reload wholesale".
         fields = [field.name for field in dataclasses.fields(EngineOptions)]
-        assert fields == [
-            "budget", "prune_empty", "preflight_estimate", "target", "hybrid",
-        ]
+        assert fields == ["budget", "target", "hybrid"]
         with pytest.raises(TypeError):
             EngineOptions(hybrid_threshold=0.5)
         rules = parse_program(PROGRAM)
@@ -189,6 +187,31 @@ class TestDeprecatedShims:
             main(["serve", str(program), "--hybrid-threshold", "0.5"])
         assert exit_info.value.code == 2
         assert "--hybrid-threshold" in capsys.readouterr().err
+
+    def test_pruning_and_preflight_stay_removed(self):
+        # The in-memory evaluator skips a disjunct over an empty
+        # relation on every session, so no option, no per-handle
+        # pruning state and no second SQL text path remain; RL105 and
+        # RL106 report what the pre-flight and pruning acted on.
+        with pytest.raises(TypeError):
+            EngineOptions(prune_empty=True)
+        with pytest.raises(TypeError):
+            EngineOptions(preflight_estimate=True)
+        rules = parse_program(PROGRAM)
+        with pytest.raises(TypeError):
+            repro.FORewritingEngine(rules, preflight_estimate=True)
+        for name in ("prune_empty", "pruning_relations"):
+            assert not hasattr(repro.Session, name), name
+        assert not hasattr(repro.PreparedQuery, "pruned")
+        for name in ("prune_statically_empty", "PruneResult",
+                     "RewritingBlowupWarning"):
+            assert not hasattr(repro.checkers, name), name
+            assert name not in repro.checkers.__all__
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.checkers.pruning")
+        assert "supported_relations" in repro.checkers.__all__
+        for name in ("sql_for", "_preflight"):
+            assert not hasattr(repro.FORewritingEngine, name), name
 
     def test_session_itself_never_warns(self):
         rules = parse_program(PROGRAM)

@@ -1,10 +1,6 @@
 """The static rewriting-size estimator (AG(P) fan-out bound)."""
 
-from repro.checkers import (
-    BlowupEstimate,
-    RewritingBlowupWarning,
-    estimate_disjunct_bound,
-)
+from repro.checkers import BlowupEstimate, estimate_disjunct_bound
 from repro.checkers.estimator import ESTIMATE_CAP, estimate_combination_bound
 from repro.lang.parser import parse_program, parse_query
 from repro.rewriting.budget import RewritingBudget
@@ -119,9 +115,6 @@ class TestCapAndRendering:
         rules = parse_program("a(X) -> p(X).\nb(X) -> a(X).\n")
         estimate = estimate_disjunct_bound(parse_query("q(X) :- p(X)"), rules)
         assert estimate.chain == ("R1", "R2")
-
-    def test_warning_category(self):
-        assert issubclass(RewritingBlowupWarning, UserWarning)
 
 
 class TestCombinationBound:

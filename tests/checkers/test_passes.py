@@ -183,9 +183,11 @@ class TestCoveragePasses:
         assert all(
             d.severity is Severity.INFO for d in findings(report, "RL106")
         )
-        # The hint names the spelling Session accepts.
+        # The hint names what makes such disjuncts match; no option
+        # is left to name.
         assert all(
-            "options=EngineOptions(prune_empty=True)" in d.hint
+            d.hint == "map the relation or load its facts if these "
+            "disjuncts should match"
             for d in findings(report, "RL106")
         )
 

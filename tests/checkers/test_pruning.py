@@ -1,22 +1,28 @@
-"""Safe disjunct pruning: unit behaviour and the soundness differential.
+"""Statically-empty disjuncts: the ABox vocabulary and the differential.
 
-The soundness contract: for every backend (in-memory, SQL, chase
-oracle) a pruned session returns *exactly* the answers of an unpruned
-one, while evaluating strictly fewer disjuncts.
+A rewritten disjunct with an atom over a relation that holds no facts
+matches nothing.  :func:`supported_relations` names the relations the
+virtual ABox can hold facts over (RL102 and RL106 report the others),
+and the in-memory evaluator skips such a disjunct on every session.
+The soundness contract is the differential one: in-memory == SQL ==
+chase, on the ghost project below (one rule whose body no mapping
+feeds) and after a mutation.
+
+The insert regressions failed when a session could opt into static
+pruning (``EngineOptions(prune_empty=True)``): the pruned vocabulary was
+read once from the caller's database, and an ``insert`` never reached
+it, so a new relation's answers were dropped on memory and on SQL.
 """
 
 import pytest
 
-from repro import obs
-from repro.api import EngineOptions, Session
-from repro.checkers import prune_statically_empty, supported_relations
+from repro.api import Session
+from repro.chase.certain import certain_answers_via_chase
+from repro.checkers import supported_relations
+from repro.data import evaluation
 from repro.data.database import Database
-from repro.lang.parser import (
-    parse_database,
-    parse_program,
-    parse_query,
-    parse_ucq,
-)
+from repro.lang.parser import parse_database, parse_program, parse_query
+from repro.lang.terms import Constant
 from repro.obda.mappings import parse_mappings
 
 ONTOLOGY = parse_program(
@@ -34,6 +40,18 @@ DATA = Database(
     )
 )
 QUERY = parse_query("q(X) :- person(X)")
+
+
+def _answers(*names):
+    return frozenset((Constant(name),) for name in names)
+
+
+def _three_ways(session, query):
+    """Memory, SQL and chase answers of *query*; they must agree."""
+    memory = session.prepare(query).answer()
+    assert session.prepare(query).answer(backend="sql") == memory
+    assert session.answer_chase(query) == memory
+    return memory
 
 
 class TestSupportedRelations:
@@ -56,103 +74,88 @@ class TestSupportedRelations:
             supported_relations(None, None)
 
 
-class TestPruneStaticallyEmpty:
-    UCQ = parse_ucq(
-        "q(X) :- professor(X)\n"
-        "q(X) :- student(X)\n"
-        "q(X) :- phantom(X), ledger(X)"
-    )
-
-    def test_drops_unsupported_disjuncts(self):
-        result = prune_statically_empty(
-            self.UCQ, frozenset({"professor", "student"})
-        )
-        assert result.kept == 2
-        assert result.dropped == 1
-        assert result.empty_relations == {"phantom", "ledger"}
-        assert len(result.ucq) == 2
-
-    def test_all_pruned_yields_none(self):
-        result = prune_statically_empty(self.UCQ, frozenset())
-        assert result.ucq is None
-        assert result.kept == 0
-        assert result.dropped == 3
-
-    def test_nothing_to_prune(self):
-        result = prune_statically_empty(
-            self.UCQ, frozenset({"professor", "student", "phantom", "ledger"})
-        )
-        assert result.dropped == 0
-        assert result.ucq == self.UCQ
-
-    def test_counter_emitted_on_drop(self):
-        with obs.capture() as captured:
-            prune_statically_empty(self.UCQ, frozenset({"professor"}))
-        assert captured.counter("session.pruned_disjuncts") == 2
-
-
 class TestDifferentialSoundness:
-    """memory == SQL == chase, pruned vs unpruned, fewer disjuncts."""
+    """memory == SQL == chase on the ghost project, default options."""
 
     @pytest.fixture
-    def sessions(self):
-        with Session(ONTOLOGY, DATA, mappings=MAPPINGS) as plain, Session(
-            ONTOLOGY,
-            DATA,
-            mappings=MAPPINGS,
-            options=EngineOptions(prune_empty=True),
-        ) as pruning:
-            yield plain, pruning
+    def session(self):
+        with Session(ONTOLOGY, DATA, mappings=MAPPINGS) as session:
+            yield session
 
-    def test_strictly_fewer_disjuncts(self, sessions):
-        plain, pruning = sessions
-        unpruned = plain.prepare(QUERY)
-        pruned = pruning.prepare(QUERY).pruned
-        assert pruned is not None
-        assert pruned.kept < unpruned.result.size
-        assert pruned.dropped >= 1
+    def test_all_three_paths_agree(self, session):
+        # The rewriting keeps the phantom/ledger disjunct (and the one
+        # over person, which no mapping targets); neither may change
+        # the answers.
+        relations = {
+            atom.relation
+            for cq in session.prepare(QUERY).ucq
+            for atom in cq.body
+        }
+        assert {"person", "phantom", "ledger"} <= relations
+        assert _three_ways(session, QUERY) == _answers("ada", "bob", "eve")
 
-    def test_all_three_paths_agree(self, sessions):
-        plain, pruning = sessions
-        expected = plain.prepare(QUERY).answer()
-        prepared = pruning.prepare(QUERY)
-        assert prepared.answer() == expected
-        assert prepared.answer(backend="sql") == expected
-        assert pruning.answer_chase(QUERY) == expected
-        assert plain.prepare(QUERY).answer(backend="sql") == expected
-        assert expected  # non-vacuous: the query has answers
+    def test_strictly_fewer_disjuncts(self, session, monkeypatch):
+        # Only the disjuncts whose relations all hold facts compile a
+        # join plan: professor(X) and student(X), not person(X) or
+        # phantom(X), ledger(X).
+        session.abox()
+        prepared = session.prepare(QUERY)
+        compiled = []
+        plan = evaluation.JoinPlan
 
-    def test_all_pruned_query_is_empty_everywhere(self, sessions):
-        plain, pruning = sessions
+        def counting(atoms, *args, **kwargs):
+            compiled.append(tuple(atom.relation for atom in atoms))
+            return plan(atoms, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "JoinPlan", counting)
+        assert prepared.answer() == _answers("ada", "bob", "eve")
+        assert sorted(compiled) == [("professor",), ("student",)]
+        assert len(compiled) < len(prepared.ucq)
+
+    def test_all_pruned_query_is_empty_everywhere(self, session):
         ghost = parse_query("g(X) :- phantom(X)")
-        assert plain.prepare(ghost).answer() == frozenset()
-        prepared = pruning.prepare(ghost)
-        assert prepared.pruned is not None and prepared.pruned.ucq is None
-        assert prepared.answer() == frozenset()
-        assert prepared.answer(backend="sql") == frozenset()
-        assert pruning.answer_chase(ghost) == frozenset()
+        assert _three_ways(session, ghost) == frozenset()
 
-    def test_all_pruned_sql_text_is_arity_correct(self, sessions):
-        _, pruning = sessions
-        sql = pruning.prepare(parse_query("g(X) :- phantom(X)")).sql
-        assert "WHERE 1 = 0" in sql
-        assert "a0" in sql
+    def test_all_pruned_sql_text_is_arity_correct(self, session):
+        # The SQL text is the plain rewriting's, whatever the data: one
+        # column per answer variable, and no row on the mirror.
+        prepared = session.prepare(parse_query("g(X) :- phantom(X)"))
+        assert prepared.sql == 'SELECT DISTINCT t0.c1 AS a0 FROM "phantom" AS t0'
+        mirror = session.sql_backend()
+        mirror.ensure_ucq(prepared.ucq)
+        assert mirror.execute_sql(prepared.sql) == frozenset()
 
-    def test_explicit_database_pruned_against_itself(self, sessions):
-        plain, pruning = sessions
-        # Bypasses the mappings: supported = the passed database's own
-        # non-empty relations.
+    def test_explicit_database_pruned_against_itself(self, session):
+        # A passed database bypasses the mappings: only its own
+        # relations hold facts.
         db = Database(parse_database("student(zoe).\n"))
-        expected = plain.prepare(QUERY).answer(db)
-        assert pruning.prepare(QUERY).answer(db) == expected
-        assert expected
+        expected = certain_answers_via_chase(QUERY, ONTOLOGY, db).answers
+        assert expected == _answers("zoe")
+        assert session.prepare(QUERY).answer(db) == expected
+        with Session(ONTOLOGY, db) as direct:
+            assert _three_ways(direct, QUERY) == expected
 
-    def test_pruning_disabled_without_static_knowledge(self):
-        with Session(ONTOLOGY, options=EngineOptions(prune_empty=True)) as session:
-            assert session.pruning_relations() is None
-            assert session.prepare(QUERY).pruned is None
 
-    def test_prune_empty_off_by_default(self, sessions):
-        plain, _ = sessions
-        assert plain.prune_empty is False
-        assert plain.pruning_relations() is None
+class TestInsertRegression:
+    """An insert over a relation the source never held is answered."""
+
+    def test_identity_mapping_insert_of_a_new_relation(self):
+        data = Database(parse_database("a(c1)."))
+        with Session(parse_program("a(X) -> b(X)."), data) as session:
+            query = parse_query("q(X) :- d(X)")
+            assert _three_ways(session, query) == frozenset()
+            session.insert("d(k).")
+            assert _three_ways(session, query) == _answers("k")
+            # The caller's database is never written.
+            assert data.count("d") == 0
+
+    def test_mapped_insert_of_an_unmapped_relation(self):
+        rules = parse_program(
+            "professor(X) -> person(X).\nstudent(X) -> person(X).\n"
+        )
+        mappings = parse_mappings("prof_row(X, D) ~> professor(X).\n")
+        data = Database(parse_database("prof_row(ada, cs)."))
+        with Session(rules, data, mappings=mappings) as session:
+            assert _three_ways(session, QUERY) == _answers("ada")
+            session.insert("student(eve).")
+            assert _three_ways(session, QUERY) == _answers("ada", "eve")

@@ -1,19 +1,14 @@
-"""``Session.check()`` and the engine's pre-flight estimate wiring."""
+"""``Session.check()``: the ``repro check`` passes over a session."""
 
 import json
-import warnings
 
-import pytest
-
-from repro import obs
 from repro.api import EngineOptions, Session
-from repro.checkers import CheckConfig, RewritingBlowupWarning
+from repro.checkers import CheckConfig
 from repro.data.database import Database
 from repro.lang.parser import parse_database, parse_program, parse_query
 from repro.lint import render
 from repro.obda.mappings import parse_mappings
 from repro.rewriting.budget import RewritingBudget
-from repro.rewriting.engine import FORewritingEngine
 
 ONTOLOGY = parse_program(
     "r_prof: professor(X) -> person(X).\n"
@@ -87,60 +82,3 @@ class TestSessionCheck:
         # Coverage passes need mappings or data; workload passes run.
         assert "RL102" not in codes
         assert "RL100" in codes
-
-
-class TestPreflightEstimate:
-    def test_warns_before_blowup(self):
-        budget = RewritingBudget(max_depth=3, max_cqs=5, strict=False)
-        engine = FORewritingEngine(
-            FANOUT, budget=budget, preflight_estimate=True
-        )
-        with pytest.warns(RewritingBlowupWarning, match="offending rule chain"):
-            engine._rewrite(parse_query("q(X) :- p(X)"))
-
-    def test_emits_observability_event(self):
-        budget = RewritingBudget(max_depth=3, max_cqs=5, strict=False)
-        engine = FORewritingEngine(
-            FANOUT, budget=budget, preflight_estimate=True
-        )
-        with obs.capture() as captured, warnings.catch_warnings():
-            warnings.simplefilter("ignore", RewritingBlowupWarning)
-            engine._rewrite(parse_query("q(X) :- p(X)"))
-        (event,) = captured.events("engine.preflight_estimate")
-        assert event["attrs"]["bound"] > 5
-
-    def test_quiet_when_bound_fits(self):
-        engine = FORewritingEngine(ONTOLOGY, preflight_estimate=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RewritingBlowupWarning)
-            engine._rewrite(QUERY)
-
-    def test_off_by_default(self):
-        engine = FORewritingEngine(
-            FANOUT, budget=RewritingBudget(max_depth=3, max_cqs=5, strict=False)
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RewritingBlowupWarning)
-            engine._rewrite(parse_query("q(X) :- p(X)"))
-
-    def test_session_flag_reaches_engine(self):
-        budget = RewritingBudget(max_depth=3, max_cqs=5, strict=False)
-        with Session(
-            FANOUT,
-            options=EngineOptions(budget=budget, preflight_estimate=True),
-        ) as session:
-            with pytest.warns(RewritingBlowupWarning):
-                session.prepare("q(X) :- p(X)").result
-
-    def test_cache_hits_skip_the_preflight(self):
-        budget = RewritingBudget(max_depth=3, max_cqs=5, strict=False)
-        engine = FORewritingEngine(
-            FANOUT, budget=budget, preflight_estimate=True
-        )
-        query = parse_query("q(X) :- p(X)")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RewritingBlowupWarning)
-            engine._rewrite(query)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RewritingBlowupWarning)
-            engine._rewrite(query)  # cached: no second estimate

@@ -204,3 +204,54 @@ class TestPlanShape:
             [Atom("r", [X, Y])], database, {Z: Constant("z"), X: Constant("a")}
         )
         assert list(hom) == [Z, X, Y]
+
+
+class TestEmptyRelations:
+    """A disjunct with an atom over a relation that holds no rows, one
+    never stored or one emptied by ``Database.discard``, is skipped
+    before a plan compiles; the answers stay the reference matcher's."""
+
+    def test_absent_and_emptied_relations(self):
+        database = Database(
+            [
+                Atom("r", [Constant("a"), Constant("b")]),
+                Atom("r", [Constant("b"), Constant("c")]),
+                Atom("s", [Constant("a")]),
+            ]
+        )
+        assert database.discard(Atom("s", [Constant("a")]))
+        assert database.count("s") == database.count("u") == 0
+        empty = [
+            ConjunctiveQuery([X], [Atom("r", [X, Y]), Atom("u", [Y])]),
+            ConjunctiveQuery([X], [Atom("s", [X]), Atom("r", [X, Y])]),
+            ConjunctiveQuery([X], [Atom("s", [X])]),
+        ]
+        cqs = [ConjunctiveQuery([X], [Atom("r", [X, Y])]), *empty]
+        expected = frozenset().union(
+            *(_reference_answers(cq, database, False) for cq in cqs)
+        )
+        assert expected == {(Constant("a"),), (Constant("b"),)}
+        assert evaluate_ucq(UnionOfConjunctiveQueries(cqs), database) == expected
+        for cq in empty:
+            assert _reference_answers(cq, database, False) == frozenset()
+            assert evaluate_cq(cq, database) == frozenset()
+
+    @given(
+        databases(),
+        st.lists(bodies(), min_size=1, max_size=3),
+        st.sampled_from(sorted(ARITIES)),
+        st.data(),
+    )
+    def test_emptied_relation_agrees(self, database, body_list, emptied, data):
+        for row in database.rows(emptied):
+            assert database.discard(Atom(emptied, list(row)))
+        cqs = [_queries(body, data) for body in body_list]
+        cqs = [cq for cq in cqs if cq.arity == cqs[0].arity]
+        for certain in (False, True):
+            expected = frozenset().union(
+                *(_reference_answers(cq, database, certain) for cq in cqs)
+            )
+            got = evaluate_ucq(
+                UnionOfConjunctiveQueries(cqs), database, certain=certain
+            )
+            assert got == expected

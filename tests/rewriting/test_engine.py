@@ -55,7 +55,7 @@ class TestAnswering:
             )
 
     def test_sql_for_is_executable_text(self, hierarchy_rules):
-        engine = FORewritingEngine(hierarchy_rules)
-        sql = engine.sql_for(parse_query("q(X) :- d(X)"))
+        with Session(hierarchy_rules) as session:
+            sql = session.sql_for(parse_query("q(X) :- d(X)"))
         assert sql.count("SELECT") == 4
         assert "UNION" in sql

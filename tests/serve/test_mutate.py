@@ -8,6 +8,7 @@ import pytest
 from repro import obs
 from repro.api import EngineOptions
 from repro.data.database import Database
+from repro.lang.errors import ReproError
 from repro.lang.parser import parse_database, parse_program
 from repro.serve import BackgroundServer, ReproServer, ServeConfig, TenantRegistry
 
@@ -125,12 +126,39 @@ class TestMutateRoute:
             )
             assert status == 400
             assert "exceeded" in payload["error"]
+            # The body names the failed operation and the ABox size
+            # after it.
+            assert payload["failed"] == "insert"
+            assert payload["data_size"] == 3
             # The ABox change stands; the next answer rebuilds the core.
             status, _, after = _request(
                 host, port, "POST", "/v1/query", {"query": QUERY}
             )
             assert status == 200
             assert after["answers"] == [['"ada"'], ['"bob"'], ['"carl"']]
+
+    def test_failed_operation_reports_what_applied_before_it(self):
+        server = _server()
+        session = server.registry.session("default")
+
+        def failing_delete(facts):
+            raise ReproError("delete refused")
+
+        session.delete = failing_delete
+        with BackgroundServer(server) as (host, port):
+            status, _, payload = _request(
+                host,
+                port,
+                "POST",
+                "/v1/mutate",
+                {"insert": "assoc_prof(carl).", "delete": "professor(ada)."},
+            )
+            assert status == 400
+            assert payload["error"] == "delete refused"
+            assert payload["failed"] == "delete"
+            assert payload["insert"] == {"maintained": False}
+            assert "delete" not in payload
+            assert payload["data_size"] == 3
 
     def test_malformed_payloads_are_400(self):
         server = _server()

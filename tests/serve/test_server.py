@@ -190,6 +190,26 @@ class TestAdmission:
         assert trace.counter("serve.deadline_exceeded") == 1
         assert trace.counter("serve.admitted") == 1
 
+    def test_worker_crash_is_500_and_counted_once(self):
+        # The ticket's release counts the error; the 500 branch of the
+        # dispatcher must not count it a second time.
+        server = _server()
+
+        def crash():
+            raise RuntimeError("worker crashed")
+
+        server._before_execute = crash
+        with obs.capture() as trace:
+            with BackgroundServer(server) as (host, port):
+                status, _, payload = _request(
+                    host, port, "POST", "/v1/query", {"query": QUERY}
+                )
+                assert status == 500
+                assert "worker crashed" in payload["error"]
+                status, _, stats = _request(host, port, "GET", "/v1/stats")
+                assert status == 200
+        assert trace.counter("serve.errors") == 1 == stats["admission"]["errors"]
+
     def test_deadline_tightens_the_rewriting_budget(self):
         config = ServeConfig(
             deadline_seconds=1.5,
