@@ -59,7 +59,7 @@ def family_database(atoms: int, derivers: int = DERIVERS) -> Database:
 
 
 def run_family():
-    budget = RewritingBudget(max_depth=50, max_cqs=100_000, strict=False)
+    budget = RewritingBudget(max_depth=50, max_cqs=100_000)
     rows = []
     for atoms in SIZES:
         rules, query = blowup_family(atoms)

@@ -22,8 +22,8 @@ digests (see :mod:`repro.rewriting.store`):
 * ``query_digest``    -- SHA-256 over the sorted canonical forms of the
   UCQ's disjuncts; alpha-renamed / atom-reordered / disjunct-permuted
   variants of a query share one entry.
-* ``budget_digest``   -- the budget's limit fields (``strict`` excluded:
-  it affects error reporting, not the computed UCQ).
+* ``budget_digest``   -- the budget's limit fields (``max_depth``,
+  ``max_cqs``, ``max_seconds``).
 * ``engine_version``  -- :data:`repro.rewriting.engine.ENGINE_VERSION`;
   bumping it invalidates every previously compiled rewriting at once.
 

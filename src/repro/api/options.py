@@ -101,13 +101,14 @@ class EngineOptions:
         semantics cannot drift between commands.  Absent attributes
         fall back to the dataclass defaults, which lets callers reuse
         the adapter with partial namespaces (``lint`` and ``check``
-        define no ``--target``).
+        define no ``--target``, and only the commands that run an
+        answer plan -- answer, batch, trace, serve -- define
+        ``--hybrid``).
         """
         budget = RewritingBudget(
             max_depth=getattr(args, "max_depth", None),
             max_cqs=getattr(args, "max_cqs", 100_000),
             max_seconds=getattr(args, "max_seconds", None),
-            strict=False,
         )
         return cls(
             budget=budget,

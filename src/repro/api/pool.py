@@ -156,13 +156,10 @@ def _thread_task(
                 database, backend=backend, require_complete=require_complete
             )
         plan = prepared.plan(database, backend=backend)
-        if answers is None and require_complete and not plan.exact:
+        if answers is None and require_complete:
             # Compile-only batches still honour require_complete so
             # truncated rewritings surface as per-item errors.
-            raise ReproError(
-                "rewriting incomplete within budget; rerun with "
-                "require_complete=False for a sound approximation"
-            )
+            plan.require_exact()
         return BatchResult(
             index=index,
             query=text,

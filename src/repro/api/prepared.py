@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Any, cast
 
 from repro.data.database import Database
 from repro.data.sql import datalog_to_sql, ucq_to_sql
+from repro.lang.errors import RewritingBudgetExceeded
 from repro.lang.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.lang.terms import Term
 from repro.rewriting.datalog_target import DatalogRewriting
@@ -73,6 +74,21 @@ class AnswerPlan:
     def exact(self) -> bool:
         """True iff the answers are exactly the certain answers."""
         return self.kind != "approximation"
+
+    def require_exact(self) -> None:
+        """Raise unless :attr:`exact`: the one exactness check.
+
+        Raises :class:`~repro.lang.errors.RewritingBudgetExceeded`,
+        carrying the rewriting's counts, when the budget cut it short.
+        """
+        rewriting = self.rewriting
+        if rewriting is not None and not rewriting.complete:
+            raise RewritingBudgetExceeded(
+                "rewriting incomplete within budget; pass "
+                "require_complete=False for a sound approximation",
+                partial_cqs=rewriting.generated,
+                depth_reached=rewriting.depth_reached,
+            )
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -296,8 +312,8 @@ class PreparedQuery:
         ``backend="memory"`` evaluates the UCQ in-process;
         ``backend="sql"`` executes the compiled SQL on the session's
         SQLite backend (only for the session's own data).  With
-        ``require_complete=True`` (default) an incomplete rewriting
-        raises :class:`~repro.lang.errors.RewritingBudgetExceeded`.
+        ``require_complete=True`` (default) a plan that is not exact
+        raises (:meth:`AnswerPlan.require_exact`).
         """
         return self._session._execute(
             self, self.plan(database, backend=backend), require_complete

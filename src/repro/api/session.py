@@ -729,8 +729,8 @@ class Session:
         require_complete: bool,
     ) -> frozenset[tuple[Term, ...]]:
         """Evaluate *plan*: the one place any answer is computed."""
-        if plan.rewriting is not None:
-            FORewritingEngine._check_complete(plan.rewriting, require_complete)
+        if require_complete:
+            plan.require_exact()
         program = plan.rewriting if plan.target == "datalog" else None
         ucq = plan.ucq
         state: _HybridState | None = plan.state

@@ -42,8 +42,9 @@ ontology and budget) skip the rewriting step entirely.
 
 ``answer``, ``trace`` and ``batch`` share one *engine options* group
 (``--max-depth``, ``--max-cqs``, ``--max-seconds``; plus
-``--backend`` where evaluation happens) instead of per-command flag
-spellings.
+``--backend`` where evaluation happens, and ``--hybrid`` where an
+answer plan runs, which ``serve`` also takes) instead of per-command
+flag spellings.
 
 Programs, queries and facts use the textual syntax of
 :mod:`repro.lang.parser`; every input is a file path or ``-`` for
@@ -52,7 +53,9 @@ stdin.
 Exit codes: 0 success; 1 findings (lint/check/audit) / failed batch
 queries;
 2 input error (unreadable file, parse error, ill-formed program);
-3 incomplete rewriting.
+3 incomplete rewriting from ``rewrite``, ``batch`` or ``trace``.
+``answer`` warns about an incomplete rewriting on stderr and exits 0:
+its answers are a sound under-approximation.
 """
 
 from __future__ import annotations
@@ -67,7 +70,6 @@ from repro.api.options import EngineOptions
 from repro.chase.certain import certain_answers, certain_answers_via_chase
 from repro.core.classify import classify
 from repro.data.database import Database
-from repro.data.sql import ucq_to_sql
 from repro.graphs.dot import pnode_graph_to_dot, position_graph_to_dot
 from repro.graphs.pnode_graph import build_pnode_graph
 from repro.graphs.position_graph import build_position_graph
@@ -77,7 +79,6 @@ from repro.lang.printer import format_answers, format_ucq
 from repro.lint.diagnostics import LintReport, Pipeline
 from repro.lint.engine import LINT, LintConfig, lint_source, preflight
 from repro.lint.formats import render, render_text
-from repro.rewriting.rewriter import rewrite
 
 
 def _read(path: str) -> str:
@@ -115,12 +116,14 @@ def _add_engine_options(
     parser: argparse.ArgumentParser,
     backend: bool = False,
     target: bool = False,
+    hybrid: bool = False,
 ) -> None:
     """The budget/backend option group shared by answer/trace/batch.
 
-    (``rewrite`` and ``lint`` reuse the budget subset.)  Keeping one
-    definition guarantees the subcommands never drift apart in flag
-    names, defaults or help text.
+    (``rewrite``, ``lint`` and ``check`` reuse the budget subset;
+    ``--hybrid`` goes only to the commands that run an answer plan.)
+    Keeping one definition guarantees the subcommands never drift
+    apart in flag names, defaults or help text.
     """
     group = parser.add_argument_group(
         "engine options",
@@ -145,15 +148,16 @@ def _add_engine_options(
         default=None,
         help="wall-clock ceiling per rewriting (default: unlimited)",
     )
-    group.add_argument(
-        "--hybrid",
-        choices=("off", "auto", "rewrite", "split", "materialize"),
-        default="off",
-        help="hybrid answering regime: cost-model choice between pure "
-        "rewriting, separability-driven partial materialization "
-        "(split) and full materialization with incremental "
-        "maintenance (default: off)",
-    )
+    if hybrid:
+        group.add_argument(
+            "--hybrid",
+            choices=("off", "auto", "rewrite", "split", "materialize"),
+            default="off",
+            help="hybrid answering regime: cost-model choice between "
+            "pure rewriting, separability-driven partial "
+            "materialization (split) and full materialization with "
+            "incremental maintenance (default: off)",
+        )
     if target:
         group.add_argument(
             "--target",
@@ -237,77 +241,49 @@ def _termination_summary(rules) -> str:
     return "\n".join(lines)
 
 
+def _warn_incomplete(rewriting) -> None:
+    """The one warning for a rewriting the budget cut short."""
+    print(
+        f"warning: rewriting incomplete within budget "
+        f"(depth={rewriting.depth_reached}, cqs={rewriting.generated}); "
+        "output is a sound under-approximation",
+        file=sys.stderr,
+    )
+
+
 def cmd_rewrite(args: argparse.Namespace) -> int:
-    rules, query = _load_program(args, args.query)
-    if getattr(args, "target", "ucq") != "ucq":
-        return _rewrite_with_target(args, rules, query)
-    if args.explain or args.cache_dir is None:
-        # --explain needs derivation lineage, which the persistent
-        # cache does not store; compile directly.
-        result = rewrite(query, rules, EngineOptions.from_args(args).budget)
-    else:
-        from repro.api import Session
-
-        with Session(
-            rules,
-            cache_dir=args.cache_dir,
-            options=EngineOptions.from_args(args),
-        ) as session:
-            result = session.prepare(query).result
-    if not result.complete:
-        print(
-            f"warning: rewriting incomplete within budget "
-            f"(depth={result.depth_reached}, cqs={result.generated}); "
-            "output is a sound under-approximation",
-            file=sys.stderr,
-        )
-    if args.sql:
-        print(ucq_to_sql(result.ucq))
-    elif args.explain:
-        for cq in result.ucq:
-            steps = result.derivation_of(cq)
-            provenance = " <= " + ", ".join(steps) if steps else ""
-            print(f"{cq}.{provenance}")
-    else:
-        print(format_ucq(result.ucq))
-    return 0 if result.complete else 3
-
-
-def _rewrite_with_target(args: argparse.Namespace, rules, query) -> int:
-    """``repro rewrite --target datalog|auto``: session-compiled output.
-
-    Prints the nonrecursive-Datalog program (or, with ``--sql``, its
-    ``WITH``-CTE compilation) when the Datalog target is selected;
-    ``auto`` resolving to ucq falls back to the classical UCQ output.
-    ``--explain`` prints the compilation summary dict either way
-    (per-disjunct lineage exists only for the direct UCQ path).
-    """
     import json as _json
 
     from repro.api import Session
 
+    rules, query = _load_program(args, args.query)
+    # UCQ --explain prints each disjunct's derivation; lineage exists
+    # only on a fresh compile, so that session opens without the cache.
+    lineage = args.explain and args.target == "ucq"
     with Session(
         rules,
-        cache_dir=args.cache_dir,
+        cache_dir=None if lineage else args.cache_dir,
         options=EngineOptions.from_args(args),
     ) as session:
         prepared = session.prepare(query)
-        complete = prepared.plan().exact
-        if not complete:
-            print(
-                "warning: rewriting incomplete within budget; "
-                "output is a sound under-approximation",
-                file=sys.stderr,
-            )
-        if args.explain:
+        plan = prepared.plan()
+        if not plan.exact:
+            _warn_incomplete(plan.rewriting)
+        if args.explain and not lineage:
             print(_json.dumps(prepared.explain(), indent=2, sort_keys=True))
         elif args.sql:
             print(prepared.sql)
-        elif prepared.target_selected == "datalog":
+        elif lineage:
+            result = prepared.result
+            for cq in result.ucq:
+                steps = result.derivation_of(cq)
+                provenance = " <= " + ", ".join(steps) if steps else ""
+                print(f"{cq}.{provenance}")
+        elif plan.target == "datalog":
             print(str(prepared.datalog))
         else:
             print(format_ucq(prepared.ucq))
-        return 0 if complete else 3
+    return 0 if plan.exact else 3
 
 
 def cmd_answer(args: argparse.Namespace) -> int:
@@ -328,12 +304,9 @@ def cmd_answer(args: argparse.Namespace) -> int:
             answers = prepared.answer(
                 backend=args.backend, require_complete=False
             )
-            if not prepared.plan(backend=args.backend).exact:
-                print(
-                    "warning: rewriting incomplete; answers are a sound "
-                    "under-approximation",
-                    file=sys.stderr,
-                )
+            plan = prepared.plan(backend=args.backend)
+            if not plan.exact:
+                _warn_incomplete(plan.rewriting)
     if query.is_boolean():
         print("true" if answers else "false")
     else:
@@ -477,7 +450,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.rewriting.datalog_target import DatalogRewriting
 
     tree = TreeSink()
-    complete = True
     summary: list[str] = []
     with obs.use(tree):
         with obs.span("trace", program=args.program) as trace_span:
@@ -555,11 +527,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     print()
     print("\n".join(summary))
     if not complete:
-        print(
-            "warning: rewriting incomplete within budget; "
-            "trace shows the partial run",
-            file=sys.stderr,
-        )
+        _warn_incomplete(rewriting)
         return 3
     return 0
 
@@ -753,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the chase oracle instead of rewriting",
     )
-    _add_engine_options(p_answer, backend=True, target=True)
+    _add_engine_options(p_answer, backend=True, target=True, hybrid=True)
     p_answer.set_defaults(func=cmd_answer)
 
     p_batch = sub.add_parser(
@@ -795,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit one JSON object per query instead of text lines",
     )
-    _add_engine_options(p_batch, backend=True, target=True)
+    _add_engine_options(p_batch, backend=True, target=True, hybrid=True)
     p_batch.set_defaults(func=cmd_batch)
 
     p_graph = sub.add_parser(
@@ -830,7 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fact file: also trace in-memory, SQL and chase answering "
         "plus their differential comparison",
     )
-    _add_engine_options(p_trace, target=True)
+    _add_engine_options(p_trace, target=True, hybrid=True)
     p_trace.set_defaults(func=cmd_trace)
 
     p_serve = sub.add_parser(
@@ -890,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="default",
         help="name of the initial tenant (default: 'default')",
     )
-    _add_engine_options(p_serve, target=True)
+    _add_engine_options(p_serve, target=True, hybrid=True)
     p_serve.set_defaults(func=cmd_serve)
 
     p_lint = sub.add_parser(

@@ -248,7 +248,7 @@ class SQLiteBackend:
         stored facts."""
         with self._lock:
             for atom in atoms:
-                if atom.relation not in self._signature.relations():
+                if atom.relation not in self._signature:
                     self._signature.declare(atom.relation, atom.arity)
                     self._create_relation(atom.relation, atom.arity)
 
@@ -305,7 +305,7 @@ class SQLiteBackend:
             connection = self._conn()
             count = 0
             for fact in facts:
-                if fact.relation not in self._signature.relations():
+                if fact.relation not in self._signature:
                     continue
                 conditions = " AND ".join(
                     f"c{i} = ?" for i in range(1, len(fact.terms) + 1)

@@ -68,7 +68,8 @@ class SafetyError(ReproError):
 
 
 class RewritingBudgetExceeded(ReproError):
-    """Raised when the UCQ rewriting engine exhausts its budget.
+    """Raised when an answer must be exact but the budget cut its
+    rewriting short (:meth:`repro.api.AnswerPlan.require_exact`).
 
     FO-rewritability of an arbitrary TGD set is undecidable, so the
     rewriter accepts explicit budgets (maximum resolution depth and

@@ -532,8 +532,8 @@ def pass_pnode_graph_recursion(ctx: LintContext) -> Iterator[Diagnostic]:
         span=span,
         rule=rule,
         hint=(
-            "answer via the chase instead, or run rewrite with a strict "
-            "budget"
+            "answer via the chase instead, or run rewrite with a tight "
+            "budget (--max-depth, --max-seconds)"
         ),
         notes=notes,
     )
@@ -633,7 +633,7 @@ def pass_no_fo_guarantee(ctx: LintContext) -> Iterator[Diagnostic]:
             "and every baseline class; rewrite may not terminate"
         ),
         hint=(
-            "run rewrite with a strict RewritingBudget, or answer via "
-            "the chase"
+            "run rewrite with a tight budget (--max-depth, "
+            "--max-seconds), or answer via the chase"
         ),
     )

@@ -4,13 +4,15 @@ Deciding FO-rewritability of an arbitrary TGD set is undecidable
 (Section 2 of the paper, citing Beeri–Vardi), so the rewriter is a
 semi-decision procedure: it terminates on well-behaved inputs (SWR, WR
 and the classes they subsume) and must be bounded on everything else.
-A :class:`RewritingBudget` caps both the resolution depth (number of
-breadth-first rewriting rounds) and the total number of generated CQs.
+A :class:`RewritingBudget` caps the resolution depth (number of
+breadth-first rewriting rounds), the number of generated CQs and the
+wall-clock time; a run it cuts short returns its sound partial
+rewriting with ``complete=False``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 
 @dataclass(frozen=True)
@@ -27,18 +29,23 @@ class RewritingBudget:
             time -- a diverging rewriting whose CQs keep growing can
             burn minutes well under ``max_cqs`` -- so time-sensitive
             callers (probes, tests, interactive tools) should set this.
-        strict: when True, exceeding a limit raises
-            :class:`~repro.lang.errors.RewritingBudgetExceeded`; when
-            False the partial (sound but possibly incomplete) rewriting
-            is returned with ``complete=False``.
+
+    The constructor also takes ``strict``, which is not a field: False
+    is accepted because ``benchmarks/e2e/make_pool.py`` still passes
+    it, and True raises :class:`TypeError` -- exactness is decided
+    when answering (``require_complete``, ``AnswerPlan.exact``).
     """
 
     max_depth: int | None = None
     max_cqs: int = 100_000
     max_seconds: float | None = None
-    strict: bool = False
+    strict: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, strict: bool) -> None:
+        if strict:
+            raise TypeError(
+                "strict=True is removed; use require_complete=True"
+            )
         if self.max_depth is not None and self.max_depth < 0:
             raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
         if self.max_cqs < 1:
@@ -51,9 +58,9 @@ class RewritingBudget:
     @classmethod
     def default(cls) -> "RewritingBudget":
         """A budget generous enough for every workload in this repo."""
-        return cls(max_depth=None, max_cqs=100_000, strict=False)
+        return cls(max_depth=None, max_cqs=100_000)
 
     @classmethod
     def shallow(cls, depth: int) -> "RewritingBudget":
         """A depth-capped budget for approximation experiments."""
-        return cls(max_depth=depth, max_cqs=100_000, strict=False)
+        return cls(max_depth=depth, max_cqs=100_000)

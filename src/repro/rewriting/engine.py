@@ -18,7 +18,6 @@ import threading
 from typing import NamedTuple, Protocol, Sequence
 
 from repro import obs
-from repro.lang.errors import RewritingBudgetExceeded
 from repro.lang.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.lang.tgd import TGD
 from repro.rewriting.budget import RewritingBudget
@@ -301,13 +300,3 @@ class FORewritingEngine:
         if self._persistent is not None:
             self._persistent.put(ucq, target, result)
         return result
-
-    @staticmethod
-    def _check_complete(result: Compiled, require_complete: bool) -> None:
-        if require_complete and not result.complete:
-            raise RewritingBudgetExceeded(
-                "rewriting incomplete within budget; pass "
-                "require_complete=False for a sound approximation",
-                partial_cqs=result.generated,
-                depth_reached=result.depth_reached,
-            )

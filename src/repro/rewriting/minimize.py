@@ -24,9 +24,6 @@ from repro import obs
 from repro.lang.queries import ConjunctiveQuery
 from repro.rewriting.subsume import (
     SubsumptionKernel,
-    _Frozen,
-    freeze_body,
-    freeze_term,
     kernel_remove_subsumed,
     shared_is_subsumed,
 )
@@ -37,11 +34,6 @@ __all__ = [
     "minimize_cq",
     "remove_subsumed",
 ]
-
-# Backwards-compatible aliases for the pre-kernel private helpers.
-_freeze_term = freeze_term
-_freeze_body = freeze_body
-assert _Frozen is not None  # re-exported for existing callers
 
 
 def is_subsumed(subsumee: ConjunctiveQuery, subsumer: ConjunctiveQuery) -> bool:

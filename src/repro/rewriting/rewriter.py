@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro import obs
-from repro.lang.errors import RewritingBudgetExceeded
 from repro.lang.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.lang.tgd import TGD
 from repro.rewriting.budget import RewritingBudget
@@ -131,8 +130,8 @@ def rewrite(
 ) -> RewritingResult:
     """Compute the UCQ rewriting of *query* with respect to *rules*.
 
-    Raises :class:`RewritingBudgetExceeded` only when ``budget.strict``;
-    otherwise budget exhaustion is reported via ``complete=False``.
+    Budget exhaustion is reported via ``complete=False``: the partial
+    rewriting is sound but may miss answers.
 
     The ablation switches exist for the ablation benches and should
     stay at their defaults in normal use.  Redundancy elimination
@@ -211,13 +210,6 @@ def rewrite(
         obs.count("rewrite.cqs_generated", len(seen))
         obs.count("rewrite.cqs_explored", explored)
         span.set(complete=complete, depth=depth, generated=len(seen))
-
-        if not complete and budget.strict:
-            raise RewritingBudgetExceeded(
-                f"rewriting exceeded budget (depth={depth}, cqs={len(seen)})",
-                partial_cqs=len(seen),
-                depth_reached=depth,
-            )
 
         with obs.span("rewrite.finalize", kept=len(kept)) as fin:
             final = [

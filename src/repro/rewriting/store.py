@@ -64,11 +64,7 @@ def ontology_digest(rules) -> str:
 
 
 def budget_digest(budget) -> str:
-    """A content hash of the rewriting budget's limit fields.
-
-    ``strict`` is excluded: it changes how budget exhaustion is
-    *reported*, never which UCQ a completed run produces.
-    """
+    """A content hash of the rewriting budget's three limit fields."""
     return _sha256(
         [
             f"max_depth={budget.max_depth}",

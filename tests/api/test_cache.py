@@ -77,7 +77,7 @@ class TestInvalidation:
             rules,
             tmp_path,
             options=EngineOptions(
-                budget=RewritingBudget(max_depth=7, strict=False)
+                budget=RewritingBudget(max_depth=7)
             ),
         )
         assert trace.counter("engine.disk_hits") == 0

@@ -57,7 +57,7 @@ class TestWithDeadline:
 
     def test_never_loosens(self):
         tight = EngineOptions(
-            budget=RewritingBudget(max_seconds=0.5, strict=False)
+            budget=RewritingBudget(max_seconds=0.5)
         )
         assert tight.with_deadline(10.0) is tight
 
@@ -72,7 +72,7 @@ class TestFromArgs:
         )
         options = EngineOptions.from_args(args)
         assert options.budget == RewritingBudget(
-            max_depth=7, max_cqs=500, max_seconds=1.5, strict=False
+            max_depth=7, max_cqs=500, max_seconds=1.5
         )
         assert options.target == "datalog"
 
@@ -99,7 +99,7 @@ class TestFromArgs:
 
         args = build_parser().parse_args(argv)
         assert EngineOptions.from_args(args).budget == RewritingBudget(
-            max_depth=50, max_cqs=100_000, max_seconds=None, strict=False
+            max_depth=50, max_cqs=100_000, max_seconds=None
         )
 
 

@@ -21,6 +21,7 @@ import repro.audit.engine
 import repro.chase
 import repro.checkers
 import repro.checkers.passes
+import repro.cli
 import repro.hybrid.maintain
 import repro.lint
 import repro.lint.engine
@@ -31,6 +32,7 @@ from repro.api import EngineOptions
 from repro.cli import main
 from repro.data.database import Database
 from repro.lang.parser import parse_database, parse_program
+from repro.rewriting.budget import RewritingBudget
 from repro.serve import TenantRegistry
 
 PROGRAM = "R1: professor(X) -> teaches(X, Y)."
@@ -212,6 +214,17 @@ class TestDeprecatedShims:
         assert "supported_relations" in repro.checkers.__all__
         for name in ("sql_for", "_preflight"):
             assert not hasattr(repro.FORewritingEngine, name), name
+
+    def test_strict_budget_stays_removed(self):
+        # The answer plan alone decides and reports exactness: no
+        # budget raises from inside rewrite(), the engine only
+        # compiles, and `repro rewrite` takes the one Session path.
+        with pytest.raises(TypeError):
+            RewritingBudget(strict=True)
+        fields = [field.name for field in dataclasses.fields(RewritingBudget)]
+        assert fields == ["max_depth", "max_cqs", "max_seconds"]
+        assert not hasattr(repro.FORewritingEngine, "_check_complete")
+        assert not hasattr(repro.cli, "_rewrite_with_target")
 
     def test_session_itself_never_warns(self):
         rules = parse_program(PROGRAM)

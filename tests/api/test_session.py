@@ -160,6 +160,21 @@ class TestAnswerMany:
         assert not results[1].ok
         assert results[1].error
 
+    def test_incomplete_query_fails_alike_with_and_without_data(self):
+        # Compile-only and answering batches refuse a budget-cut
+        # rewriting through the same check, with the same message.
+        rules = parse_program("a(X) -> b(X). b(X) -> c(X). c(X) -> d(X).")
+        options = EngineOptions(budget=RewritingBudget(max_depth=1))
+        query = "q(X) :- d(X)"
+        with Session(rules, options=options) as compile_only:
+            [without_data] = compile_only.answer_all([query])
+        data = Database(parse_database("a(v). d(w)."))
+        with Session(rules, data, options=options) as answering:
+            [with_data] = answering.answer_all([query])
+        assert without_data.error is not None
+        assert "require_complete=False" in without_data.error
+        assert with_data.error == without_data.error
+
     def test_process_pool_matches_thread_pool(self, tmp_path):
         rules, queries, database = _workload()
         queries = queries[:8]

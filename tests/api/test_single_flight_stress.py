@@ -15,11 +15,11 @@ import time
 
 import pytest
 
+import repro.rewriting.engine
 from repro import obs
 from repro.api import EngineOptions, Session
 from repro.lang.errors import RewritingBudgetExceeded
 from repro.lang.parser import parse_program, parse_ucq
-from repro.rewriting.budget import RewritingBudget
 
 PROGRAM = (
     "R1: professor(X) -> teaches(X, Y). "
@@ -90,17 +90,21 @@ class TestEngineSingleFlight:
         assert trace.counter("engine.cache_hits") == 2 * THREADS - 2
 
     @pytest.mark.parametrize("target", ["ucq", "datalog"])
-    def test_failed_compilation_never_strands_waiters(self, rules, target):
-        # A strict budget makes every compilation raise.  The failure
-        # wakes the waiters; each then finds no entry, compiles itself
-        # and raises too, so every thread misses once and none hangs.
-        strict = EngineOptions(
-            budget=RewritingBudget(max_cqs=1, strict=True)
-        )
+    def test_failed_compilation_never_strands_waiters(
+        self, rules, target, monkeypatch
+    ):
+        # Every compilation raises.  The failure wakes the waiters;
+        # each then finds no entry, compiles itself and raises too, so
+        # every thread misses once and none hangs.
+        def failing(*args, **kwargs):
+            raise RewritingBudgetExceeded("compilation failed")
+
+        monkeypatch.setattr(repro.rewriting.engine, "rewrite", failing)
+        monkeypatch.setattr(repro.rewriting.engine, "rewrite_datalog", failing)
         ucq = parse_ucq(QUERY)
         barrier = threading.Barrier(THREADS)
         raised = []
-        with Session(rules, options=strict) as session:
+        with Session(rules) as session:
             engine = session.engine
 
             def runner():

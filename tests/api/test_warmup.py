@@ -53,7 +53,7 @@ class TestWarmUp:
         with Session(other, cache_dir=tmp_path) as foreign:
             foreign.prepare("q(X) :- b(X)").result
         tight = EngineOptions(
-            budget=RewritingBudget(max_depth=3, strict=False)
+            budget=RewritingBudget(max_depth=3)
         )
         with Session(rules, cache_dir=tmp_path, options=tight) as budgeted:
             budgeted.prepare(Q1).result

@@ -69,7 +69,7 @@ class TestCyclic:
         estimate = estimate_disjunct_bound(
             parse_query("q(X) :- p(X)"),
             self.RULES,
-            budget=RewritingBudget(max_depth=7, max_cqs=10, strict=False),
+            budget=RewritingBudget(max_depth=7, max_cqs=10),
         )
         assert estimate.cyclic
         assert estimate.depth == 7
@@ -79,7 +79,7 @@ class TestCyclic:
         estimate = estimate_disjunct_bound(
             parse_query("q(X) :- p(X)"),
             self.RULES,
-            budget=RewritingBudget(max_depth=None, max_cqs=10, strict=False),
+            budget=RewritingBudget(max_depth=None, max_cqs=10),
             default_depth=4,
         )
         assert estimate.depth == 4
@@ -99,7 +99,7 @@ class TestCapAndRendering:
         estimate = estimate_disjunct_bound(
             parse_query("q(X) :- p(X), p(Y), p(Z)"),
             list(wide) + list(parse_program("loop: p(X) -> a1(X).")),
-            budget=RewritingBudget(max_depth=50, max_cqs=10, strict=False),
+            budget=RewritingBudget(max_depth=50, max_cqs=10),
         )
         assert estimate.capped
         assert estimate.bound == ESTIMATE_CAP

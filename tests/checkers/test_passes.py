@@ -204,7 +204,7 @@ class TestEstimatePass:
     def test_rl105_fires_when_bound_exceeds_budget(self):
         report = check_project(
             build(self.ONTOLOGY, queries="q(X) :- p(X).\n"),
-            CheckConfig(budget=RewritingBudget(max_depth=50, max_cqs=10, strict=False)),
+            CheckConfig(budget=RewritingBudget(max_depth=50, max_cqs=10)),
         )
         (blowup,) = findings(report, "RL105")
         assert "q" in blowup.message
@@ -213,7 +213,7 @@ class TestEstimatePass:
     def test_rl105_recommends_the_datalog_target(self):
         report = check_project(
             build(self.ONTOLOGY, queries="q(X) :- p(X).\n"),
-            CheckConfig(budget=RewritingBudget(max_depth=50, max_cqs=10, strict=False)),
+            CheckConfig(budget=RewritingBudget(max_depth=50, max_cqs=10)),
         )
         (blowup,) = findings(report, "RL105")
         # The remediation note names the second rewriting target: a
@@ -225,7 +225,7 @@ class TestEstimatePass:
         report = check_project(
             build(self.ONTOLOGY, queries="q(X) :- p(X).\n"),
             CheckConfig(
-                budget=RewritingBudget(max_depth=50, max_cqs=100_000, strict=False)
+                budget=RewritingBudget(max_depth=50, max_cqs=100_000)
             ),
         )
         assert not findings(report, "RL105")

@@ -55,7 +55,7 @@ class TestSessionCheck:
         assert "RL100" not in codes
 
     def test_session_budget_is_the_default_estimate_budget(self):
-        budget = RewritingBudget(max_depth=50, max_cqs=5, strict=False)
+        budget = RewritingBudget(max_depth=50, max_cqs=5)
         with Session(FANOUT, options=EngineOptions(budget=budget)) as session:
             report = session.check(queries=["q(X) :- p(X)"])
         assert any(d.code == "RL105" for d in report.diagnostics)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.lang.errors import RewritingBudgetExceeded
 from repro.lang.parser import parse_program, parse_query, parse_ucq
 from repro.rewriting.budget import RewritingBudget
 from repro.rewriting.rewriter import rewrite
@@ -99,14 +98,6 @@ class TestBudgets:
         )
         assert not result.complete
         assert result.size == 1
-
-    def test_strict_budget_raises(self):
-        with pytest.raises(RewritingBudgetExceeded):
-            rewrite(
-                EXAMPLE2_QUERY,
-                example2(),
-                RewritingBudget(max_depth=3, strict=True),
-            )
 
     def test_max_cqs_budget(self, hierarchy_rules):
         result = rewrite(

@@ -8,15 +8,22 @@ its entries are addressed by the content digests of
 
 import dataclasses
 
+import pytest
+
 from repro import obs
 from repro.api import CacheKey, EngineOptions, RewritingCache, Session
 from repro.api.cache import DEFAULT_CACHE_FILENAME
 from repro.data.database import Database
 from repro.data.evaluation import evaluate_ucq
+from repro.lang.errors import RewritingBudgetExceeded
 from repro.lang.parser import parse_database, parse_query
 from repro.rewriting.budget import RewritingBudget
 from repro.rewriting.rewriter import rewrite
-from repro.rewriting.store import decode_rewriting, encode_rewriting
+from repro.rewriting.store import (
+    budget_digest,
+    decode_rewriting,
+    encode_rewriting,
+)
 from repro.workloads.ontologies import (
     university_data,
     university_ontology,
@@ -60,6 +67,14 @@ class TestStoreBasics:
             assert cache.get(key, decode_rewriting).complete
 
 
+    def test_default_budget_digest_is_stable(self):
+        # Part of every cache key: a changed value orphans every cache
+        # written before it.
+        assert budget_digest(RewritingBudget.default()) == (
+            "5a1fcbcb0381dbdc215d14fb742a3a55b57d1e4f0d59f5246b8e603866e172ad"
+        )
+
+
 class TestPersistence:
     def test_roundtrip(self, tmp_path, hierarchy_rules):
         queries = [parse_query("q(X) :- d(X)"), parse_query("p(X) :- c(X)")]
@@ -98,16 +113,32 @@ class TestPersistence:
         from repro.workloads.paper import EXAMPLE2_QUERY, example2
 
         options = EngineOptions(
-            budget=RewritingBudget(max_depth=3, strict=False)
+            budget=RewritingBudget(max_depth=3)
         )
+        database = Database(parse_database("t(b, a). r(b, e)."))
         with Session(example2(), cache_dir=tmp_path, options=options) as build:
-            assert not build.prepare(EXAMPLE2_QUERY).result.complete
+            fresh = build.prepare(EXAMPLE2_QUERY)
+            assert not fresh.result.complete
+            with pytest.raises(RewritingBudgetExceeded) as fresh_error:
+                fresh.answer(database)
         with obs.capture() as trace:
             with Session(
                 example2(), cache_dir=tmp_path, options=options
             ) as deployed:
-                assert not deployed.prepare(EXAMPLE2_QUERY).result.complete
+                served = deployed.prepare(EXAMPLE2_QUERY)
+                assert not served.result.complete
+                # A disk-served approximation is reported and refused
+                # exactly like a fresh one.
+                assert served.plan().exact is False
+                with pytest.raises(RewritingBudgetExceeded) as served_error:
+                    served.answer(database)
         assert trace.counter("engine.disk_hits") == 1
+        assert trace.spans("engine.rewrite") == []
+        fresh_exc, served_exc = fresh_error.value, served_error.value
+        assert str(served_exc) == str(fresh_exc)
+        assert served_exc.depth_reached == fresh_exc.depth_reached == 3
+        assert served_exc.partial_cqs == fresh_exc.partial_cqs
+        assert fresh_exc.partial_cqs == fresh.result.generated
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / DEFAULT_CACHE_FILENAME

@@ -222,7 +222,7 @@ class TestAdmission:
         tight = ServeConfig(
             deadline_seconds=9.0,
             options=EngineOptions(
-                budget=RewritingBudget(max_seconds=0.5, strict=False)
+                budget=RewritingBudget(max_seconds=0.5)
             ),
         )
         assert tight.effective_options().budget.max_seconds == 0.5

@@ -114,7 +114,7 @@ class TestEviction:
         # The residual rewriting has 3 disjuncts; the cap only bounds
         # the full ontology's unbounded one, should anything compile it.
         options = EngineOptions(
-            hybrid="split", budget=RewritingBudget(max_cqs=200, strict=False)
+            hybrid="split", budget=RewritingBudget(max_cqs=200)
         )
         with TenantRegistry(cache_dir=tmp_path, options=options) as registry:
             registry.register("a", rules, data)

@@ -120,6 +120,26 @@ class TestAnswer:
         assert "incomplete" not in captured.err
 
 
+class TestHybridFlag:
+    @pytest.mark.parametrize("command", ["rewrite", "lint", "check"])
+    def test_rejected_where_no_plan_runs(
+        self, command, program_file, tmp_path, capsys
+    ):
+        # These commands answer nothing, so a hybrid regime could only
+        # be ignored: the flag is not theirs to accept.
+        manifest = tmp_path / "project.json"
+        manifest.write_text('{"ontology": "prog.dlp"}')
+        argv = {
+            "rewrite": ["rewrite", program_file, "q(X) :- c(X)"],
+            "lint": ["lint", program_file],
+            "check": ["check", str(manifest)],
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--hybrid", "materialize"])
+        assert exit_info.value.code == 2
+        assert "--hybrid" in capsys.readouterr().err
+
+
 class TestGraph:
     def test_position_summary(self, program_file, capsys):
         assert main(["graph", program_file, "position"]) == 0
