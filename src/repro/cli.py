@@ -53,9 +53,11 @@ stdin.
 Exit codes: 0 success; 1 findings (lint/check/audit) / failed batch
 queries;
 2 input error (unreadable file, parse error, ill-formed program);
-3 incomplete rewriting from ``rewrite``, ``batch`` or ``trace``.
-``answer`` warns about an incomplete rewriting on stderr and exits 0:
-its answers are a sound under-approximation.
+3 incomplete rewriting from ``rewrite`` or ``batch``, and from
+``trace`` only when the answer plan it ran is an approximation (a
+hybrid regime's chase plan is exact however the full rewriting ended).
+``answer`` warns about an inexact plan on stderr and exits 0: its
+answers are a sound under-approximation.
 """
 
 from __future__ import annotations
@@ -499,6 +501,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
                     f"rewriting: {shape}, depth {rewriting.depth_reached}, "
                     f"complete={rewriting.complete}"
                 )
+                plan = prepared.plan()
+                summary.append(f"plan:      {plan.kind}")
                 summary.append(f"sql:       {len(prepared.sql)} chars")
                 if database is not None:
                     answers = prepared.answer(require_complete=False)
@@ -509,7 +513,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                         query, rules, database, strict=False
                     )
                     agree = answers == sql_answers
-                    if complete and chase.complete:
+                    if plan.exact and chase.complete:
                         agree = agree and answers == chase.answers
                     obs.event(
                         "trace.differential",
@@ -526,8 +530,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     print(tree.render())
     print()
     print("\n".join(summary))
-    if not complete:
-        _warn_incomplete(rewriting)
+    if not plan.exact:
+        _warn_incomplete(plan.rewriting)
         return 3
     return 0
 

@@ -55,23 +55,57 @@ whose answer is already known, and asks the remaining steps only for
 the first completion.  A disjunct with an atom over a relation that
 holds no rows has no answer, so it is skipped before its plan compiles;
 that holds on any instance, mutated or not.
+
+:func:`evaluate_nonrecursive` answers a nonrecursive Datalog program
+with the same kernel: each rule runs once, in dependency order, as the
+CQ of each of its head atoms, over a read-only view that lays the
+derived relations over the database -- no copy and no fixpoint.
 """
 
 from __future__ import annotations
 
+from collections import ChainMap
+from graphlib import CycleError, TopologicalSorter
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import (
+    Callable,
+    Collection,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Protocol,
+    Sequence,
+)
 
 from repro import obs
 from repro.data.database import Database
 from repro.lang.atoms import Atom
 from repro.lang.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.lang.terms import Null, Term, Variable
+from repro.lang.tgd import TGD
 
 Binding = dict[Variable, Term]
 
 #: Reads a tuple of values off a row or off the slots.
 Getter = Callable[[Sequence[Term]], tuple[Term, ...]]
+
+
+class Instance(Protocol):
+    """The four reads the join kernel makes of an instance: a
+    :class:`Database`, or the view :func:`evaluate_nonrecursive` lays
+    over one."""
+
+    @property
+    def signature(self) -> Mapping[str, int]: ...
+
+    def count(self, relation: str) -> int: ...
+
+    def rows(self, relation: str) -> Collection[tuple[Term, ...]]: ...
+
+    def lookup(
+        self, relation: str, position: int, term: Term
+    ) -> Sequence[tuple[Term, ...]]: ...
 
 
 class _Step(NamedTuple):
@@ -121,7 +155,7 @@ class JoinPlan:
     def __init__(
         self,
         atoms: Sequence[Atom],
-        database: Database,
+        database: Instance,
         bound: Iterable[Variable] = (),
         anchor: int | None = None,
     ):
@@ -186,7 +220,7 @@ class JoinPlan:
 
 def _greedy_order(
     atoms: Sequence[Atom],
-    database: Database,
+    database: Instance,
     bound: Iterable[Variable],
     anchor: int | None,
 ) -> Sequence[int]:
@@ -265,7 +299,7 @@ def _compile_step(
 
 def _matches(
     steps: Sequence[_Step],
-    database: Database,
+    database: Instance,
     slots: list,
     first_rows: Iterable[tuple[Term, ...]] | None = None,
 ) -> Iterator[list]:
@@ -311,7 +345,7 @@ def _matches(
             level -= 1
 
 
-def _open(step: _Step, database: Database, slots: list):
+def _open(step: _Step, database: Instance, slots: list):
     """The candidate rows of *step* under *slots*, and its expected values."""
     if step.position:
         rows = database.lookup(step.relation, step.position, slots[step.source])
@@ -357,7 +391,7 @@ def evaluate_ucq(
 
 def _collect(
     query: ConjunctiveQuery,
-    database: Database,
+    database: Instance,
     certain: bool,
     answers: set[tuple[Term, ...]],
 ) -> None:
@@ -391,6 +425,98 @@ def _collect(
             else:
                 continue
         answers.add(row)
+
+
+def evaluate_nonrecursive(
+    rules: Sequence[TGD], database: Database, goal: str
+) -> frozenset[tuple[Term, ...]]:
+    """The rows a nonrecursive program of full TGDs derives for *goal*.
+
+    One pass, no fixpoint: each rule runs once, after every rule that
+    defines a relation its body reads, and each of its head atoms
+    collects the answers of the body as a CQ through :func:`_collect`
+    (one plan, one witness per head tuple, the empty-relation skip).
+    The head relations are the derived ones.  Each collects into a row
+    set of this call, empty before any rule runs, so it hides a base
+    relation of the same name; *goal* derives nothing when no rule
+    defines it.  Base relations are read from *database* itself, which
+    is neither copied nor changed.  Tuples with labeled nulls are kept.
+
+    Raises :class:`ValueError`, naming a cycle's predicates, when the
+    program is recursive.
+    """
+    graph: dict[str, set[str]] = {}
+    for rule in rules:
+        for head in rule.head:
+            graph.setdefault(head.relation, set()).update(
+                atom.relation for atom in rule.body
+            )
+    order = TopologicalSorter(graph).static_order()
+    try:
+        position = {relation: index for index, relation in enumerate(order)}
+    except CycleError as error:
+        cycle = " -> ".join(error.args[1])
+        raise ValueError(f"recursive program: {cycle}") from None
+    derived: dict[str, set[tuple[Term, ...]]] = {r: set() for r in graph}
+    arities = {head.relation: head.arity for rule in rules for head in rule.head}
+    view = _ProgramView(database, derived, arities)
+    # Every head of a rule comes after each relation its body reads,
+    # and each rule defining that relation has a head no later: sorted
+    # by their earliest heads, the rules run in dependency order.
+    for rule in sorted(
+        rules, key=lambda rule: min(position[h.relation] for h in rule.head)
+    ):
+        for head in rule.head:
+            query = ConjunctiveQuery(head.terms, rule.body)
+            _collect(query, view, False, derived[head.relation])
+    return frozenset(derived.get(goal, ()))
+
+
+class _ProgramView:
+    """*base* with the derived relations of one program run laid over
+    it, read-only: the :class:`Instance` of
+    :func:`evaluate_nonrecursive`.
+
+    A derived relation's rows are the run's own set, complete before
+    any rule reads them, and get a (relation, position) index of the
+    run on their first probe.  Every other read goes to *base*.
+    """
+
+    __slots__ = ("signature", "_base", "_derived", "_indexes")
+
+    def __init__(
+        self,
+        base: Database,
+        derived: dict[str, set[tuple[Term, ...]]],
+        arities: dict[str, int],
+    ):
+        self.signature: Mapping[str, int] = ChainMap(arities, base.signature)
+        self._base = base
+        self._derived = derived
+        self._indexes: dict[
+            tuple[str, int], dict[Term, list[tuple[Term, ...]]]
+        ] = {}
+
+    def count(self, relation: str) -> int:
+        rows = self._derived.get(relation)
+        return self._base.count(relation) if rows is None else len(rows)
+
+    def rows(self, relation: str) -> Collection[tuple[Term, ...]]:
+        rows = self._derived.get(relation)
+        return self._base.rows(relation) if rows is None else rows
+
+    def lookup(
+        self, relation: str, position: int, term: Term
+    ) -> Sequence[tuple[Term, ...]]:
+        rows = self._derived.get(relation)
+        if rows is None:
+            return self._base.lookup(relation, position, term)
+        index = self._indexes.get((relation, position))
+        if index is None:
+            index = self._indexes[relation, position] = {}
+            for row in rows:
+                index.setdefault(row[position - 1], []).append(row)
+        return index.get(term, ())
 
 
 def holds(query: ConjunctiveQuery, database: Database) -> bool:

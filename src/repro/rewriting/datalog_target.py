@@ -30,11 +30,15 @@ their full UCQ rewriting, emitted as direct goal rules, so the target
 is sound and complete on every input and polynomial precisely on the
 blowup families (per-atom cartesian products) the estimator flags.
 
-The emitted program is stratified by construction (goal rules read
+The emitted program is nonrecursive by construction (goal rules read
 auxiliary predicates, auxiliary rules read only base relations), so
-:class:`repro.data.datalog.DatalogProgram` evaluates it bottom-up and
+:func:`repro.data.evaluation.evaluate_nonrecursive` answers it in
+memory in one pass -- each rule once, in dependency order, through the
+UCQ join kernel, with no copy of the data and no fixpoint -- and
 :func:`repro.data.sql.datalog_to_sql` compiles it to a ``WITH`` query
 (one CTE per auxiliary predicate, ``UNION ALL`` over the goal rules).
+On both paths the auxiliary and goal relations hide data relations of
+the same name.
 
 Determinism: auxiliary predicates are numbered in sorted pattern
 order, every rule body is put into the canonical atom order of
@@ -51,7 +55,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 from repro import obs
 from repro.data.database import Database
-from repro.data.datalog import DatalogProgram
+from repro.data.evaluation import evaluate_nonrecursive
 from repro.lang.atoms import Atom
 from repro.lang.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.lang.substitution import Substitution
@@ -138,23 +142,21 @@ class DatalogRewriting:
                     seen.setdefault(atom)
         return tuple(seen)
 
-    def program(self) -> DatalogProgram:
-        """The program as an evaluable :class:`DatalogProgram`."""
-        return DatalogProgram(self.rules)
-
     def answer(self, database: Database) -> frozenset[Tuple[Term, ...]]:
-        """Certain answers over *database* via bottom-up evaluation.
+        """Certain answers over *database*: the goal's derived rows.
 
-        The auxiliary/goal names are fresh w.r.t. the ontology and the
-        query, so the fixpoint's goal facts are exactly the derived
-        answer tuples.
+        One pass over the data: each rule runs once, in dependency
+        order, through the in-memory join kernel
+        (:func:`~repro.data.evaluation.evaluate_nonrecursive`).  Nothing
+        is copied and *database* is left unchanged.  The auxiliary and
+        goal relations are the program's own, so a data relation that
+        shares one of their names is hidden, not read.
         """
         with obs.span(
             "datalog_target.answer", rules=self.size, goal=self.goal
         ) as span:
-            result = self.program().materialize(database)
-            answers = frozenset(result.instance.rows(self.goal))
-            span.set(answers=len(answers), rounds=result.rounds)
+            answers = evaluate_nonrecursive(self.rules, database, self.goal)
+            span.set(answers=len(answers))
         return answers
 
     def to_sql(self) -> str:

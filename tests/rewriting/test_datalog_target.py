@@ -2,10 +2,16 @@
 
 import itertools
 
+import repro.chase.chase
+import repro.data.datalog
+import repro.data.saturate
+import repro.hybrid.maintain
+from repro.api import Session
 from repro.data.database import Database
+from repro.data.datalog import DatalogProgram
 from repro.data.evaluation import evaluate_ucq
 from repro.lang.atoms import Atom
-from repro.lang.parser import parse_program, parse_query
+from repro.lang.parser import parse_database, parse_program, parse_query
 from repro.lang.terms import Constant
 from repro.rewriting.budget import RewritingBudget
 from repro.rewriting.datalog_target import rewrite_datalog
@@ -193,6 +199,26 @@ class TestProgramShape:
         via_ucq = evaluate_ucq(rewrite(query, rules).ucq, database)
         assert datalog.answer(database) == via_ucq
 
+    def test_data_relations_named_like_the_program_are_hidden(self):
+        # The fresh names avoid the rules and the query, not the data:
+        # in memory the program's relations hide same-named data, as
+        # the CTEs of its SQL hide same-named tables.
+        rules = parse_program("R1: student(X) -> person(X).")
+        query = parse_query("q(X) :- person(X)")
+        data = "student(ann). aux_ans(mallory). aux0(eve)."
+        with Session(rules, Database(parse_database(data))) as session:
+            program = session.prepare(query, target="datalog").datalog
+            assert {program.goal, *program.predicates} == {"aux_ans", "aux0"}
+            memory = session.answer(query, target="datalog")
+            assert memory == {(Constant("ann"),)}
+            assert memory == session.answer(query, backend="sql", target="datalog")
+            assert memory == session.answer(query, target="ucq")
+        passed = Database(parse_database("student(bo). aux_ans(x). aux0(y)."))
+        session = Session(rules)
+        assert session.answer(query, passed, target="datalog") == session.answer(
+            query, passed, target="ucq"
+        )
+
     def test_base_atoms_exclude_intermediates(self):
         query = parse_query("q(X) :- c1(X), c2(X)")
         datalog = rewrite_datalog(query, HIERARCHY)
@@ -211,7 +237,7 @@ class TestProgramShape:
     def test_program_is_stratified_full_tgds(self):
         query = parse_query("q(X) :- c1(X), c2(X)")
         datalog = rewrite_datalog(query, HIERARCHY)
-        program = datalog.program()  # raises if any rule is not full
+        program = DatalogProgram(datalog.rules)  # raises unless all full
         aux = set(datalog.predicates)
         for rule in datalog.aux_rules:
             assert all(a.relation not in aux for a in rule.body)
@@ -224,3 +250,28 @@ class TestProgramShape:
         datalog = rewrite_datalog(query, HIERARCHY)
         reparsed = parse_program(str(datalog))
         assert len(reparsed) == datalog.size
+
+
+class TestOnePass:
+    def test_answer_copies_nothing_and_runs_no_fixpoint(self, monkeypatch):
+        query = parse_query("q(X) :- c1(X), c2(X)")
+        database = hierarchy_db()
+        before = database.copy()
+        with Session(HIERARCHY, database) as session:
+            handle = session.prepare(query, target="datalog")
+            expected = session.answer(query, target="ucq")
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("no copy and no fixpoint on this path")
+
+            monkeypatch.setattr(Database, "copy", refuse)
+            for module in (
+                repro.data.saturate,
+                repro.data.datalog,
+                repro.chase.chase,
+                repro.hybrid.maintain,
+            ):
+                monkeypatch.setattr(module, "saturate", refuse)
+            assert handle.answer() == expected
+            assert handle.datalog.answer(database) == expected
+        assert database == before

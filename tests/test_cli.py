@@ -120,6 +120,32 @@ class TestAnswer:
         assert "incomplete" not in captured.err
 
 
+class TestTrace:
+    def test_exactness_comes_from_the_plan(self, tmp_path, capsys):
+        # The full rewriting of Example 2's chain query is cut short,
+        # but the plan the hybrid regime runs, the materialized chase,
+        # is exact: exit 0, no warning, and the chase joins the check.
+        program = tmp_path / "ex2.dlp"
+        program.write_text(DANGEROUS)
+        facts = tmp_path / "facts.dlp"
+        facts.write_text("t(b, a). r(b, e).")
+        argv = ["trace", str(program), 'q() :- r("a", X)', "--data", str(facts)]
+        assert main([*argv, "--max-depth", "5", "--hybrid", "materialize"]) == 0
+        captured = capsys.readouterr()
+        assert "complete=False" in captured.out
+        assert "\nplan:      chase\n" in captured.out
+        assert "chase=1 agree=True" in captured.out
+        assert captured.err == ""
+        # Without a hybrid regime the plan is the cut rewriting itself.
+        assert main([*argv, "--max-depth", "3"]) == 3
+        captured = capsys.readouterr()
+        assert "\nplan:      approximation\n" in captured.out
+        assert captured.err.splitlines() == [
+            "warning: rewriting incomplete within budget (depth=3, cqs=4); "
+            "output is a sound under-approximation"
+        ]
+
+
 class TestHybridFlag:
     @pytest.mark.parametrize("command", ["rewrite", "lint", "check"])
     def test_rejected_where_no_plan_runs(
