@@ -2,11 +2,11 @@
 
 Two execution modes, one result shape:
 
-* **thread** (default) -- workers share the calling session's engine,
-  caches and SQLite backend.  Compilations of the same canonical query
-  are single-flighted by the engine, the persistent cache is consulted
-  under its own lock, and SQLite evaluation releases the GIL, so warm
-  workloads stream at cache speed.
+* **thread** (default) -- workers share the calling session's handle
+  table, caches and SQLite backend.  Compilations of the same canonical
+  query are single-flighted by its prepared handle's lock, the
+  persistent cache is consulted under its own lock, and SQLite
+  evaluation releases the GIL, so warm workloads stream at cache speed.
 * **process** -- each worker process builds its own session from the
   pickled ontology/data (spawn start method: nothing is inherited
   across ``fork``, which keeps SQLite handles safe).  Cold compilations
@@ -150,13 +150,11 @@ def _thread_task(
     text = query if isinstance(query, str) else str(query)
     try:
         prepared = session.prepare(query, target=target)
+        plan = prepared.plan(database, backend=backend)
         answers = None
         if database is not None or session.data is not None:
-            answers = prepared.answer(
-                database, backend=backend, require_complete=require_complete
-            )
-        plan = prepared.plan(database, backend=backend)
-        if answers is None and require_complete:
+            answers = prepared.execute(plan, require_complete=require_complete)
+        elif require_complete:
             # Compile-only batches still honour require_complete so
             # truncated rewritings surface as per-item errors.
             plan.require_exact()

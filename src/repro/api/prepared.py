@@ -4,10 +4,11 @@ A :class:`PreparedQuery` is the session-API analogue of a prepared
 statement in a classical DBMS: the conjunctive query is canonicalized
 and bound to a session at construction, the expensive compilation
 (rewriting w.r.t. the session's ontology, to the UCQ or the
-nonrecursive-Datalog target) happens at most once -- served from the
-session's in-memory or persistent cache whenever possible -- and the
-compiled artifacts (the UCQ or rule program, the SQL text) are reusable
-against any database with the right signature.
+nonrecursive-Datalog target) happens at most once per session -- the
+session's handles are its compile memo, backed by the persistent cache
+when one is configured -- and the compiled artifacts (the UCQ or rule
+program, the SQL text) are reusable against any database with the
+right signature.
 """
 
 from __future__ import annotations
@@ -16,14 +17,15 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, cast
 
+from repro import obs
 from repro.data.database import Database
 from repro.data.sql import datalog_to_sql, ucq_to_sql
 from repro.lang.errors import RewritingBudgetExceeded
-from repro.lang.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
+from repro.lang.queries import UnionOfConjunctiveQueries
 from repro.lang.terms import Term
 from repro.rewriting.datalog_target import DatalogRewriting
+from repro.rewriting.engine import Compiled, FORewritingEngine
 from repro.rewriting.rewriter import RewritingResult
-from repro.rewriting.store import query_digest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis import SeparabilityReport, TerminationCertificate
@@ -109,11 +111,16 @@ class PreparedQuery:
 
     Obtained from :meth:`Session.prepare`; two prepares of queries that
     are equal up to variable renaming / atom reordering / disjunct
-    permutation return the *same* object.  Compilation is deferred to
-    the first use of :attr:`result` / :attr:`ucq` / :attr:`sql` /
-    :meth:`plan` / :meth:`answer` and is thread-safe.  Whether answers
-    are exact is the plan's to say (:attr:`AnswerPlan.exact`): a hybrid
-    plan may never compile the rewriting over the full ontology.
+    permutation, under one requested target, return the *same* object.
+    The session's handles are its one compile memo: the handles of one
+    canonical query, whatever target each requested, share one artifact
+    dict and one lock, and each artifact -- the UCQ rewriting, the
+    Datalog program, a SPLIT plan's residual rewriting -- is compiled
+    once, by the first handle that needs it, while it holds that lock.
+    Concurrent first uses therefore wait for the one compilation; later
+    uses read the handle's own dict without a lock.  Whether answers are
+    exact is the plan's to say (:attr:`AnswerPlan.exact`): a hybrid plan
+    may never compile the rewriting over the full ontology.
     """
 
     __slots__ = (
@@ -121,33 +128,42 @@ class PreparedQuery:
         "_query",
         "_digest",
         "_target",
+        "_selected",
+        "_shared",
         "_compiled",
-        "_sql",
         "_lock",
+        "_hits",
+        "_misses",
+        "_sql",
     )
 
     def __init__(
         self,
         session: "Session",
-        query: ConjunctiveQuery | UnionOfConjunctiveQueries,
-        target: str | None = None,
+        query: UnionOfConjunctiveQueries,
+        digest: str,
+        target: str,
+        sibling: "PreparedQuery | None" = None,
     ) -> None:
-        from repro.rewriting.engine import TARGETS
-
         self._session = session
-        self._query = UnionOfConjunctiveQueries.of(query)
-        self._digest = query_digest(self._query)
-        if target is None:
-            target = session.engine.target
-        elif target not in TARGETS:
-            raise ValueError(
-                f"unknown rewriting target {target!r}; "
-                f"expected one of {TARGETS}"
-            )
+        self._query = query
+        self._digest = digest
         self._target = target
-        self._compiled: dict[str, RewritingResult | DatalogRewriting] = {}
+        self._selected: str | None = None if target == "auto" else target
+        # The artifacts of every handle of this query, keyed by kind,
+        # and the lock each compilation runs under.
+        if sibling is None:
+            self._shared: dict[str, Compiled] = {}
+            self._lock = threading.Lock()
+        else:
+            self._shared = sibling._shared
+            self._lock = sibling._lock
+        # The artifacts this handle has served, read without the lock;
+        # it tells a warm read from a first take of a sibling's artifact.
+        self._compiled: dict[str, Compiled] = {}
+        self._hits = 0
+        self._misses = 0
         self._sql: str | None = None
-        self._lock = threading.Lock()
 
     @property
     def query(self) -> UnionOfConjunctiveQueries:
@@ -174,27 +190,54 @@ class PreparedQuery:
         """The concrete target compilation uses (``ucq`` or ``datalog``).
 
         For ``target="auto"`` this is the estimator-driven per-query
-        choice (see :meth:`FORewritingEngine.resolve_target`); cheap to
-        call -- resolving never compiles anything.
+        choice (see :meth:`FORewritingEngine.resolve_target`), resolved
+        once per handle; resolving never compiles anything.
         """
-        return self._session.engine.resolve_target(self._query, self._target)
+        selected = self._selected
+        if selected is None:
+            with self._lock:
+                if self._selected is None:
+                    self._selected = self._session.engine.resolve_target(
+                        self._query, "auto"
+                    )
+                selected = self._selected
+        return selected
 
     # ----------------------------------------------------------------- #
     # Compiled artifacts                                                  #
     # ----------------------------------------------------------------- #
 
-    def _artifact(self, target: str) -> RewritingResult | DatalogRewriting:
-        """The *target* artifact, compiled on first access.
+    def _artifact(
+        self, kind: str, engine: FORewritingEngine | None = None
+    ) -> Compiled:
+        """The *kind* artifact, compiled on first use by any sibling.
 
-        The engine single-flights concurrent compilations of the same
-        canonical query, so threads racing past the memo check here do
-        no duplicate work.
+        *kind* is ``ucq`` or ``datalog`` (compiled by the session's
+        engine) or ``residual`` (the UCQ rewriting over a SPLIT's
+        residual rules, compiled by *engine*).  The compilation runs
+        under the lock the query's handles share, so it runs once: a
+        handle that finds the artifact already compiled by a sibling
+        counts a hit, a handle that compiles counts a miss.
         """
-        artifact = self._compiled.get(target)
-        if artifact is None:
-            artifact = self._session.engine._rewrite(self._query, target)
-            with self._lock:
-                artifact = self._compiled.setdefault(target, artifact)
+        artifact = self._compiled.get(kind)
+        if artifact is not None:
+            return artifact
+        with self._lock:
+            artifact = self._compiled.get(kind)
+            if artifact is None:
+                artifact = self._shared.get(kind)
+                if artifact is None:
+                    self._misses += 1
+                    obs.count("engine.cache_misses")
+                    compiler = engine or self._session.engine
+                    artifact = compiler.compile(
+                        self._query, "ucq" if kind == "residual" else kind
+                    )
+                    self._shared[kind] = artifact
+                else:
+                    self._hits += 1
+                    obs.count("engine.cache_hits")
+                self._compiled[kind] = artifact
         return artifact
 
     @property
@@ -233,17 +276,14 @@ class PreparedQuery:
         ontology alone, so a mutation of the session's data leaves it
         as it is.
         """
-        with self._lock:
-            sql = self._sql
+        sql = self._sql
         if sql is None:
+            # Deterministic text: a racing thread writes an equal string.
             if self.target_selected == "datalog":
                 sql = datalog_to_sql(self.datalog)
             else:
                 sql = ucq_to_sql(self.ucq)
-            with self._lock:
-                if self._sql is None:
-                    self._sql = sql
-                sql = self._sql
+            self._sql = sql
         return sql
 
     def plan(
@@ -315,9 +355,21 @@ class PreparedQuery:
         ``require_complete=True`` (default) a plan that is not exact
         raises (:meth:`AnswerPlan.require_exact`).
         """
-        return self._session._execute(
-            self, self.plan(database, backend=backend), require_complete
+        return self.execute(
+            self.plan(database, backend=backend),
+            require_complete=require_complete,
         )
+
+    def execute(
+        self, plan: AnswerPlan, *, require_complete: bool = True
+    ) -> frozenset[tuple[Term, ...]]:
+        """Evaluate *plan*, which :meth:`plan` returned for this handle.
+
+        A caller that reports the plan beside its answers plans once and
+        evaluates that plan, so the report describes the evaluation that
+        ran even when a mutation lands in between.
+        """
+        return self._session._execute(self, plan, require_complete)
 
     def __repr__(self) -> str:
         state = "compiled" if self._compiled else "pending"

@@ -1,12 +1,11 @@
 """The session layer: compile-once / serve-many query answering.
 
 A :class:`Session` owns everything that is fixed for the lifetime of an
-ontology -- the classification, the rewriting engine with its in-memory
-cache, the optional persistent rewriting cache, the virtual ABox and
-its SQLite mirror -- and hands out
-:class:`~repro.api.prepared.PreparedQuery` objects whose compilation is
-shared across all of them.  It is the public surface the paper's OBDA
-architecture maps onto::
+ontology -- the classification, the rewriting engine, the optional
+persistent rewriting cache, the virtual ABox and its SQLite mirror --
+and hands out :class:`~repro.api.prepared.PreparedQuery` objects: its
+table of handles is the one in-memory compile memo.  It is the public
+surface the paper's OBDA architecture maps onto::
 
     from repro.api import Session
 
@@ -52,8 +51,8 @@ from repro.lang.terms import Null, Term
 from repro.lang.tgd import TGD
 from repro.obda.mappings import MappingAssertion, apply_mappings
 from repro.rewriting.budget import RewritingBudget
-from repro.rewriting.engine import FORewritingEngine
-from repro.rewriting.store import budget_digest, ontology_digest
+from repro.rewriting.engine import TARGETS, FORewritingEngine
+from repro.rewriting.store import budget_digest, ontology_digest, query_digest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis import AnalysisReport
@@ -107,9 +106,9 @@ class Session:
             None the source is taken to be stated directly in the
             ontology's vocabulary (identity mapping).
         cache_dir: directory for the persistent rewriting cache; when
-            None only the in-memory cache is used.  The cache file is
-            keyed by content digests, so any number of sessions (and
-            processes) may share one directory -- see
+            None only the handle table memoizes compilations.  The
+            cache file is keyed by content digests, so any number of
+            sessions (and processes) may share one directory -- see
             :mod:`repro.api.cache` for the invalidation rules.
         options: every engine-tuning knob -- budget, rewriting target,
             hybrid regime -- in one frozen :class:`~repro.api.EngineOptions`
@@ -146,6 +145,7 @@ class Session:
         )
         self._lock = threading.RLock()
         self._prepared: dict[str, PreparedQuery] = {}
+        self._reused = 0
         self._abox: Database | None = None
         self._sql_backend: SQLiteBackend | None = None
         self._classification: ClassificationReport | None = None
@@ -367,21 +367,34 @@ class Session:
     ) -> PreparedQuery:
         """The session's prepared handle for *query* (memoized).
 
-        Accepts a parsed (U)CQ or query text.  Queries equal up to
-        renaming / reordering share one handle, hence one compilation.
-        *target* overrides the session's rewriting target for this
-        query; handles are memoized per (query, requested target), so
-        preparing the same query under two targets yields two handles
-        (whose compilations still share the engine's per-target
-        caches).
+        Accepts a parsed (U)CQ or query text.  The handle table is the
+        session's one compile memo: queries equal up to renaming /
+        reordering share one handle per requested target, and a handle
+        is built only when the table has none.  *target* overrides the
+        session's rewriting target for this query; the handles of one
+        query under different targets share one artifact dict, so an
+        ``auto`` handle and an explicit one compile once between them.
         """
-        prepared = PreparedQuery(self, self._coerce(query), target=target)
-        memo_key = f"{prepared.digest}/{prepared.target}"
+        ucq = UnionOfConjunctiveQueries.of(self._coerce(query))
+        if target is None:
+            target = self._engine.target
+        elif target not in TARGETS:
+            raise ValueError(
+                f"unknown rewriting target {target!r}; "
+                f"expected one of {TARGETS}"
+            )
+        digest = query_digest(ucq)
         with self._lock:
-            existing = self._prepared.get(memo_key)
-            if existing is not None:
-                return existing
-            self._prepared[memo_key] = prepared
+            prepared = self._prepared.get(f"{digest}/{target}")
+            if prepared is not None:
+                self._reused += 1
+                obs.count("engine.cache_hits")
+                return prepared
+            siblings = (self._prepared.get(f"{digest}/{t}") for t in TARGETS)
+            prepared = PreparedQuery(
+                self, ucq, digest, target, next(filter(None, siblings), None)
+            )
+            self._prepared[f"{digest}/{target}"] = prepared
             return prepared
 
     def prepared_queries(self) -> tuple[PreparedQuery, ...]:
@@ -696,7 +709,8 @@ class Session:
             ucq = rewriting.ucq
         elif state.residual_engine is not None:
             residual = cast(
-                "RewritingResult", state.residual_engine._rewrite(prepared.query)
+                "RewritingResult",
+                prepared._artifact("residual", state.residual_engine),
             )
             source, rewriting, ucq = "core", residual, residual.ucq
         else:
@@ -815,7 +829,7 @@ class Session:
         both targets -- and prepares each under its stored target, so
         every compilation is a disk hit and steady state is reached
         with zero fresh rewrites.  This is the serving layer's boot
-        path: a restarted server warms its in-memory cache from what
+        path: a restarted server warms its handle table from what
         previous processes compiled.  A split's residual rewritings are
         compiled from a rule subset, so they are not this ontology's
         and are not warmed; the first split answer loads them.
@@ -852,19 +866,27 @@ class Session:
     def cache_stats(self) -> dict[str, object]:
         """Combined statistics of the in-memory and persistent tiers.
 
-        Both tiers report per-target entry counts (``ucq_entries`` /
-        ``datalog_entries``); ``size`` and ``entries`` remain the
-        combined totals.
+        The in-memory tier is the handle table.  Its ``misses`` are the
+        compilations its handles ran; its ``hits`` are the
+        :meth:`prepare` calls an existing handle served plus the
+        artifacts a handle took from a sibling (the same query under
+        another requested target); ``size`` counts the artifacts held,
+        a split's residual rewritings included.  Both tiers report
+        per-target entry counts (``ucq_entries`` / ``datalog_entries``).
         """
-        info = self._engine.cache_info()
-        sizes = self._engine.cache_sizes()
+        with self._lock:
+            handles = tuple(self._prepared.values())
+            hits = self._reused
+        shared = {id(h._shared): h._shared for h in handles}.values()
+        # A copy, as a compilation may add an artifact meanwhile.
+        kinds = [kind for artifacts in shared for kind in artifacts.copy()]
         stats: dict[str, object] = {
             "memory": {
-                "hits": info.hits,
-                "misses": info.misses,
-                "size": info.size,
-                "ucq_entries": sizes["ucq"],
-                "datalog_entries": sizes["datalog"],
+                "hits": hits + sum(h._hits for h in handles),
+                "misses": sum(h._misses for h in handles),
+                "size": len(kinds),
+                "ucq_entries": kinds.count("ucq"),
+                "datalog_entries": kinds.count("datalog"),
             },
             "persistent": None,
         }

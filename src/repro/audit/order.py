@@ -9,9 +9,9 @@ group is an inversion -- the runtime sanitizer
 
 The order follows the request path of the serving layer::
 
-    TenantRegistry -> Session -> PreparedQuery -> FORewritingEngine
-        -> RewritingCache (persistent tier) -> subsumption kernel
-        -> SQLiteBackend -> fresh-symbol counters
+    TenantRegistry -> Session -> PreparedQuery (held across a
+        compilation) -> RewritingCache (persistent tier)
+        -> subsumption kernel -> SQLiteBackend -> fresh-symbol counters
 
 plus the admission controller, whose lock is independent (held only
 for counter updates, never across a call into the session layer); it
@@ -31,7 +31,6 @@ DECLARED_ORDER: tuple[str, ...] = (
     "repro.serve.admission",
     "repro.api.session",
     "repro.api.prepared",
-    "repro.rewriting.engine",
     "repro.api.cache",
     "repro.rewriting.subsume",
     "repro.data.sql",

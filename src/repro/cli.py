@@ -303,10 +303,8 @@ def cmd_answer(args: argparse.Namespace) -> int:
             options=EngineOptions.from_args(args),
         ) as session:
             prepared = session.prepare(query)
-            answers = prepared.answer(
-                backend=args.backend, require_complete=False
-            )
             plan = prepared.plan(backend=args.backend)
+            answers = prepared.execute(plan, require_complete=False)
             if not plan.exact:
                 _warn_incomplete(plan.rewriting)
     if query.is_boolean():
@@ -448,6 +446,7 @@ def _default_query(rules):
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.api import Session
+    from repro.data.sql import ucq_to_sql
     from repro.obs import TreeSink
     from repro.rewriting.datalog_target import DatalogRewriting
 
@@ -475,37 +474,45 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 options=EngineOptions.from_args(args),
             ) as session:
                 prepared = session.prepare(query)
-                selected = prepared.target_selected
-                rewriting = prepared.rewriting
-                complete = rewriting.complete
+                # Everything below describes the plan's own artifact: a
+                # chase plan compiles no rewriting at all.
+                plan = prepared.plan()
+                rewriting = plan.rewriting
                 trace_span.set(
-                    query=str(query), complete=complete, target=selected
+                    query=str(query), complete=plan.exact, target=plan.target
                 )
                 summary.append(f"query:     {query}")
                 summary.append(
-                    f"target:    {selected}"
+                    f"target:    {plan.target}"
                     + (
                         " (auto)"
                         if prepared.target == "auto"
                         else ""
                     )
                 )
-                shape = f"{rewriting.size} disjunct(s)"
-                if isinstance(rewriting, DatalogRewriting):
-                    shape = (
-                        f"{rewriting.size} rule(s) "
-                        f"({len(rewriting.predicates)} aux predicate(s), "
-                        f"{rewriting.fallback_disjuncts} fallback disjunct(s))"
+                if rewriting is None:
+                    summary.append(
+                        "rewriting: none (the query runs over the "
+                        "materialized chase)"
                     )
-                summary.append(
-                    f"rewriting: {shape}, depth {rewriting.depth_reached}, "
-                    f"complete={rewriting.complete}"
-                )
-                plan = prepared.plan()
+                else:
+                    shape = f"{rewriting.size} disjunct(s)"
+                    if isinstance(rewriting, DatalogRewriting):
+                        shape = (
+                            f"{rewriting.size} rule(s) "
+                            f"({len(rewriting.predicates)} aux predicate(s), "
+                            f"{rewriting.fallback_disjuncts} fallback "
+                            "disjunct(s))"
+                        )
+                    summary.append(
+                        f"rewriting: {shape}, depth {rewriting.depth_reached}, "
+                        f"complete={rewriting.complete}"
+                    )
                 summary.append(f"plan:      {plan.kind}")
-                summary.append(f"sql:       {len(prepared.sql)} chars")
+                sql = prepared.sql if plan.ucq is None else ucq_to_sql(plan.ucq)
+                summary.append(f"sql:       {len(sql)} chars")
                 if database is not None:
-                    answers = prepared.answer(require_complete=False)
+                    answers = prepared.execute(plan, require_complete=False)
                     sql_answers = prepared.answer(
                         backend="sql", require_complete=False
                     )

@@ -13,7 +13,7 @@ classes are designed to recognise, so every run takes an explicit
 from repro.rewriting.approx import ApproximationReport, approximate_answers
 from repro.rewriting.budget import RewritingBudget
 from repro.rewriting.datalog_target import DatalogRewriting, rewrite_datalog
-from repro.rewriting.engine import CacheInfo, FORewritingEngine
+from repro.rewriting.engine import FORewritingEngine
 from repro.rewriting.minimize import (
     is_subsumed,
     minimize_cq,
@@ -31,7 +31,6 @@ from repro.rewriting.rewriter import RewritingResult, rewrite
 
 __all__ = [
     "ApproximationReport",
-    "CacheInfo",
     "DatalogRewriting",
     "FORewritingEngine",
     "PieceRewriting",

@@ -45,7 +45,7 @@ def query_digest(
 ) -> str:
     """A renaming/reordering-insensitive content hash of a (U)CQ.
 
-    Two queries that the engine's in-memory cache would treat as the
+    Two queries that a session's handle table would treat as the
     same entry (equal canonical forms) receive the same digest; the
     digest is deterministic across processes and runs.
     """

@@ -17,10 +17,10 @@ under real concurrent traffic.  It wires four pieces over the
   tying them together, plus :class:`BackgroundServer` for tests and
   the load harness.
 
-Compilation stays single-flight process-wide: concurrent cold requests
-for one (query, target) collapse onto the one compilation the engine's
-inflight locking already provides, and a restarted server warms its
-in-memory tier from the persistent SQLite cache before accepting
+Compilation stays single-flight per tenant: concurrent cold requests
+for one (query, target) collapse onto one compilation, run under the
+lock the query's prepared handles share, and a restarted server warms
+its handle table from the persistent SQLite cache before accepting
 traffic (:meth:`repro.api.Session.warm_up`).  ``docs/serving.md`` has
 the deployment guide and counter catalogue.
 """

@@ -2,7 +2,7 @@
 
 Request lifecycle of ``POST /v1/query``::
 
-    admit ──> executor thread ──> Session.prepare (single-flight) ──> answer
+    admit ──> executor thread ──> prepare ──> plan (single-flight) ──> execute
       │                │
       │ full           │ deadline passed
       ▼                ▼
@@ -26,9 +26,12 @@ Design points worth naming:
   (:meth:`EngineOptions.with_deadline`); per-request budgets would
   fragment the persistent cache key space (the budget digest is part
   of every key) and defeat warm serving.
-* **Compilation is single-flight process-wide** via the engine's
-  inflight locking; the server adds nothing and relies on the pinned
-  contract (see ``tests/api/test_single_flight_stress.py``).
+* **Compilation is single-flight per tenant session**: the handles
+  of one canonical query share one lock, held across each compilation;
+  the server adds nothing and relies on the pinned contract (see
+  ``tests/api/test_single_flight_stress.py``).
+* **One plan per request**: the response's ``plan``, ``target`` and
+  ``complete`` describe the very plan whose answers it carries.
 
 :class:`BackgroundServer` runs the event loop on a daemon thread for
 tests and the closed-loop load harness in
@@ -457,8 +460,8 @@ class ReproServer:
         session: Session = self.registry.session(tenant)
         with obs.span("serve.query", tenant=tenant, backend=backend) as span:
             prepared = session.prepare(query_text, target=target)
-            answers = prepared.answer(backend=backend, require_complete=False)
             plan = prepared.plan(backend=backend)
+            answers = prepared.execute(plan, require_complete=False)
             span.set(answers=len(answers), complete=plan.exact)
         return {
             "tenant": tenant,

@@ -2,7 +2,7 @@
 
 One server process serves many tenants; each tenant is an ontology
 (plus optional data and mappings) with its own
-:class:`~repro.api.Session` -- engine, in-memory caches and SQLite
+:class:`~repro.api.Session` -- engine, handle table and SQLite
 mirror.  Isolation comes for free from the cache architecture: the
 persistent tier keys every entry by ontology digest, so all tenants
 share one cache *file* while never sharing an *entry*.
@@ -135,8 +135,8 @@ class TenantRegistry:
         """Warm every registered tenant from the persistent tier.
 
         The server's boot path: re-prepares every stored rewriting of
-        every tenant's ontology so first requests hit a hot in-memory
-        cache (zero fresh rewrites).  Returns total entries warmed.
+        every tenant's ontology so first requests hit a warm handle
+        table (zero fresh rewrites).  Returns total entries warmed.
         """
         if self._cache_dir is None:
             return 0

@@ -153,13 +153,20 @@ class TestAutoStability:
         assert first in ("ucq", "datalog")
 
     def test_auto_resolution_memoized_and_counted(self, rules):
-        from repro.rewriting.engine import FORewritingEngine
-
-        engine = FORewritingEngine(rules, target="auto")
-        query = parse_query(QUERY)
+        # The engine keeps no memo; the handle resolves `auto` once, and
+        # a renamed prepare of the same query is served by that handle.
         with obs.capture() as trace:
-            first = engine.resolve_target(query)
-            second = engine.resolve_target(query)
-        assert first == second
+            with Session(
+                rules, options=EngineOptions(target="auto")
+            ) as session:
+                prepared = session.prepare(QUERY)
+                first = prepared.target_selected
+                second = prepared.target_selected
+                renamed = session.prepare("q(Y) :- c2(Y), c1(Y)")
+                third = renamed.target_selected
+        assert renamed is prepared
+        assert first == second == third
         selected = trace.counter(f"engine.target_selected.{first}")
-        assert selected == 1  # memoized: counted once per resolution
+        assert selected == 1  # memoized: counted once per handle
+        assert trace.counter("engine.cache_hits") == 1  # the renamed prepare
+        assert trace.counter("engine.cache_misses") == 0  # nothing compiled

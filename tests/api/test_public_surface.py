@@ -126,8 +126,8 @@ class TestDeprecatedShims:
                 for name in names:
                     assert not hasattr(module, name), (module, name)
                     assert name not in getattr(module, "__all__", ()), name
-        # The per-kind compile-and-persist copies: one engine memo and
-        # compile method, one cache table with one get and one put.
+        # The per-kind compile-and-persist copies: one engine compile
+        # method, one cache table with one get and one put.
         for name in ("_decode_result", "_encode_datalog", "_decode_datalog",
                      "_parse_rules"):
             assert not hasattr(repro.api.cache, name), name
@@ -225,6 +225,24 @@ class TestDeprecatedShims:
         assert fields == ["max_depth", "max_cqs", "max_seconds"]
         assert not hasattr(repro.FORewritingEngine, "_check_complete")
         assert not hasattr(repro.cli, "_rewrite_with_target")
+
+    def test_engine_memo_stays_removed(self):
+        # The session's handle table is the one compile memo: the
+        # engine holds no dict, no lock and no counter, and compiles
+        # through one public, stateless method.
+        for name in ("cache_info", "cache_sizes", "_rewrite", "_compile"):
+            assert not hasattr(repro.FORewritingEngine, name), name
+        for module in (repro.rewriting, repro.rewriting.engine):
+            assert not hasattr(module, "CacheInfo")
+            assert "CacheInfo" not in getattr(module, "__all__", ())
+        engine = repro.FORewritingEngine(parse_program(PROGRAM))
+        for name in ("_memo", "_inflight", "_target_choice", "_hits",
+                     "_misses", "_lock"):
+            assert not hasattr(engine, name), name
+        for value in vars(engine).values():
+            assert not isinstance(value, (dict, int)), value
+            assert not hasattr(value, "acquire"), value
+        assert callable(repro.FORewritingEngine.compile)
 
     def test_session_itself_never_warns(self):
         rules = parse_program(PROGRAM)

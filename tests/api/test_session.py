@@ -125,6 +125,28 @@ class TestAnswerMany:
             assert item.ok, item.error
             assert item.answers == expected
 
+    def test_each_batch_item_plans_once(self, monkeypatch):
+        # Each item's complete/disjuncts describe the plan whose answers
+        # it carries: one plan per item, with data or compile-only.
+        calls = []
+        plan = Session._plan
+
+        def spy(self, *args):
+            calls.append(args)
+            return plan(self, *args)
+
+        monkeypatch.setattr(Session, "_plan", spy)
+        rules, queries, database = _workload()
+        with Session(rules, database) as session:
+            results = session.answer_all(queries, max_workers=4)
+        assert all(item.ok and item.answers is not None for item in results)
+        assert len(calls) == len(queries)
+        calls.clear()
+        with Session(rules) as session:
+            results = session.answer_all(queries, max_workers=4)
+        assert all(item.ok and item.answers is None for item in results)
+        assert len(calls) == len(queries)
+
     def test_warm_cache_run_skips_all_rewrites(self, tmp_path):
         rules, queries, database = _workload()
         with Session(rules, database, cache_dir=tmp_path) as session:

@@ -1,15 +1,19 @@
 """The single-flight compilation contract, pinned under real races.
 
 The serving layer relies on exactly this: N concurrent requests for
-one cold (query, target) must collapse onto ONE compilation.  Two
-mechanisms stack to guarantee it -- the engine's inflight locking
-(losers wait for the winner's entry, then count as cache hits) and the
-:class:`PreparedQuery` handle's own memoization (once any thread has
-compiled through a handle, later accesses never reach the engine at
-all).  These tests fire real thread herds at both layers and assert
-the counter arithmetic exactly.
+one cold (query, target) must collapse onto ONE compilation.  The
+session's handle table is the one mechanism that guarantees it:
+``prepare()`` serves every variant of a canonical query from one
+handle per requested target, the handles of one query share one
+artifact dict and one lock, and a handle compiles each artifact while
+holding that lock, so concurrent first uses wait for the one
+compilation.  The engine itself memoizes nothing.  These tests fire
+real thread herds at the table and assert the counter arithmetic
+exactly: a miss is one compilation, a hit a ``prepare()`` an existing
+handle served or an artifact a sibling handle already held.
 """
 
+import sys
 import threading
 import time
 
@@ -35,6 +39,17 @@ def rules():
     return parse_program(PROGRAM)
 
 
+@pytest.fixture(autouse=True)
+def _frequent_switches():
+    """Switch threads often, so a check-then-act race shows up."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _stampede(threads, action):
     """Run *action* on *threads* threads through a start barrier."""
     barrier = threading.Barrier(threads)
@@ -47,45 +62,49 @@ def _stampede(threads, action):
         except Exception as error:  # noqa: BLE001 - surfaced below
             errors.append(error)
 
-    pool = [threading.Thread(target=runner) for _ in range(threads)]
+    pool = [threading.Thread(target=runner, daemon=True) for _ in range(threads)]
     for t in pool:
         t.start()
+    deadline = time.monotonic() + 60
     for t in pool:
-        t.join()
+        t.join(timeout=max(0.0, deadline - time.monotonic()))
+    assert not any(t.is_alive() for t in pool)
     assert not errors, errors
 
 
 class TestEngineSingleFlight:
-    """Raw engine races: the inflight-event locking's exact arithmetic."""
+    """Races through ``prepare()``: the handle table's exact arithmetic."""
 
     @pytest.mark.parametrize("target", ["ucq", "datalog"])
     def test_one_miss_rest_hits(self, rules, target):
         ucq = parse_ucq(QUERY)
         with obs.capture() as trace:
             with Session(rules) as session:
-                engine = session.engine
-                if target == "datalog":
-                    _stampede(THREADS, lambda: engine._rewrite(ucq, "datalog"))
-                else:
-                    _stampede(THREADS, lambda: engine._rewrite(ucq))
-        # Exactly one miss (the winner compiles); the losers wait on
-        # the inflight event, retry the lookup, and count as hits.
+                _stampede(
+                    THREADS,
+                    lambda: session.prepare(ucq, target=target).rewriting,
+                )
+                memory = session.cache_stats()["memory"]
+        # Exactly one miss (the one compilation); the other prepares
+        # are served by the handle the first one built.
         assert trace.counter("engine.cache_misses") == 1
         assert trace.counter("engine.cache_hits") == THREADS - 1
+        assert (memory["hits"], memory["misses"], memory["size"]) == (
+            THREADS - 1, 1, 1,
+        )
 
     def test_two_targets_compile_once_each(self, rules):
         ucq = parse_ucq(QUERY)
         with obs.capture() as trace:
             with Session(rules) as session:
-                engine = session.engine
 
                 def mixed():
-                    engine._rewrite(ucq)
-                    engine._rewrite(ucq, "datalog")
+                    session.prepare(ucq, target="ucq").rewriting
+                    session.prepare(ucq, target="datalog").rewriting
 
                 _stampede(THREADS, mixed)
         # One compilation per (query, target): 2 misses total, every
-        # other lookup across both targets a hit.
+        # other prepare across both targets a hit.
         assert trace.counter("engine.cache_misses") == 2
         assert trace.counter("engine.cache_hits") == 2 * THREADS - 2
 
@@ -93,24 +112,23 @@ class TestEngineSingleFlight:
     def test_failed_compilation_never_strands_waiters(
         self, rules, target, monkeypatch
     ):
-        # Every compilation raises.  The failure wakes the waiters;
-        # each then finds no entry, compiles itself and raises too, so
-        # every thread misses once and none hangs.
+        # Every compilation raises.  The failure releases the handle's
+        # lock; each waiter then finds no artifact, compiles itself and
+        # raises too, so every thread misses once and none hangs.
         def failing(*args, **kwargs):
             raise RewritingBudgetExceeded("compilation failed")
 
         monkeypatch.setattr(repro.rewriting.engine, "rewrite", failing)
         monkeypatch.setattr(repro.rewriting.engine, "rewrite_datalog", failing)
-        ucq = parse_ucq(QUERY)
         barrier = threading.Barrier(THREADS)
         raised = []
         with Session(rules) as session:
-            engine = session.engine
+            prepared = session.prepare(QUERY, target=target)
 
             def runner():
                 barrier.wait()
                 with pytest.raises(RewritingBudgetExceeded):
-                    engine._rewrite(ucq, target)
+                    prepared.rewriting  # noqa: B018 - forces compilation
                 raised.append(True)
 
             pool = [
@@ -124,11 +142,14 @@ class TestEngineSingleFlight:
                 t.join(timeout=max(0.0, deadline - time.monotonic()))
             assert not any(t.is_alive() for t in pool)
             assert len(raised) == THREADS
-            assert engine.cache_info() == (0, THREADS, 0)
+            memory = session.cache_stats()["memory"]
+            assert (memory["hits"], memory["misses"], memory["size"]) == (
+                0, THREADS, 0,
+            )
 
 
 class TestPreparedHandleSingleFlight:
-    """Stampedes through one handle: at most ONE engine lookup total."""
+    """Stampedes through handles: one compilation per artifact."""
 
     @pytest.mark.parametrize("target", ["ucq", "datalog"])
     def test_one_compilation_per_cold_query(self, rules, target):
@@ -141,11 +162,75 @@ class TestPreparedHandleSingleFlight:
                     _stampede(THREADS, lambda: prepared.datalog)
                 else:
                     _stampede(THREADS, lambda: prepared.result)
-        # However many threads slip past the handle's memoization
-        # check, the engine's inflight locking admits exactly one
-        # compilation; the rest (0..N-1, schedule-dependent) are hits.
+        # The handle's lock admits exactly one compilation; the threads
+        # that waited read the handle's own artifact, which is no hit.
         assert trace.counter("engine.cache_misses") == 1
-        assert trace.counter("engine.cache_hits") <= THREADS - 1
+        assert trace.counter("engine.cache_hits") == 0
+        assert len(trace.spans("engine.rewrite")) == 1
+
+    def test_auto_handle_shares_its_explicit_siblings_compilation(
+        self, rules
+    ):
+        # Half the herd asks for `auto`, half for `ucq`: two handles of
+        # one query, one artifact dict, one compilation between them.
+        with obs.capture() as trace:
+            with Session(rules) as session:
+                counter = iter(range(THREADS))
+                lock = threading.Lock()
+
+                def action():
+                    with lock:
+                        index = next(counter)
+                    target = "auto" if index % 2 else "ucq"
+                    session.prepare(QUERY, target=target).rewriting
+
+                _stampede(THREADS, action)
+                auto = session.prepare(QUERY, target="auto")
+                explicit = session.prepare(QUERY, target="ucq")
+        assert auto is not explicit
+        assert auto.target_selected == "ucq"
+        assert auto.rewriting is explicit.rewriting
+        assert trace.counter("engine.cache_misses") == 1
+        assert trace.counter("engine.target_selected.ucq") == 1
+        # THREADS - 2 stampede prepares found a handle, the two closing
+        # prepares did too, and the sibling that did not compile took
+        # the other's artifact once.
+        assert trace.counter("engine.cache_hits") == THREADS + 1
+
+    def test_split_residual_compiles_once(self):
+        from repro.chase.certain import certain_answers_via_chase
+        from repro.workloads.interaction import split_workload
+
+        rules, query, data = split_workload()
+        results = []
+        lock = threading.Lock()
+        with obs.capture() as trace:
+            with Session(
+                rules, data, options=EngineOptions(hybrid="split")
+            ) as session:
+                prepared = session.prepare(query)
+
+                def answer():
+                    value = prepared.answer()
+                    with lock:
+                        results.append(value)
+
+                _stampede(THREADS, answer)
+                plan = prepared.plan()
+                memory = session.cache_stats()["memory"]
+        assert plan.kind == "split"
+        # The residual rewriting is the one artifact: the full-ontology
+        # rewriting, which diverges, is never compiled.
+        assert trace.counter("engine.cache_misses") == 1
+        assert trace.counter("engine.cache_hits") == 0
+        assert len(trace.spans("engine.rewrite")) == 1
+        assert (memory["misses"], memory["size"]) == (1, 1)
+        assert len(results) == THREADS
+        assert len(set(results)) == 1
+        lower = certain_answers_via_chase(
+            query, rules, data, max_steps=5_000, strict=False
+        )
+        assert results[0] == lower.answers
 
     def test_persistent_tier_writes_once(self, rules, tmp_path):
         with obs.capture() as trace:

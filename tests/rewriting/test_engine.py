@@ -29,10 +29,15 @@ class TestAnswering:
         }
 
     def test_rewriting_cache_reused(self, hierarchy_rules):
-        engine = FORewritingEngine(hierarchy_rules)
-        first = engine._rewrite(parse_query("q(X) :- d(X)"))
-        second = engine._rewrite(parse_query("q(Y) :- d(Y)"))
+        with Session(hierarchy_rules) as session:
+            first = session.prepare(parse_query("q(X) :- d(X)")).result
+            second = session.prepare(parse_query("q(Y) :- d(Y)")).result
         assert first is second  # same canonical UCQ -> cached object
+        # The engine memoizes nothing: each compile is a fresh run.
+        engine = FORewritingEngine(hierarchy_rules)
+        fresh = engine.compile(parse_query("q(Z) :- d(Z)"))
+        assert fresh is not engine.compile(parse_query("q(Z) :- d(Z)"))
+        assert fresh.ucq == first.ucq
 
     def test_incomplete_rewriting_raises_by_default(self):
         session = Session(example2(), options=SHALLOW)

@@ -1,10 +1,13 @@
-"""Regression tests for the engine's rewriting-cache keying.
+"""Regression tests for the keying of the session's compile memo.
 
-The cache is keyed by the UCQ's canonical form, so any two queries
-equal up to injective variable renaming and body-atom reordering must
-share one entry.  Hits and misses are observable both through
-``FORewritingEngine.cache_info()`` and the ``engine.cache_hits`` /
-``engine.cache_misses`` counters of :mod:`repro.obs`.
+The handle table is keyed by the UCQ's canonical form, so any two
+queries equal up to injective variable renaming and body-atom
+reordering must share one handle, hence one compilation; the engine
+itself memoizes nothing.  Hits and misses are observable both through
+``Session.cache_stats()["memory"]`` and the ``engine.cache_hits`` /
+``engine.cache_misses`` counters of :mod:`repro.obs`: a miss is one
+compilation a handle ran, a hit a ``prepare()`` an existing handle
+served or an artifact a sibling handle already held.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from repro import obs
 from repro.api import Session
 from repro.lang.parser import parse_program, parse_query
 from repro.lang.queries import UnionOfConjunctiveQueries
-from repro.rewriting.engine import FORewritingEngine
 
 RULES = parse_program(
     """
@@ -24,88 +26,88 @@ RULES = parse_program(
 )
 
 
+def _memory(session: Session) -> tuple[int, int, int]:
+    """(hits, misses, size) of the session's in-memory tier."""
+    memory = session.cache_stats()["memory"]
+    return memory["hits"], memory["misses"], memory["size"]
+
+
 def test_identical_query_hits_cache():
-    engine = FORewritingEngine(RULES)
     query = parse_query("q(X) :- faculty(X)")
-    with obs.capture() as cap:
-        engine._rewrite(query)
-        engine._rewrite(query)
-    assert engine.cache_info().hits == 1
-    assert engine.cache_info().misses == 1
-    assert engine.cache_info().size == 1
+    with obs.capture() as cap, Session(RULES) as session:
+        session.prepare(query).result
+        session.prepare(query).result
+        assert _memory(session) == (1, 1, 1)
     assert cap.counter("engine.cache_hits") == 1
     assert cap.counter("engine.cache_misses") == 1
 
 
 def test_alpha_renamed_query_hits_same_entry():
-    engine = FORewritingEngine(RULES)
-    with obs.capture() as cap:
-        first = engine._rewrite(parse_query("q(X) :- teaches(X, Y)"))
-        second = engine._rewrite(parse_query("q(A) :- teaches(A, B)"))
-    assert engine.cache_info() == (1, 1, 1)
+    with obs.capture() as cap, Session(RULES) as session:
+        first = session.prepare(parse_query("q(X) :- teaches(X, Y)")).result
+        second = session.prepare(parse_query("q(A) :- teaches(A, B)")).result
+        assert _memory(session) == (1, 1, 1)
     assert cap.counter("engine.cache_hits") == 1
     assert first is second
 
 
 def test_atom_reordered_query_hits_same_entry():
-    engine = FORewritingEngine(RULES)
-    with obs.capture() as cap:
-        first = engine._rewrite(
+    with obs.capture() as cap, Session(RULES) as session:
+        first = session.prepare(
             parse_query("q(X) :- faculty(X), teaches(X, Y)")
-        )
-        second = engine._rewrite(
+        ).result
+        second = session.prepare(
             parse_query("q(X) :- teaches(X, Y), faculty(X)")
-        )
-    assert engine.cache_info() == (1, 1, 1)
+        ).result
+        assert _memory(session) == (1, 1, 1)
     assert cap.counter("engine.cache_hits") == 1
     assert first is second
 
 
 def test_renamed_and_reordered_query_hits_same_entry():
-    engine = FORewritingEngine(RULES)
-    first = engine._rewrite(
-        parse_query("q(X) :- faculty(X), teaches(X, Y), professor(Z)")
-    )
-    second = engine._rewrite(
-        parse_query("q(U) :- teaches(U, W), professor(V), faculty(U)")
-    )
-    assert engine.cache_info() == (1, 1, 1)
+    with Session(RULES) as session:
+        first = session.prepare(
+            parse_query("q(X) :- faculty(X), teaches(X, Y), professor(Z)")
+        ).result
+        second = session.prepare(
+            parse_query("q(U) :- teaches(U, W), professor(V), faculty(U)")
+        ).result
+        assert _memory(session) == (1, 1, 1)
     assert first is second
 
 
 def test_ucq_disjunct_order_hits_same_entry():
-    engine = FORewritingEngine(RULES)
     cq1 = parse_query("q(X) :- faculty(X)")
     cq2 = parse_query("q(X) :- dean(X)")
-    engine._rewrite(UnionOfConjunctiveQueries([cq1, cq2]))
-    engine._rewrite(UnionOfConjunctiveQueries([cq2, cq1]))
-    assert engine.cache_info() == (1, 1, 1)
+    with Session(RULES) as session:
+        session.prepare(UnionOfConjunctiveQueries([cq1, cq2])).result
+        session.prepare(UnionOfConjunctiveQueries([cq2, cq1])).result
+        assert _memory(session) == (1, 1, 1)
 
 
 def test_distinct_queries_miss():
-    engine = FORewritingEngine(RULES)
-    with obs.capture() as cap:
-        engine._rewrite(parse_query("q(X) :- faculty(X)"))
-        engine._rewrite(parse_query("q(X) :- professor(X)"))
+    with obs.capture() as cap, Session(RULES) as session:
+        session.prepare(parse_query("q(X) :- faculty(X)")).result
+        session.prepare(parse_query("q(X) :- professor(X)")).result
         # Different answer tuple => different query, must not collide.
-        engine._rewrite(parse_query("q(Y) :- teaches(X, Y)"))
-        engine._rewrite(parse_query("q(X) :- teaches(X, Y)"))
-    assert engine.cache_info() == (0, 4, 4)
+        session.prepare(parse_query("q(Y) :- teaches(X, Y)")).result
+        session.prepare(parse_query("q(X) :- teaches(X, Y)")).result
+        assert _memory(session) == (0, 4, 4)
     assert cap.counter("engine.cache_hits") == 0
     assert cap.counter("engine.cache_misses") == 4
 
 
 def test_answer_paths_share_the_cached_rewriting(small_database):
     session = Session(RULES)
-    engine = session.engine
     query = parse_query("q(X) :- faculty(X)")
     with obs.capture() as cap:
         session.answer(query, small_database)
         # A second handle (the requested target differs, the resolved
-        # one does not) answers from the engine's cached entry.
+        # one does not) answers from its sibling's compiled artifact.
         session.answer(
             parse_query("q(Z) :- faculty(Z)"), small_database, target="auto"
         )
-    assert engine.cache_info().misses == 1
-    assert engine.cache_info().hits == 1
+    hits, misses, _ = _memory(session)
+    assert misses == 1
+    assert hits == 1
     assert cap.counter("engine.cache_misses") == 1

@@ -96,7 +96,7 @@ class TestRelevance:
         )
         query = parse_query("q(X) :- employee(X)")
         # The engine filters irrelevant rules; the library call does not.
-        filtered = FORewritingEngine(rules)._rewrite(query).ucq
+        filtered = FORewritingEngine(rules).compile(query).ucq
         assert filtered == rewrite(query, rules).ucq
 
     def test_all_relevant_when_everything_reachable(self, hierarchy_rules):

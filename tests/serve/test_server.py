@@ -244,7 +244,41 @@ class TestWarmServing:
         assert trace.counter("rewrite.cqs_generated") == 0
 
 
+def _spy_on_plans(monkeypatch):
+    """Record every call of the session's one planning step."""
+    from repro.api.session import Session
+
+    calls = []
+    plan = Session._plan
+
+    def spy(self, *args):
+        calls.append(args)
+        return plan(self, *args)
+
+    monkeypatch.setattr(Session, "_plan", spy)
+    return calls
+
+
 class TestPlanReporting:
+    def test_each_request_plans_once(self, monkeypatch):
+        # The response's plan, target and complete fields describe the
+        # plan whose answers it carries: one plan per request.
+        calls = _spy_on_plans(monkeypatch)
+        server = _server(workers=2, queue_depth=4)
+        with BackgroundServer(server) as (host, port):
+            for backend in ("memory", "sql", "memory"):
+                status, _, payload = _request(
+                    host,
+                    port,
+                    "POST",
+                    "/v1/query",
+                    {"query": QUERY, "backend": backend},
+                )
+                assert status == 200
+                assert payload["plan"] == "rewriting"
+                assert len(payload["answers"]) == 2
+        assert len(calls) == 3
+
     def test_materialized_tenant_reports_the_plan_that_ran(self):
         # Example 2's chain query has no finite rewriting, but its rules
         # are weakly acyclic: a materialize tenant answers exactly over

@@ -103,6 +103,22 @@ class TestAnswer:
         assert main(["answer", program_file, "q() :- c(X)", facts_file]) == 0
         assert capsys.readouterr().out.strip() == "true"
 
+    def test_answer_plans_once(self, program_file, facts_file, monkeypatch):
+        # The exactness warning describes the plan whose answers were
+        # printed: one planning step per command.
+        from repro.api.session import Session
+
+        calls = []
+        plan = Session._plan
+
+        def spy(self, *args):
+            calls.append(args)
+            return plan(self, *args)
+
+        monkeypatch.setattr(Session, "_plan", spy)
+        assert main(["answer", program_file, "q(X) :- c(X)", facts_file]) == 0
+        assert len(calls) == 1
+
     def test_exactness_comes_from_the_plan(self, tmp_path, capsys):
         # Example 2's chain query never finishes rewriting, but the
         # materialized chase answers it exactly: no incomplete warning.
@@ -132,7 +148,10 @@ class TestTrace:
         argv = ["trace", str(program), 'q() :- r("a", X)', "--data", str(facts)]
         assert main([*argv, "--max-depth", "5", "--hybrid", "materialize"]) == 0
         captured = capsys.readouterr()
-        assert "complete=False" in captured.out
+        assert (
+            "\nrewriting: none (the query runs over the materialized chase)\n"
+            in captured.out
+        )
         assert "\nplan:      chase\n" in captured.out
         assert "chase=1 agree=True" in captured.out
         assert captured.err == ""
@@ -144,6 +163,27 @@ class TestTrace:
             "warning: rewriting incomplete within budget (depth=3, cqs=4); "
             "output is a sound under-approximation"
         ]
+
+
+    def test_chase_plan_compiles_nothing(self, tmp_path, capsys):
+        # The trace describes the plan's own artifact, and a chase plan
+        # has none: with the CLI's default depth the full rewriting of
+        # Example 2's chain query would run for minutes.
+        from repro import obs
+
+        program = tmp_path / "ex2.dlp"
+        program.write_text(DANGEROUS)
+        facts = tmp_path / "facts.dlp"
+        facts.write_text("t(b, a). r(b, e).")
+        argv = ["trace", str(program), 'q() :- r("a", X)', "--data", str(facts)]
+        with obs.capture() as trace:
+            assert main([*argv, "--hybrid", "materialize"]) == 0
+        captured = capsys.readouterr()
+        assert not trace.spans("engine.rewrite")
+        assert "engine.rewrite" not in captured.out
+        assert "\nplan:      chase\n" in captured.out
+        assert "chase=1 agree=True" in captured.out
+        assert captured.err == ""
 
 
 class TestHybridFlag:
