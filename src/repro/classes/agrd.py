@@ -5,10 +5,15 @@ trigger a new application of ``R2`` -- witnessed by a unifier between
 some head atom of ``R1`` and some body atom of ``R2`` that respects
 existential variables (an existential head variable of ``R1`` denotes
 a fresh null, so it cannot be required to equal a constant, a frontier
-variable, or another existential variable).  A TGD set is aGRD when
-the dependency graph has no directed cycle; aGRD sets are
-FO-rewritable (the rewriting saturation visits each rule at most
-once along any derivation path).
+variable, or another existential variable: the null rule of
+:func:`repro.lang.unify.null_clash`).  A TGD set is aGRD when the
+dependency graph has no directed cycle; aGRD sets are FO-rewritable
+(the rewriting saturation visits each rule at most once along any
+derivation path).
+
+The test unifies one head atom with one body atom.  Every
+piece-unifier contains such a pair, so the graph over-approximates the
+piece-unifier dependencies: a set reported aGRD is aGRD.
 """
 
 from __future__ import annotations
@@ -18,72 +23,32 @@ from typing import Sequence
 import networkx as nx
 
 from repro.classes.base import ClassCheck, label_of
-from repro.lang.atoms import Atom
-from repro.lang.terms import Constant, Variable
 from repro.lang.tgd import TGD
+from repro.lang.unify import null_clash, term_classes
 
 
 def _may_trigger(producer: TGD, consumer: TGD) -> bool:
-    """True iff firing *producer* can enable a new match of *consumer*."""
+    """True iff firing *producer* can enable a new match of *consumer*.
+
+    Some head atom of *producer* must unify with some body atom of
+    *consumer* under the null rule.
+    """
     fresh_consumer = consumer.rename_apart(producer.variables())
     existential = set(producer.existential_head_variables())
     frontier = set(producer.distinguished_variables())
     for head_atom in producer.head:
         for body_atom in fresh_consumer.body:
-            if _unifies_with_nulls(head_atom, body_atom, existential, frontier):
+            if (
+                head_atom.relation != body_atom.relation
+                or head_atom.arity != body_atom.arity
+            ):
+                continue
+            classes = term_classes(zip(head_atom.terms, body_atom.terms))
+            if classes is not None and not any(
+                null_clash(group, existential, frontier) for group in classes
+            ):
                 return True
     return False
-
-
-def _unifies_with_nulls(
-    head_atom: Atom,
-    body_atom: Atom,
-    existential: set[Variable],
-    frontier: set[Variable],
-) -> bool:
-    """Position-wise unification respecting invented nulls."""
-    if (
-        head_atom.relation != body_atom.relation
-        or head_atom.arity != body_atom.arity
-    ):
-        return False
-    parent: dict = {}
-
-    def find(term):
-        parent.setdefault(term, term)
-        while parent[term] != term:
-            parent[term] = parent[parent[term]]
-            term = parent[term]
-        return term
-
-    def union(left, right):
-        left_root, right_root = find(left), find(right)
-        if left_root != right_root:
-            parent[left_root] = right_root
-
-    for left, right in zip(head_atom.terms, body_atom.terms):
-        union(left, right)
-
-    groups: dict = {}
-    for term in list(parent):
-        groups.setdefault(find(term), set()).add(term)
-    for group in groups.values():
-        constants = {t for t in group if isinstance(t, Constant)}
-        if len(constants) > 1:
-            return False
-        group_existential = {
-            t for t in group if isinstance(t, Variable) and t in existential
-        }
-        if group_existential:
-            if len(group_existential) > 1:
-                return False
-            if constants:
-                return False
-            if any(
-                isinstance(t, Variable) and t in frontier for t in group
-            ):
-                return False
-    return True
 
 
 def rule_dependency_graph(rules: Sequence[TGD]) -> nx.DiGraph:

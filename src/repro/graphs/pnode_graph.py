@@ -39,6 +39,10 @@ the test suite and EXPERIMENTS.md):
    some head atom of the rule (otherwise the rewriting step is
    inapplicable: aggregation of the piece is impossible).  This last
    clause is what blocks the "only apparent" recursion of Example 3.
+   The constant and null conditions are the piece rewriter's own
+   (:func:`repro.lang.unify.term_classes` and
+   :func:`repro.lang.unify.null_clash`); the ``z`` and context
+   conditions are this graph's.
 3. **Targets.**  For each body atom β of the rule: a *generic*
    successor (no trace), one successor per existential body variable
    occurring in β (a freshly introduced unknown, marked ``z``), and --
@@ -72,8 +76,9 @@ from typing import Sequence
 from repro.graphs.cycles import LabeledEdge, LabeledGraph
 from repro.lang.atoms import Atom
 from repro.lang.errors import ReproError
-from repro.lang.terms import Constant, Term, Variable
+from repro.lang.terms import Term, Variable
 from repro.lang.tgd import TGD
+from repro.lang.unify import class_substitution, null_clash, term_classes
 
 MISSING = "m"
 SPLITTING = "s"
@@ -274,32 +279,6 @@ def _canonical_node(sigma: Atom, context: Sequence[Atom]) -> PNode:
 # --------------------------------------------------------------------- #
 
 
-class _Classes:
-    """Union-find over the terms of σ and one head atom."""
-
-    def __init__(self) -> None:
-        self._parent: dict[Term, Term] = {}
-
-    def find(self, term: Term) -> Term:
-        parent = self._parent.setdefault(term, term)
-        if parent == term:
-            return term
-        root = self.find(parent)
-        self._parent[term] = root
-        return root
-
-    def union(self, left: Term, right: Term) -> None:
-        left_root, right_root = self.find(left), self.find(right)
-        if left_root != right_root:
-            self._parent[left_root] = right_root
-
-    def groups(self) -> list[set[Term]]:
-        out: dict[Term, set[Term]] = {}
-        for term in list(self._parent):
-            out.setdefault(self.find(term), set()).add(term)
-        return list(out.values())
-
-
 def _expand(
     node: PNode,
     rule: TGD,
@@ -319,9 +298,9 @@ def _expand(
     if sigma.relation != head.relation or sigma.arity != head.arity:
         return
 
-    classes = _Classes()
-    for sigma_term, head_term in zip(sigma.terms, head.terms):
-        classes.union(sigma_term, head_term)
+    classes = term_classes(zip(sigma.terms, head.terms))
+    if classes is None:
+        return
 
     existential_head = set(fresh.existential_head_variables())
     frontier = set(fresh.distinguished_variables())
@@ -329,55 +308,35 @@ def _expand(
     head_atoms = fresh.head
 
     traced_frontier: set[Variable] = set()
-    for group in classes.groups():
-        constants = {t for t in group if isinstance(t, Constant)}
-        if len(constants) > 1:
+    for group in classes:
+        if null_clash(group, existential_head, frontier):
             return
-        has_z = Z in group
-        group_existential = {
-            t for t in group
-            if isinstance(t, Variable) and t in existential_head
-        }
-        group_frontier = {
-            t for t in group
-            if isinstance(t, Variable) and t in frontier
-        }
-        if has_z:
+        if Z in group:
             # The trace must continue through the frontier
             # (Definition 3(ii) lifted to atoms).
-            if constants or group_existential:
+            if any(
+                not isinstance(t, Variable) or t in existential_head
+                for t in group
+            ):
                 return
-            traced_frontier |= group_frontier
-        if group_existential:
-            if len(group_existential) > 1:
-                return  # two distinct invented nulls are never equal
-            if constants or group_frontier:
-                return  # a null is never a constant / frontier value
+            traced_frontier.update(t for t in group if t in frontier)
+        if context_check and existential_head.intersection(group):
             # Context check: σ-variables unified with an invented null
             # must be consumable by the same rewriting step, i.e. every
             # context atom they appear in must unify with some head atom.
             for term in group:
                 if (
-                    isinstance(term, Variable)
-                    and term != Z
+                    term != Z
                     and term in shared
-                    and context_check
                     and not _context_consumable(node, term, head_atoms)
                 ):
                     return
 
-    # Build the frontier renaming: one canonical value per class.
-    substitution: dict[Variable, Term] = {}
-    for group in classes.groups():
-        representative = _group_representative(group)
-        for term in group:
-            if isinstance(term, Variable) and term != representative:
-                substitution[term] = representative
-
-    def image(term: Term) -> Term:
-        while isinstance(term, Variable) and term in substitution:
-            term = substitution[term]
-        return term
+    # Build the frontier renaming: one canonical value per class.  z is
+    # never the representative: generic successors drop the trace, so
+    # traced positions must rename to a plain variable; (c)-successors
+    # re-mark them explicitly.
+    image = class_substitution(classes, avoid={Z}).apply_term
 
     existential_body = set(fresh.existential_body_variables())
 
@@ -482,23 +441,6 @@ def _target_node(
     else:
         marked = list(context_atoms)
     return _canonical_node(marked[beta_position], marked)
-
-
-def _group_representative(group: set[Term]) -> Term:
-    """Deterministic representative: constant, then z, then min name."""
-
-    def rank(term: Term) -> tuple:
-        if isinstance(term, Constant):
-            return (0, str(term))
-        assert isinstance(term, Variable)
-        if term == Z:
-            # z must never be the representative: generic successors
-            # drop the trace, so traced positions must rename to a
-            # plain variable; (c)-successors re-mark them explicitly.
-            return (2, term.name)
-        return (1, term.name)
-
-    return min(group, key=rank)
 
 
 def _context_consumable(

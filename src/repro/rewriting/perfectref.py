@@ -30,8 +30,9 @@ from repro.lang.atoms import Atom
 from repro.lang.errors import NotSupportedError
 from repro.lang.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.lang.substitution import Substitution
-from repro.lang.terms import Constant, Term, Variable
+from repro.lang.terms import Variable
 from repro.lang.tgd import TGD
+from repro.lang.unify import class_substitution, null_clash, term_classes
 from repro.rewriting.budget import RewritingBudget
 from repro.rewriting.minimize import remove_subsumed
 from repro.rewriting.pieces import factorizations
@@ -175,69 +176,16 @@ def _applicable_unifier(
     """PerfectRef applicability: bound positions need frontier partners."""
     if atom.relation != head.relation or atom.arity != head.arity:
         return None
+    classes = term_classes(zip(atom.terms, head.terms))
+    if classes is None:
+        return None
     existential = set(rule.existential_head_variables())
-
-    parent: dict[Term, Term] = {}
-
-    def find(term: Term) -> Term:
-        parent.setdefault(term, term)
-        while parent[term] != term:
-            parent[term] = parent[parent[term]]
-            term = parent[term]
-        return term
-
-    for left, right in zip(atom.terms, head.terms):
-        left_root, right_root = find(left), find(right)
-        if left_root != right_root:
-            parent[left_root] = right_root
-
-    groups: dict[Term, set[Term]] = {}
-    for term in list(parent):
-        groups.setdefault(find(term), set()).add(term)
-
-    mapping: dict[Variable, Term] = {}
-    for group in groups.values():
-        constants = {t for t in group if isinstance(t, Constant)}
-        if len(constants) > 1:
+    frontier = set(rule.distinguished_variables())
+    for group in classes:
+        if not existential.intersection(group):
+            continue
+        if null_clash(group, existential, frontier):
             return None
-        group_existential = {
-            t for t in group if isinstance(t, Variable) and t in existential
-        }
-        if group_existential:
-            if len(group_existential) > 1 or constants:
-                return None
-            bound = {
-                t
-                for t in group
-                if isinstance(t, Variable)
-                and (t in shared or t in answer_vars)
-            }
-            frontier = {
-                t
-                for t in group
-                if isinstance(t, Variable)
-                and t in set(rule.distinguished_variables())
-            }
-            if bound or frontier:
-                return None  # a bound argument cannot become a null
-        representative = _representative(group, answer_vars, existential)
-        for term in group:
-            if isinstance(term, Variable) and term != representative:
-                mapping[term] = representative
-    return Substitution(mapping)
-
-
-def _representative(
-    group: set[Term], answer_vars: set[Variable], existential: set[Variable]
-) -> Term:
-    def rank(term: Term) -> tuple:
-        if isinstance(term, Constant):
-            return (0, str(term))
-        assert isinstance(term, Variable)
-        if term in answer_vars:
-            return (1, term.name)
-        if term not in existential:
-            return (2, term.name)
-        return (3, term.name)
-
-    return min(group, key=rank)
+        if any(t in shared or t in answer_vars for t in group):
+            return None  # a bound argument cannot become a null
+    return class_substitution(classes, prefer=answer_vars, avoid=existential)

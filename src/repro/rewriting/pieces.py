@@ -4,13 +4,16 @@ A rewriting step resolves a subset of the query atoms (a *piece*)
 against the head of a TGD and replaces it with the rule body.  The
 piece cannot be chosen freely: a query variable unified with an
 *existential head variable* of the rule corresponds to a labeled null
-in the canonical model, so it must not be an answer variable, must not
-be unified with a constant or with a frontier variable, and every other
-atom in which it occurs must belong to the piece as well (otherwise the
-step would claim knowledge about a null that the rest of the query
-still constrains).  When a shared variable blocks a unification, the
-piece is *aggregated*: the blocking atoms are pulled into the piece and
-unified against head atoms too, recursively.
+in the canonical model, so it must not be unified with a constant, a
+frontier variable or another existential variable (the null rule,
+:func:`repro.lang.unify.null_clash`).  It also must not be an answer
+variable, and every other atom in which it occurs must belong to the
+piece as well (otherwise the step would claim knowledge about a null
+that the rest of the query still constrains).  When a shared variable
+blocks a unification, the piece is *aggregated*: the blocking atoms are
+pulled into the piece and unified against head atoms too, recursively.
+The term classes and the unifier come from :mod:`repro.lang.unify`;
+this module adds the aggregation and the answer-variable condition.
 
 This is the classical sound-and-complete rewriting operator for
 existential rules; the paper's position graph and P-node graph are
@@ -26,9 +29,9 @@ from typing import Iterator
 
 from repro.lang.atoms import Atom
 from repro.lang.queries import ConjunctiveQuery
-from repro.lang.substitution import Substitution
-from repro.lang.terms import Constant, Term, Variable
+from repro.lang.terms import Term, Variable
 from repro.lang.tgd import TGD
+from repro.lang.unify import class_substitution, null_clash, term_classes
 
 
 @dataclass(frozen=True)
@@ -44,32 +47,6 @@ class PieceRewriting:
     query: ConjunctiveQuery
     rule: TGD
     piece: frozenset[int]
-
-
-class _UnionFind:
-    """Union-find over terms for building unifier classes."""
-
-    def __init__(self):
-        self._parent: dict[Term, Term] = {}
-
-    def find(self, term: Term) -> Term:
-        parent = self._parent.setdefault(term, term)
-        if parent == term:
-            return term
-        root = self.find(parent)
-        self._parent[term] = root
-        return root
-
-    def union(self, left: Term, right: Term) -> None:
-        left_root, right_root = self.find(left), self.find(right)
-        if left_root != right_root:
-            self._parent[left_root] = right_root
-
-    def classes(self) -> list[set[Term]]:
-        groups: dict[Term, set[Term]] = {}
-        for term in list(self._parent):
-            groups.setdefault(self.find(term), set()).add(term)
-        return list(groups.values())
 
 
 def piece_rewritings(
@@ -118,8 +95,8 @@ def _close(
         return
     produced.add(pairs)
 
-    # Position-wise union of each (query atom, head atom) pair.
-    union = _UnionFind()
+    # Position-wise classes of each (query atom, head atom) pair.
+    term_pairs: list[tuple[Term, Term]] = []
     for query_index, head_index in pairs:
         query_atom = query.body[query_index]
         head_atom = rule.head[head_index]
@@ -128,8 +105,10 @@ def _close(
             or query_atom.arity != head_atom.arity
         ):
             return
-        for query_term, head_term in zip(query_atom.terms, head_atom.terms):
-            union.union(query_term, head_term)
+        term_pairs.extend(zip(query_atom.terms, head_atom.terms))
+    classes = term_classes(term_pairs)
+    if classes is None:
+        return  # two distinct constants can never be equal (UNA)
 
     existential = set(rule.existential_head_variables())
     frontier = set(rule.distinguished_variables())
@@ -138,26 +117,13 @@ def _close(
     outside_occurrences = _variable_sites(query, piece)
 
     aggregation_needed: list[int] = []
-    for group in union.classes():
-        constants = [t for t in group if isinstance(t, Constant)]
-        if len(set(constants)) > 1:
-            return  # two distinct constants can never be equal (UNA)
-        group_existential = [
-            t for t in group
-            if isinstance(t, Variable) and t in existential
-        ]
-        if not group_existential:
+    for group in classes:
+        if not existential.intersection(group):
             continue
-        if len(set(group_existential)) > 1:
-            return  # two distinct invented nulls are never equal
-        if constants:
-            return  # a null is never equal to a constant
-        if any(
-            isinstance(t, Variable) and t in frontier for t in group
-        ):
-            return  # a null is never equal to a frontier value
+        if null_clash(group, existential, frontier):
+            return
         for term in group:
-            if not isinstance(term, Variable) or term in existential:
+            if term in existential:
                 continue
             if term in answer_vars:
                 return  # answers are never nulls
@@ -178,7 +144,12 @@ def _close(
             )
         return
 
-    substitution = _class_substitution(union, answer_vars, existential)
+    # Classes of an existential head variable plus piece-local query
+    # variables map onto the existential variable; those variables
+    # vanish with the piece, so the choice is invisible in the result.
+    substitution = class_substitution(
+        classes, prefer=answer_vars, avoid=existential
+    )
     new_body: list[Atom] = [
         substitution.apply_atom(atom)
         for index, atom in enumerate(query.body)
@@ -206,46 +177,6 @@ def _variable_sites(
     return {var: tuple(indexes) for var, indexes in sites.items()}
 
 
-def _class_substitution(
-    union: _UnionFind,
-    answer_vars: set[Variable],
-    existential: set[Variable],
-) -> Substitution:
-    """Build the unifying substitution from the union-find classes.
-
-    Representative preference: the constant if the class has one, then
-    answer variables, then other non-existential variables.  Classes
-    consisting of an existential head variable plus piece-local query
-    variables map onto the existential variable; those variables vanish
-    with the piece, so the choice is invisible in the result.
-    """
-    mapping: dict[Variable, Term] = {}
-    for group in union.classes():
-        representative = _pick_representative(group, answer_vars, existential)
-        for term in group:
-            if isinstance(term, Variable) and term != representative:
-                mapping[term] = representative
-    return Substitution(mapping)
-
-
-def _pick_representative(
-    group: set[Term],
-    answer_vars: set[Variable],
-    existential: set[Variable],
-) -> Term:
-    def rank(term: Term) -> tuple:
-        if isinstance(term, Constant):
-            return (0, str(term))
-        assert isinstance(term, Variable)
-        if term in answer_vars:
-            return (1, term.name)
-        if term not in existential:
-            return (2, term.name)
-        return (3, term.name)
-
-    return min(group, key=rank)
-
-
 def factorizations(query: ConjunctiveQuery) -> Iterator[ConjunctiveQuery]:
     """All single-step factorizations of *query*.
 
@@ -257,14 +188,16 @@ def factorizations(query: ConjunctiveQuery) -> Iterator[ConjunctiveQuery]:
     that would equate two distinct constants are skipped.
     """
     body = query.body
+    answer_vars = set(query.answer_variables)
     for i in range(len(body)):
         for j in range(i + 1, len(body)):
             first, second = body[i], body[j]
             if first.relation != second.relation or first.arity != second.arity:
                 continue
-            unifier = _factor_mgu(first, second, set(query.answer_variables))
-            if unifier is None:
+            classes = term_classes(zip(first.terms, second.terms))
+            if classes is None:
                 continue
+            unifier = class_substitution(classes, prefer=answer_vars)
             new_body = list(
                 dict.fromkeys(unifier.apply_atom(a) for a in body)
             )
@@ -272,22 +205,3 @@ def factorizations(query: ConjunctiveQuery) -> Iterator[ConjunctiveQuery]:
                 continue  # nothing merged; the step did no work
             new_answers = [unifier.apply_term(t) for t in query.answer_terms]
             yield ConjunctiveQuery(new_answers, new_body, name=query.name)
-
-
-def _factor_mgu(
-    first: Atom, second: Atom, answer_vars: set[Variable]
-) -> Substitution | None:
-    """MGU of two query atoms preferring answer variables as survivors."""
-    union = _UnionFind()
-    for left, right in zip(first.terms, second.terms):
-        union.union(left, right)
-    mapping: dict[Variable, Term] = {}
-    for group in union.classes():
-        constants = [t for t in group if isinstance(t, Constant)]
-        if len(set(constants)) > 1:
-            return None
-        representative = _pick_representative(group, answer_vars, set())
-        for term in group:
-            if isinstance(term, Variable) and term != representative:
-                mapping[term] = representative
-    return Substitution(mapping)

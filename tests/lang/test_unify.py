@@ -2,7 +2,7 @@
 
 from repro.lang.atoms import Atom
 from repro.lang.terms import Constant, Null, Variable
-from repro.lang.unify import mgu, mgu_atom_sets, mgu_atoms, unifiable
+from repro.lang.unify import mgu, mgu_atoms, unifiable
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 A, B = Constant("a"), Constant("b")
@@ -74,20 +74,3 @@ class TestMGUAtoms:
         assert unifiable(Atom("r", [X]), Atom("r", [A]))
         assert not unifiable(Atom("r", [A]), Atom("r", [B]))
 
-
-class TestMGUAtomSets:
-    def test_simultaneous_unification(self):
-        pairs = [
-            (Atom("r", [X, Y]), Atom("r", [Z, Z])),
-            (Atom("s", [X]), Atom("s", [A])),
-        ]
-        sub = mgu_atom_sets(pairs)
-        assert sub is not None
-        assert sub.apply_term(Y) == A  # X=Z=Y and X=a
-
-    def test_simultaneous_conflict(self):
-        pairs = [
-            (Atom("r", [X]), Atom("r", [A])),
-            (Atom("s", [X]), Atom("s", [B])),
-        ]
-        assert mgu_atom_sets(pairs) is None

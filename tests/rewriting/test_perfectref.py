@@ -63,6 +63,14 @@ class TestBasics:
         }
         assert frozenset({"a"}) in relations
 
+    def test_shared_variable_never_becomes_a_null(self):
+        # Y also occurs in s(Y), so r(X, Y) cannot be rewritten alone
+        # into a(X): that step would claim s holds of an invented null.
+        rules = parse_program("a(X) -> r(X, Z).")
+        query = parse_query("q(X) :- r(X, Y), s(Y)")
+        result = perfectref_rewrite(query, rules)
+        assert [str(cq) for cq in result.ucq] == [str(query)]
+
 
 class TestAgreementWithPieceEngine:
     @pytest.mark.parametrize("seed", range(12))
